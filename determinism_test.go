@@ -152,18 +152,29 @@ func TestDeterministicEventStream(t *testing.T) {
 // TestInstrumentationDoesNotPerturb is the bit-identity acceptance
 // criterion: attaching a sink and a metrics registry must leave the
 // simulated execution untouched — Stats identical to the bare run for
-// the same seed.
+// the same seed. A sink also turns off NACK retry-verdict replay, so the
+// instrumented run is the full-walk reference for the bare run's
+// replayed retries; the cells cover the retry-bound TM grid and the
+// interpreted executor (Cholesky).
 func TestInstrumentationDoesNotPerturb(t *testing.T) {
-	v, _ := VariantByName("CBS")
-	for _, wl := range []string{"BerkeleyDB", "Mp3d"} {
-		bare, err := RunOne(RunConfig{Workload: wl, Variant: v, Scale: testScale}, 9)
+	type cell struct{ wl, variant string }
+	cells := []cell{{"Mp3d", "CBS"}, {"Cholesky", "CBS"}}
+	for _, wl := range []string{"Raytrace", "BerkeleyDB"} {
+		for _, vn := range []string{"Perfect", "CBS", "BS_64"} {
+			cells = append(cells, cell{wl, vn})
+		}
+	}
+	for _, c := range cells {
+		wl := c.wl + "/" + c.variant
+		v, _ := VariantByName(c.variant)
+		bare, err := RunOne(RunConfig{Workload: c.wl, Variant: v, Scale: testScale}, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := &Recorder{}
 		met := NewCoreMetrics(NewRegistry())
 		inst, err := RunOne(RunConfig{
-			Workload: wl, Variant: v, Scale: testScale,
+			Workload: c.wl, Variant: v, Scale: testScale,
 			Sink: rec, Metrics: met, MetricsInterval: 5000,
 		}, 9)
 		if err != nil {

@@ -162,7 +162,12 @@ type Stats struct {
 type AccessResult struct {
 	Latency sim.Cycle
 	NACK    bool
-	Nackers []Nacker
+	// Broadcast is set on a NACK whose signature checks went to every
+	// core (check-all or snooping) rather than being forwarded to the
+	// directory's owner or sharers; ReplayNACK needs it to charge the
+	// same counter.
+	Broadcast bool
+	Nackers   []Nacker
 }
 
 type dirEntry struct {
@@ -186,6 +191,11 @@ type System struct {
 	hooks    Hooks
 	stats    Stats
 	bankFree []sim.Cycle // per-bank next-free cycle (contention model)
+
+	// version advances on every change to state a NACK outcome depends
+	// on (see Version). It is host bookkeeping, not simulated state: it
+	// only ever grows, and snapshots neither capture nor restore it.
+	version uint64
 
 	// Scratch storage for the per-access hot path. The system is owned
 	// by the single simulation goroutine and each returned slice is
@@ -265,6 +275,50 @@ func (s *System) emitSticky(owner, requester int, a addr.PAddr) {
 // Stats returns a snapshot of the protocol counters.
 func (s *System) Stats() Stats { return s.stats }
 
+// Version is the memory system's conflict-state version. It advances
+// whenever something a NACK outcome depends on may have changed: the
+// protocol bumps it on every L1 or directory change (grant, the E->M hit
+// upgrade, the L2-miss rebuild, leaving check-all mode, forced evictions,
+// Reset and restore), and the transactional engine bumps it through
+// BumpVersion whenever a signature, exact set or scheduled-transaction
+// row changes. An access that NACKed with Version unchanged across its
+// own walk NACKs again, with the same NACKers, for as long as Version
+// holds still, so its retries may be charged with ReplayNACK instead of
+// re-walking the protocol.
+func (s *System) Version() uint64 { return s.version }
+
+// BumpVersion records a change to conflict-detection state made outside
+// the protocol (signatures, exact sets, transaction scheduling).
+func (s *System) BumpVersion() { s.version++ }
+
+// ReplayNACK charges the counters of an Access that NACKs exactly as a
+// previous one did: same requester, operation and block, with Version
+// unchanged since that NACK's walk and no hook observing the walk (sink,
+// contention clock, latency perturbation). It repeats the requester's L1
+// Lookup — which decides L1Misses vs Upgrades and refreshes the line's
+// LRU position as the walk would — then counts the broadcast or forward
+// and the NACK. The walk's only other effect, the NACKers'
+// possible_cycle flags, was already set by the NACK being replayed and
+// cannot have been cleared without a bump.
+func (s *System) ReplayNACK(req Request, broadcast bool) {
+	if req.Op == sig.Read {
+		s.stats.Loads++
+	} else {
+		s.stats.Stores++
+	}
+	if st := s.l1[req.Core].Lookup(req.Addr.Block()); req.Op == sig.Write && st == cache.Shared {
+		s.stats.Upgrades++
+	} else {
+		s.stats.L1Misses++
+	}
+	if broadcast {
+		s.stats.Broadcasts++
+	} else {
+		s.stats.Forwards++
+	}
+	s.stats.NACKs++
+}
+
 // ResetStats zeroes the counters (used between warmup and measurement).
 func (s *System) ResetStats() { s.stats = Stats{} }
 
@@ -279,6 +333,7 @@ func (s *System) Reset() {
 	s.l2.Reset()
 	s.dir.Reset()
 	s.stats = Stats{}
+	s.version++
 	for i := range s.bankFree {
 		s.bankFree[i] = 0
 	}
@@ -333,13 +388,22 @@ func (s *System) ForceEvict(core, n int) (addr.PAddr, bool) {
 	if !ok {
 		return 0, false
 	}
+	s.version++
 	s.l1Victim(core, v)
 	return v.Addr, true
 }
 
 // Access performs one memory access through the protocol and returns its
-// outcome. On a NACK no state changes; the caller stalls and retries (or
-// aborts), per LogTM conflict resolution.
+// outcome. On a NACK the caller stalls and retries (or aborts), per LogTM
+// conflict resolution.
+//
+// A NACK changes no protocol state except on the L2-miss rebuild path,
+// which creates the directory entry, inserts the block into the L2 (with
+// any inclusion evictions) and puts the entry in check-all mode before it
+// NACKs. The contract retry replay relies on: every path that changes L1
+// or directory state advances Version, so a NACK across which Version
+// held still touched nothing but counters and the requester's LRU order,
+// and an identical retry before the next bump would NACK the same way.
 func (s *System) Access(req Request) AccessResult {
 	req.Addr = req.Addr.Block()
 	if req.Op == sig.Read {
@@ -360,6 +424,7 @@ func (s *System) Access(req Request) AccessResult {
 	case req.Op == sig.Write && (st == cache.Modified || st == cache.Exclusive):
 		s.stats.L1Hits++
 		if st == cache.Exclusive {
+			s.version++
 			s.l1[req.Core].SetState(req.Addr, cache.Modified)
 			if e := s.dir.Get(req.Addr); e != nil {
 				e.owner = req.Core
@@ -388,7 +453,9 @@ func (s *System) accessDirectory(req Request) AccessResult {
 	if e == nil {
 		// L2 miss: fetch from memory; directory info was lost when the
 		// L2 victimized the block, so conservatively broadcast to the
-		// L1s so they can check their signatures (§5).
+		// L1s so they can check their signatures (§5). The rebuild
+		// changes state even when it NACKs.
+		s.version++
 		s.stats.L2Misses++
 		lat += s.p.MemLat
 		lat += s.p.Grid.BroadcastFromBank(bank) + s.p.CheckLat
@@ -402,7 +469,7 @@ func (s *System) accessDirectory(req Request) AccessResult {
 			// the L1 signatures until one succeeds.
 			e.checkAll = true
 			s.stats.NACKs++
-			return AccessResult{Latency: lat, NACK: true, Nackers: nackers}
+			return AccessResult{Latency: lat, NACK: true, Nackers: nackers, Broadcast: true}
 		}
 		// Even without a NACK the rebuilt entry may be blind: a remote
 		// signature can still contain the block with no cached copy
@@ -420,11 +487,12 @@ func (s *System) accessDirectory(req Request) AccessResult {
 		nackers := s.checkCores(s.allCores(req.Core), req)
 		if len(nackers) > 0 {
 			s.stats.NACKs++
-			return AccessResult{Latency: lat, NACK: true, Nackers: nackers}
+			return AccessResult{Latency: lat, NACK: true, Nackers: nackers, Broadcast: true}
 		}
 		// A compatible grant does not prove the block left every
 		// signature (a read is granted against remote read-set
 		// membership); leave check-all until no signature contains it.
+		s.version++
 		e.checkAll = s.anySignatureMember(req)
 		// Fall through to the normal GETS/GETM handling: the entry may
 		// still record an owner or sharers whose cached copies need the
@@ -529,7 +597,7 @@ func (s *System) accessSnoop(req Request) AccessResult {
 	nackers := s.checkCores(s.allCores(req.Core), req)
 	if len(nackers) > 0 {
 		s.stats.NACKs++
-		return AccessResult{Latency: lat, NACK: true, Nackers: nackers}
+		return AccessResult{Latency: lat, NACK: true, Nackers: nackers, Broadcast: true}
 	}
 	// Locate the data: L1 owner beats L2 beats memory.
 	e := s.dir.Get(a)
@@ -570,6 +638,7 @@ func (s *System) accessSnoop(req Request) AccessResult {
 // state, handling victim (sticky) bookkeeping.
 func (s *System) grant(req Request, e *dirEntry, lat sim.Cycle) AccessResult {
 	a := req.Addr
+	s.version++
 	var newState cache.State
 	if req.Op == sig.Write {
 		newState = cache.Modified

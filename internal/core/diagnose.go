@@ -302,6 +302,7 @@ func (s *System) InjectSigNoise(core, thread, n int, salt uint64) int {
 		ctx.Sig.Insert(sig.Write, a)
 		inserted++
 	}
+	s.bumpVersion()
 	if s.Shadow != nil && inserted > 0 {
 		s.Shadow.DivergeAll("signature noise injected")
 	}

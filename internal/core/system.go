@@ -67,6 +67,13 @@ type System struct {
 	probeAddr  addr.PAddr
 	probeValid bool
 
+	// verdictCoh is the memory system when NACK retry verdicts can be
+	// replayed on this machine (see verdictsOn); nil otherwise. It also
+	// carries the conflict-state version the engine bumps.
+	verdictCoh *coherence.System
+	// verdictReplays counts retries answered from a verdict.
+	verdictReplays uint64
+
 	// Engine-ownership handoff state (see pump): the event loop runs on
 	// whichever goroutine currently owns the engine — Run's caller or a
 	// resumed thread. readied names the thread whose response the event
@@ -120,7 +127,9 @@ type System struct {
 	// LIFO, sticky audit, progress watchdog) against this system.
 	Check *check.Checker
 	// Fault, if set, is consulted at the engine's perturbation points by
-	// the fault injector. Nil (the default) leaves behavior untouched.
+	// the fault injector. Nil (the default) leaves behavior untouched. An
+	// attached hook marks a fault-injected run, which never replays NACK
+	// retry verdicts (see verdictsOn).
 	Fault FaultHook
 	// Sabotage deliberately breaks engine semantics so the differential
 	// harness can prove it detects real bugs (cmd/difftest -sabotage).
@@ -357,6 +366,9 @@ func NewSystem(p Params) (*System, error) {
 			return nil, err
 		}
 		s.Coh = coh
+		if !p.ModelContention && p.CD != CDCacheBits {
+			s.verdictCoh = coh
+		}
 	}
 	for c := 0; c < p.Cores; c++ {
 		var row []*Context
@@ -428,6 +440,7 @@ func (s *System) Reset(seed int64) error {
 	}
 	clear(s.hot)
 	s.probeValid = false
+	s.verdictReplays = 0
 	s.readied = nil
 	s.runLimit, s.runLast = 0, 0
 	s.nextPhysPage = 1
@@ -513,8 +526,10 @@ func (s *System) Place(t *Thread, core, thread int) error {
 // at every transition that can change a scheduled context's in-transaction
 // status: begin, each commit/abort level, Place, and Deschedule. Recounting
 // (rather than maintaining deltas) makes drift impossible as long as every
-// transition site calls it.
+// transition site calls it. Each of these transitions can change a NACK
+// outcome, so it also advances the conflict-state version.
 func (s *System) recountTx(core int) {
+	s.bumpVersion()
 	n := 0
 	base := core * s.P.ThreadsPerCore
 	for th := 0; th < s.P.ThreadsPerCore; th++ {
@@ -956,6 +971,7 @@ func (s *System) commit(t *Thread) {
 			if err := ctx.Sig.CopyFrom(f.SavedSig); err != nil {
 				panic(err)
 			}
+			s.bumpVersion()
 			snap := t.exactStack[len(t.exactStack)-1]
 			t.exactStack = t.exactStack[:len(t.exactStack)-1]
 			t.exact = snap.set
@@ -1074,6 +1090,9 @@ func (s *System) access(t *Thread, r request, op sig.Op) {
 	}
 	ctx := t.ctx
 	pa := t.PT.Translate(r.va)
+	if t.verdict.ok && s.replayRetry(t, r, op, pa) {
+		return
+	}
 
 	// The summary signature (§4.1) is checked when the response returns,
 	// below, not here: a summary entry lives from deschedule to outer
@@ -1093,6 +1112,7 @@ func (s *System) access(t *Thread, r request, op sig.Op) {
 			s.trace(t, "SMT conflict %v %v with thread %d", op, pa, n.Thread)
 		}
 		s.smtNack[0] = n
+		s.seedVerdict(t, op, pa, true, false, s.smtNack[:])
 		s.resolveNACK(t, r, op, s.smtNack[:])
 		return
 	}
@@ -1101,11 +1121,17 @@ func (s *System) access(t *Thread, r request, op sig.Op) {
 	if t.escaped {
 		reqTS = 0 // escaped accesses are non-transactional requests
 	}
+	v0 := s.cohVersion()
 	res := s.Coh.Access(coherence.Request{
 		Core: ctx.Core, Thread: ctx.Thread,
 		Op: op, Addr: pa, ASID: t.ASID, Timestamp: reqTS,
 	})
 	if res.NACK {
+		// A NACK that bumped the version (the L2-miss rebuild) changed
+		// state on its way, so its retry must walk again.
+		if s.cohVersion() == v0 {
+			s.seedVerdict(t, op, pa, false, res.Broadcast, res.Nackers)
+		}
 		s.resolveNACK(t, r, op, res.Nackers)
 		return
 	}
@@ -1130,6 +1156,9 @@ func (s *System) access(t *Thread, r request, op sig.Op) {
 
 	lat := res.Latency
 	if t.InTx() && !t.escaped {
+		// The footprint grows (an L1 hit included, which never reaches
+		// the protocol's own bumps): NACK outcomes against it change.
+		s.bumpVersion()
 		if s.P.CD == CDCacheBits {
 			// Original LogTM: set the R/W bit on the (now cached) line.
 			if op == sig.Read {
@@ -1563,6 +1592,7 @@ func (s *System) abort(t *Thread, cause obs.AbortCause) {
 			if err := ctx.Sig.CopyFrom(frame.SavedSig); err != nil {
 				panic(err)
 			}
+			s.bumpVersion()
 			snap := t.exactStack[len(t.exactStack)-1]
 			t.exactStack = t.exactStack[:len(t.exactStack)-1]
 			t.exact = snap.set
@@ -1854,6 +1884,7 @@ func (s *System) ScheduleOn(t *Thread, core, thread int) error {
 		if err := t.ctx.Sig.CopyFrom(t.SavedSig); err != nil {
 			return err
 		}
+		s.bumpVersion()
 		t.SavedSig = nil
 		t.NeedsSummaryUpdate = true
 		if s.Check != nil {

@@ -218,6 +218,9 @@ type Thread struct {
 	retryReq   request
 	retryOp    sig.Op
 	retryEpoch uint64
+	// verdict memoizes the last NACK so an unchanged retry can replay it
+	// (see retryVerdict). Host bookkeeping only; snapshots skip it.
+	verdict retryVerdict
 
 	// finishFn is the pooled completion continuation (see System.finish);
 	// finishResp is the response it delivers. Valid because a thread has

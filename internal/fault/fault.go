@@ -178,9 +178,11 @@ func New(plan Plan, sys *core.System) *Injector {
 			coh.Grid().SetPerturb(i.perturbNet)
 		}
 	}
-	if i.plan.NackDelayPct > 0 {
-		sys.Fault = i
-	}
+	// The injector is the engine's fault hook even without NACK delays
+	// (it then adds none and draws nothing): an attached hook tells the
+	// engine a fault plan is perturbing the run, so it stops replaying
+	// NACK retry verdicts.
+	sys.Fault = i
 	return i
 }
 

@@ -330,6 +330,7 @@ func (s *Scheduler) RelocatePage(p *Process, va addr.VAddr) error {
 	}
 	s.sys.Mem.CopyPage(oldBase, newBase)
 	s.stats.PageRelocations++
+	s.sys.InvalidateRetryVerdicts()
 	if s.sys.Check != nil {
 		// The invariant checker keys shadow state by physical address;
 		// move it with the page before any post-relocation access.
