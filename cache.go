@@ -53,8 +53,8 @@ func CacheFromFlags(enabled bool, dir string) *ResultCache {
 // byte-identical with and without caching; see the CI job).
 func CacheSummary(c *ResultCache) string {
 	s := c.Stats()
-	return fmt.Sprintf("cache: %d hits (%d from disk, %d remote), %d misses, %d evictions, %d errors",
-		s.Hits, s.DiskHits, s.RemoteHits, s.Misses, s.Evictions, s.Errors)
+	return fmt.Sprintf("cache: %d hits (%d from disk), %d misses, %d evictions, %d errors",
+		s.Hits, s.DiskHits, s.Misses, s.Evictions, s.Errors)
 }
 
 // encodeResult serializes one cell result for the cache. gob covers

@@ -2,8 +2,12 @@ package logtmse
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"logtmse/internal/sig"
 	"logtmse/internal/workload"
@@ -120,6 +124,66 @@ func TestFigure4CachedIdentity(t *testing.T) {
 	if s.Hits == 0 || s.Misses == 0 {
 		t.Errorf("cache stats = %+v, want both misses (cold) and hits (warm + shared lock baseline)", s)
 	}
+}
+
+// TestFigure4ResumesFromDiskCache: a sweep cancelled part-way (what
+// SIGINT does to the campaign commands) leaves every finished cell on
+// disk, and a re-run with a fresh cache over the same directory serves
+// them from disk and computes only the rest, with rows identical to a
+// cold, uncached run.
+func TestFigure4ResumesFromDiskCache(t *testing.T) {
+	const k = 3
+	seeds := []int64{1, 2, 3}
+	cold, err := Figure4(context.Background(), "Cholesky", testScale, seeds, nil, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	camp := NewCampaign("resume", len(Figure4Variants())*len(seeds))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for ctx.Err() == nil && cellsDone(camp) < k {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	_, err = Figure4Observed(ctx, "Cholesky", testScale, seeds, nil, 0, 1, NewResultCache(dir, 0), camp)
+	<-watched
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted sweep returned %v, want context.Canceled", err)
+	}
+	done := cellsDone(camp)
+	if done < k || done >= int64(len(Figure4Variants())*len(seeds)) {
+		t.Fatalf("interrupted after %d cells, want at least %d and not all", done, k)
+	}
+
+	resume := NewResultCache(dir, 0)
+	got, err := Figure4Observed(context.Background(), "Cholesky", testScale, seeds, nil, 0, 1, resume, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, cold) {
+		t.Errorf("resumed row differs from cold uncached row")
+	}
+	if s := resume.Stats(); s.DiskHits < uint64(done) || s.Errors != 0 {
+		t.Errorf("resume stats = %+v, want >= %d disk hits and 0 errors", s, done)
+	}
+}
+
+// cellsDone reads a campaign's finished-cell count from its /progress
+// endpoint.
+func cellsDone(c *Campaign) int64 {
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/progress", nil))
+	var p struct {
+		Done int64 `json:"cells_done"`
+	}
+	json.Unmarshal(rec.Body.Bytes(), &p)
+	return p.Done
 }
 
 // TestFigure4SharesLockBaseline: the Lock cell is one simulation per

@@ -520,9 +520,9 @@ func Figure4Observed(ctx context.Context, workloadName string, scale float64, se
 }
 
 // figure4RowFromOuts assembles one row from the (variant, seed)-ordered
-// cell outputs — the shared back half of Figure4Observed and the
-// fabric's Figure4RowsFromPayloads, which is what makes a distributed
-// campaign's report byte-identical to a local run's.
+// cell outputs — the shared back half of Figure4Observed and
+// Figure4SharedObserved, which is what makes a prefix-shared row
+// byte-identical to a plain one.
 func figure4RowFromOuts(workloadName string, seeds []int64, outs []seedOut) (Figure4Row, error) {
 	row := Figure4Row{
 		Workload: workloadName,

@@ -75,6 +75,25 @@ func TestRunOneBasic(t *testing.T) {
 	}
 }
 
+// TestRunOneTrapsPanickingObserver: a panicking Tracer fails its cell
+// with an error instead of killing the sweep around it.
+func TestRunOneTrapsPanickingObserver(t *testing.T) {
+	v, _ := VariantByName("Perfect")
+	rc := RunConfig{
+		Workload: "Cholesky",
+		Variant:  v,
+		Scale:    testScale,
+		Tracer:   func(cycle Cycle, thread, event string) { panic("observer bug") },
+	}
+	_, err := RunOne(rc, 1)
+	if err == nil {
+		t.Fatal("panicking tracer did not fail the cell")
+	}
+	if got := err.Error(); !strings.Contains(got, "cell panicked") || !strings.Contains(got, "observer bug") {
+		t.Fatalf("err = %v, want trapped panic naming the observer bug", err)
+	}
+}
+
 func TestRunAggregatesSeeds(t *testing.T) {
 	v, _ := VariantByName("Perfect")
 	agg, err := Run(RunConfig{

@@ -16,13 +16,10 @@
 // is only ever a replay of a deterministic computation keyed by a
 // fingerprint that covers every behavior-relevant input.
 //
-// An optional remote tier (Remote/RemoteStore) sits behind the disk:
-// the sweep fabric wires it to the coordinator's cache endpoints so
-// every worker's misses consult — and locally computed results
-// replenish — one shared campaign-wide cache. The remote tier inherits
-// the same contract: consulted only after memory and disk miss,
-// best-effort, never trusted for anything but replaying a
-// fingerprint-keyed deterministic result.
+// Because each cell is written to disk the moment it completes, the
+// disk tier is also the campaigns' crash resume: a sweep interrupted
+// part-way (SIGINT, a kill, a crash) and re-run with the same directory
+// recomputes only the cells that never reached disk.
 package memo
 
 import (
@@ -44,16 +41,14 @@ var magic = [4]byte{'L', 'T', 'M', '1'}
 
 // Stats are the cache's monotonic counters. Hits counts in-memory and
 // single-flight hits; DiskHits counts payloads served from the disk
-// tier; RemoteHits counts payloads served from the remote tier; Misses
-// counts computations actually run; Evictions counts size-cap
-// deletions; Errors counts non-fatal disk failures.
+// tier; Misses counts computations actually run; Evictions counts
+// size-cap deletions; Errors counts non-fatal disk failures.
 type Stats struct {
-	Hits       uint64
-	DiskHits   uint64
-	RemoteHits uint64
-	Misses     uint64
-	Evictions  uint64
-	Errors     uint64
+	Hits      uint64
+	DiskHits  uint64
+	Misses    uint64
+	Evictions uint64
+	Errors    uint64
 }
 
 // call is one in-flight computation other waiters block on.
@@ -73,28 +68,16 @@ type Cache struct {
 	mem      map[string][]byte
 	inflight map[string]*call
 
-	hits       atomic.Uint64
-	diskHits   atomic.Uint64
-	remoteHits atomic.Uint64
-	misses     atomic.Uint64
-	evictions  atomic.Uint64
-	errors     atomic.Uint64
+	hits      atomic.Uint64
+	diskHits  atomic.Uint64
+	misses    atomic.Uint64
+	evictions atomic.Uint64
+	errors    atomic.Uint64
 
 	warnOnce sync.Once
 	// Warnf receives the one-line warning on the first disk failure
 	// (default: standard error). Replaceable for tests.
 	Warnf func(format string, args ...interface{})
-
-	// Remote, if non-nil, is a read tier consulted after a memory and
-	// disk miss; a remote hit is written through to the local tiers. It
-	// must be safe for concurrent use and best-effort: a transport
-	// failure is simply a miss. Set before first use.
-	Remote func(key string) ([]byte, bool)
-	// RemoteStore, if non-nil, receives every payload this cache
-	// computed locally (never ones served from any tier), so a shared
-	// remote cache accumulates each cell exactly once per computation.
-	// Must be safe for concurrent use; failures must be non-fatal.
-	RemoteStore func(key string, payload []byte)
 }
 
 // New returns a cache. dir "" keeps the cache purely in-memory;
@@ -113,12 +96,11 @@ func New(dir string, maxBytes int64) *Cache {
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:       c.hits.Load(),
-		DiskHits:   c.diskHits.Load(),
-		RemoteHits: c.remoteHits.Load(),
-		Misses:     c.misses.Load(),
-		Evictions:  c.evictions.Load(),
-		Errors:     c.errors.Load(),
+		Hits:      c.hits.Load(),
+		DiskHits:  c.diskHits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Errors:    c.errors.Load(),
 	}
 }
 
@@ -128,7 +110,6 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Bind(reg *obs.Registry) {
 	reg.CounterFunc("memo.hits", func() uint64 { return c.hits.Load() })
 	reg.CounterFunc("memo.disk_hits", func() uint64 { return c.diskHits.Load() })
-	reg.CounterFunc("memo.remote_hits", func() uint64 { return c.remoteHits.Load() })
 	reg.CounterFunc("memo.misses", func() uint64 { return c.misses.Load() })
 	reg.CounterFunc("memo.evictions", func() uint64 { return c.evictions.Load() })
 	reg.CounterFunc("memo.errors", func() uint64 { return c.errors.Load() })
@@ -188,18 +169,12 @@ func (c *Cache) Do(key string, fn func() ([]byte, error)) (payload []byte, hit b
 		c.diskHits.Add(1)
 		return v, true, nil
 	}
-	if v, ok := c.readRemote(key); ok {
-		return v, true, nil
-	}
 	c.misses.Add(1)
 	payload, err = fn()
 	if err != nil {
 		return nil, false, err
 	}
 	c.writeDisk(key, payload)
-	if c.RemoteStore != nil {
-		c.RemoteStore(key, payload)
-	}
 	return payload, false, nil
 }
 
@@ -220,28 +195,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		c.mu.Unlock()
 		return v, true
 	}
-	if v, ok := c.readRemote(key); ok {
-		c.mu.Lock()
-		c.mem[key] = v
-		c.mu.Unlock()
-		return v, true
-	}
 	return nil, false
-}
-
-// readRemote consults the remote tier and writes a hit through to the
-// disk tier, so one campaign-wide fetch makes the entry local forever.
-func (c *Cache) readRemote(key string) ([]byte, bool) {
-	if c.Remote == nil {
-		return nil, false
-	}
-	v, ok := c.Remote(key)
-	if !ok {
-		return nil, false
-	}
-	c.remoteHits.Add(1)
-	c.writeDisk(key, v)
-	return v, true
 }
 
 // Put stores a payload under key in memory and, when configured, on

@@ -214,95 +214,6 @@ func TestDiskFailureNonFatal(t *testing.T) {
 	}
 }
 
-// TestRemoteTier: after memory and disk miss, the remote tier is
-// consulted; a remote hit counts as a hit (never recomputes) and is
-// written through to the local disk tier so the next process hits disk.
-func TestRemoteTier(t *testing.T) {
-	dir := t.TempDir()
-	remote := map[string][]byte{"k": []byte("from-remote")}
-	c := New(dir, 0)
-	c.Remote = func(key string) ([]byte, bool) {
-		v, ok := remote[key]
-		return v, ok
-	}
-	v, hit, err := c.Do("k", func() ([]byte, error) {
-		t.Fatal("computation ran despite remote entry")
-		return nil, nil
-	})
-	if err != nil || !hit || string(v) != "from-remote" {
-		t.Fatalf("remote hit: v=%q hit=%v err=%v", v, hit, err)
-	}
-	if s := c.Stats(); s.RemoteHits != 1 || s.Misses != 0 {
-		t.Fatalf("stats = %+v, want 1 remote hit, 0 misses", s)
-	}
-	// Write-through: a fresh cache over the same dir, with no remote,
-	// must now serve from disk.
-	local := New(dir, 0)
-	if v, ok := local.Get("k"); !ok || string(v) != "from-remote" {
-		t.Fatalf("remote hit not written through to disk: %q %v", v, ok)
-	}
-}
-
-// TestRemoteStore: only locally computed payloads are pushed to the
-// remote tier — disk and remote hits are not re-announced.
-func TestRemoteStore(t *testing.T) {
-	stored := map[string][]byte{}
-	c := New("", 0)
-	c.Remote = func(key string) ([]byte, bool) {
-		v, ok := stored[key]
-		return v, ok
-	}
-	c.RemoteStore = func(key string, payload []byte) { stored[key] = append([]byte(nil), payload...) }
-	if _, _, err := c.Do("a", func() ([]byte, error) { return []byte("computed"), nil }); err != nil {
-		t.Fatal(err)
-	}
-	if string(stored["a"]) != "computed" {
-		t.Fatalf("computed payload not pushed to remote: %q", stored["a"])
-	}
-	// A second cache with the same remote serves "a" from it without
-	// computing, and must not push it back.
-	pushes := 0
-	d := New("", 0)
-	d.Remote = c.Remote
-	d.RemoteStore = func(string, []byte) { pushes++ }
-	v, hit, err := d.Do("a", func() ([]byte, error) {
-		t.Fatal("computation ran despite remote entry")
-		return nil, nil
-	})
-	if err != nil || !hit || string(v) != "computed" {
-		t.Fatalf("remote hit: v=%q hit=%v err=%v", v, hit, err)
-	}
-	if pushes != 0 {
-		t.Fatalf("remote hit re-announced %d times, want 0", pushes)
-	}
-	if s := d.Stats(); s.RemoteHits != 1 {
-		t.Fatalf("stats = %+v, want 1 remote hit", s)
-	}
-}
-
-// TestGetFallsThroughToRemote: Get consults memory, disk, then remote.
-func TestGetFallsThroughToRemote(t *testing.T) {
-	c := New("", 0)
-	c.Remote = func(key string) ([]byte, bool) {
-		if key == "r" {
-			return []byte("rv"), true
-		}
-		return nil, false
-	}
-	if v, ok := c.Get("r"); !ok || string(v) != "rv" {
-		t.Fatalf("Get(remote) = %q %v", v, ok)
-	}
-	if _, ok := c.Get("absent"); ok {
-		t.Fatal("Get(absent) hit")
-	}
-	// The remote hit is now cached in memory: drop the remote and
-	// re-Get.
-	c.Remote = func(string) ([]byte, bool) { t.Fatal("remote re-consulted"); return nil, false }
-	if v, ok := c.Get("r"); !ok || string(v) != "rv" {
-		t.Fatalf("Get(cached remote hit) = %q %v", v, ok)
-	}
-}
-
 // TestBindRegistersCounters: the obs registry integration used by the
 // sweep commands' -cache-metrics flag.
 func TestBindRegistersCounters(t *testing.T) {

@@ -16,9 +16,8 @@ import (
 // Campaign is the live telemetry of one running sweep: cells done,
 // cached and in flight, plus commit/abort totals, all atomically
 // updated by worker goroutines and exposed over HTTP as
-// Prometheus-format /metrics and JSON /progress. It is the first
-// observable slice of the sweep fabric: a long chaos, difftest or
-// figure4 campaign becomes queryable while it runs.
+// Prometheus-format /metrics and JSON /progress, so a long chaos,
+// difftest or figure4 campaign is queryable while it runs.
 //
 // The campaign counters are deliberately decoupled from the live
 // simulation state: Registry counter funcs bound to a running System

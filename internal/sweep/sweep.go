@@ -120,9 +120,9 @@ func Each(ctx context.Context, n, j int, fn func(i int)) error {
 
 // Trap invokes fn and converts a panic into an ordinary error carrying
 // the panic value and stack. Campaign runners wrap each cell in Trap so
-// one panicking cell fails that cell — reported, retried or quarantined
-// like any other cell error — instead of killing the whole campaign
-// process and losing every in-flight result.
+// one panicking cell fails that cell, reported like any other cell
+// error, instead of killing the whole campaign process and losing every
+// in-flight result.
 func Trap(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -181,7 +181,10 @@ func Decode(r io.Reader) (*Trace, error) {
 	if n > 1<<30 {
 		return nil, fmt.Errorf("trace: implausible op count %d", n)
 	}
-	t := &Trace{Ops: make([]Op, 0, n)}
+	// n is untrusted: reserve at most a modest prefix up front, so a
+	// forged count fails on the missing ops instead of allocating
+	// gigabytes first. append grows real traces past it.
+	t := &Trace{Ops: make([]Op, 0, min(n, 1<<16))}
 	for i := uint64(0); i < n; i++ {
 		kb, err := br.ReadByte()
 		if err != nil {

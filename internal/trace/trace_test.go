@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -254,5 +255,21 @@ func TestKindStrings(t *testing.T) {
 	}
 	if !strings.Contains(Kind(42).String(), "42") {
 		t.Errorf("unknown kind string")
+	}
+}
+
+// TestDecodeForgedCountAllocatesLittle: a header claiming ~100M ops
+// followed by almost nothing must fail without first reserving memory
+// for every claimed op (about 2.5 GB for this input).
+func TestDecodeForgedCountAllocatesLittle(t *testing.T) {
+	data := []byte("LTMT\x01\xaa\xaa\xaa1\xaa\xaa\xaa0")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Decode(bytes.NewReader(data)); err == nil {
+		t.Fatal("truncated trace decoded")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<22 {
+		t.Fatalf("decoding a %d-byte input allocated %d bytes", len(data), got)
 	}
 }

@@ -234,7 +234,7 @@ func runSharedGroup(ctx context.Context, norm []RunConfig, keys []string, seed i
 
 	// Store computed results so later unshared or cached invocations
 	// are served without simulating. Do (not Put) keeps single-flight
-	// accounting and the remote tier consistent with runCached.
+	// and miss accounting consistent with runCached.
 	for _, i := range miss {
 		if norm[i].Cache == nil {
 			continue

@@ -7,10 +7,9 @@ import (
 	"logtmse/internal/stats"
 )
 
-// Figure 4 rendering, shared by cmd/figure4 (local sweeps) and
-// cmd/sweepd (distributed campaigns) so both produce byte-identical
-// reports from the same rows — the fabric's acceptance bar is literal
-// output equality with a local -j run.
+// Figure 4 rendering for cmd/figure4: the report is a pure function of
+// the rows, so a plain, prefix-shared or cached sweep at any -j prints
+// the same bytes.
 
 // WriteFigure4Header writes the report preamble and column header.
 func WriteFigure4Header(w io.Writer, scale float64, seeds int) {
