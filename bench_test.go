@@ -8,7 +8,6 @@ package logtmse
 // scale. The cmd/ tools run the same cells at full scale.
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -505,33 +504,6 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := snap.Restore(target, tinst, shot); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkForkedSweepRow measures what prefix sharing buys on a full
-// Figure-4 row: every transactional variant of one (workload, seed)
-// group replays the same timeline until the signatures first disagree,
-// so the shared path runs one reference with ghost signatures and forks
-// the siblings from a snapshot at the divergence point, instead of
-// running every variant from cycle zero. benchdiff reports the
-// shared/plain ratio from these two cells.
-func BenchmarkForkedSweepRow(b *testing.B) {
-	ctx := context.Background()
-	seeds := []int64{1, 2}
-	p := DefaultParams()
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Figure4(ctx, "Radiosity", benchScale, seeds, &p, 0, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("shared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Figure4Shared(ctx, "Radiosity", benchScale, seeds, &p, 0, 1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -182,17 +182,14 @@ func TestBisectRejectsUnbisectable(t *testing.T) {
 }
 
 // TestSabotageUncacheableUnshareable: a sabotaged cell must never enter
-// the result cache, the system pool, or a prefix-shared group under the
-// correct cell's fingerprint.
+// the result cache or the system pool under the correct cell's
+// fingerprint.
 func TestSabotageUncacheableUnshareable(t *testing.T) {
 	bs, _ := VariantByName("BS")
 	rc := RunConfig{Workload: "Mp3d", Variant: bs, Scale: testScale,
 		Sabotage: Sabotage{SkipUndoRecord: true}}
 	if Cacheable(rc) {
 		t.Error("sabotaged cell is cacheable")
-	}
-	if Shareable(rc) {
-		t.Error("sabotaged cell is prefix-shareable")
 	}
 	if _, err := Fingerprint(rc, 1); err == nil {
 		t.Error("sabotaged cell got a fingerprint")

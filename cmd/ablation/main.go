@@ -28,7 +28,6 @@ func main() {
 	jobs := flag.Int("j", 0, "parallel simulation cells (0 = GOMAXPROCS); output is identical for any -j")
 	useCache := flag.Bool("cache", false, "memoize cell results by fingerprint (output is byte-identical either way)")
 	cacheDir := flag.String("cache-dir", "", "persist cached cell results in this directory across invocations (implies -cache)")
-	sharePrefix := flag.Bool("share-prefix", false, "run the Ablation 2 size sweep as prefix-shared groups: one reference simulation per (benchmark, seed), sizes forked from snapshots (output is byte-identical either way)")
 	flag.Parse()
 	cache := logtmse.CacheFromFlags(*useCache, *cacheDir)
 	seedList := make([]int64, *seeds)
@@ -87,49 +86,17 @@ func main() {
 				agg logtmse.Aggregate
 				err error
 			}
-			sizeVariant := func(i int) logtmse.Variant {
-				return logtmse.Variant{
+			row, err := sweep.Map(ctx, len(sizes), *jobs, func(i int) cell {
+				v := logtmse.Variant{
 					Name: fmt.Sprintf("%s_%d", k.label, sizes[i]),
 					Mode: workload.TM,
 					Sig:  sig.Config{Kind: k.kind, Bits: sizes[i]},
 				}
-			}
-			var row []cell
-			if *sharePrefix {
-				// Size-major cells: each seed's five sizes share one
-				// prefix group, and each size's Aggregate is reassembled
-				// in seed order — bit-identical to RunContext's.
-				var cells []logtmse.SweepCell
-				for i := range sizes {
-					for _, s := range seedList {
-						cells = append(cells, logtmse.SweepCell{
-							RC:   logtmse.RunConfig{Workload: name, Variant: sizeVariant(i), Scale: *scale, Cache: cache},
-							Seed: s,
-						})
-					}
-				}
-				results, err := logtmse.RunCellsShared(ctx, cells, *jobs)
-				if err != nil {
-					fatal(err)
-				}
-				for i := range sizes {
-					agg := logtmse.Aggregate{Workload: name, Variant: sizeVariant(i)}
-					for j := range seedList {
-						r := results[i*len(seedList)+j]
-						agg.Runs = append(agg.Runs, r)
-						agg.CPU.Add(r.CyclesPerUnit)
-					}
-					row = append(row, cell{agg: agg})
-				}
-			} else {
-				var err error
-				row, err = sweep.Map(ctx, len(sizes), *jobs, func(i int) cell {
-					agg, err := logtmse.RunContext(ctx, logtmse.RunConfig{Workload: name, Variant: sizeVariant(i), Scale: *scale, Seeds: seedList, Cache: cache})
-					return cell{agg: agg, err: err}
-				})
-				if err != nil {
-					fatal(err)
-				}
+				agg, err := logtmse.RunContext(ctx, logtmse.RunConfig{Workload: name, Variant: v, Scale: *scale, Seeds: seedList, Cache: cache})
+				return cell{agg: agg, err: err}
+			})
+			if err != nil {
+				fatal(err)
 			}
 			for i := range sizes {
 				if row[i].err != nil {
@@ -228,9 +195,6 @@ func main() {
 		fmt.Printf("%-12s %18.0f %16.0f %9.2fx\n", name, off.Mean(), on.Mean(), on.Mean()/off.Mean())
 	}
 
-	if *sharePrefix {
-		fmt.Fprintln(os.Stderr, logtmse.PrefixSummary())
-	}
 	if cache != nil {
 		fmt.Fprintln(os.Stderr, logtmse.CacheSummary(cache))
 	}

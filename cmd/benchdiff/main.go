@@ -130,14 +130,6 @@ func run(w, errw io.Writer, base, neu string, maxRegress, maxGeomean float64) in
 				h.NsOp/cold.NsOp, cold.NsOp/h.NsOp)
 		}
 	}
-	// Prefix-sharing summary: a full Figure-4 row forked from shared
-	// snapshot prefixes versus the same row run from scratch.
-	if plain, ok := newBy["ForkedSweepRow/plain"]; ok && plain.NsOp > 0 {
-		if sh, ok := newBy["ForkedSweepRow/shared"]; ok && sh.NsOp > 0 {
-			fmt.Fprintf(w, "ForkedSweepRow shared/plain: %.3f (%.2fx speedup from prefix sharing)\n",
-				sh.NsOp/plain.NsOp, plain.NsOp/sh.NsOp)
-		}
-	}
 	// The zero-alloc gate: the event-engine hot path must not allocate.
 	for _, c := range n.Benchmarks {
 		if strings.HasPrefix(c.Name, "EngineSchedule") && c.AllocsOp != 0 {

@@ -33,10 +33,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"reflect"
 	"syscall"
 
-	"logtmse"
 	"logtmse/internal/core"
 	"logtmse/internal/memo"
 	"logtmse/internal/obs"
@@ -84,27 +82,9 @@ type seedRecord struct {
 }
 
 type report struct {
-	Campaign    campaign           `json:"campaign"`
-	Runs        []seedRecord       `json:"runs"`
-	SharePrefix *sharePrefixRecord `json:"share_prefix,omitempty"`
-	Summary     summary            `json:"summary"`
-}
-
-// sharePrefixRecord is the prefix-shared runner's differential oracle:
-// the matrix cells themselves differ in machine shape and fault mix and
-// so never share a prefix, but the runner that claims "forked equals
-// from-scratch" is exactly the kind of equivalence this command exists
-// to break. Each probed (workload, seed) runs a Figure 4-style TM
-// variant group through RunShared and through per-cell RunOne; any
-// non-identical RunResult is a campaign failure.
-type sharePrefixRecord struct {
-	Cells      int      `json:"cells"`
-	Groups     uint64   `json:"groups"`
-	Reused     uint64   `json:"reused"`
-	Forked     uint64   `json:"forked"`
-	Cold       uint64   `json:"cold"`
-	OK         bool     `json:"ok"`
-	Mismatches []string `json:"mismatches,omitempty"`
+	Campaign campaign     `json:"campaign"`
+	Runs     []seedRecord `json:"runs"`
+	Summary  summary      `json:"summary"`
 }
 
 type campaign struct {
@@ -150,7 +130,6 @@ func run() int {
 	cacheDir := flag.String("cache-dir", "", "persist cached outcomes in this directory (implies -cache)")
 	metricsOut := flag.String("metrics-out", "", "write the interval metrics time series of the campaign's runs as CSV here (forces -j 1, disables -cache)")
 	serveAddr := flag.String("serve", "", "serve live /metrics and /progress on this address during the campaign")
-	sharePrefix := flag.Bool("share-prefix", false, "additionally differential-test the prefix-shared sweep runner: run TM variant groups shared and unshared and require bit-identical results")
 	flag.Parse()
 
 	cfgs := matrix()
@@ -258,17 +237,6 @@ func run() int {
 		}
 		rep.Runs = runs
 	}
-	if *sharePrefix {
-		rep.SharePrefix = diffSharePrefix(ctx, *seedBase)
-		if *verbose {
-			status := "ok"
-			if !rep.SharePrefix.OK {
-				status = "DIVERGED"
-			}
-			fmt.Fprintf(os.Stderr, "share-prefix %d cells (%d groups, %d reused, %d forked)  %s\n",
-				rep.SharePrefix.Cells, rep.SharePrefix.Groups, rep.SharePrefix.Reused, rep.SharePrefix.Forked, status)
-		}
-	}
 	if *verbose {
 		for _, rec := range rep.Runs {
 			status := "ok"
@@ -324,62 +292,7 @@ func run() int {
 	if rep.Summary.Failed > 0 {
 		return 1
 	}
-	if rep.SharePrefix != nil && !rep.SharePrefix.OK {
-		return 1
-	}
 	return 0
-}
-
-// diffSharePrefix probes the prefix-shared runner over two benchmarks
-// and two seeds derived from the campaign base: five TM signature
-// variants per group, RunShared versus per-cell RunOne, compared with
-// reflect.DeepEqual so any Stats or derived-metric drift is a failure.
-func diffSharePrefix(ctx context.Context, seedBase int64) *sharePrefixRecord {
-	const scale = 0.05
-	names := []string{"Perfect", "BS", "CBS", "DBS", "BS_64"}
-	rec := &sharePrefixRecord{OK: true}
-	before := logtmse.SharedPrefixStats()
-	for _, wl := range []string{"Mp3d", "BerkeleyDB"} {
-		for s := int64(0); s < 2; s++ {
-			seed := seedBase + s
-			var rcs []logtmse.RunConfig
-			for _, n := range names {
-				v, _ := logtmse.VariantByName(n)
-				rcs = append(rcs, logtmse.RunConfig{Workload: wl, Variant: v, Scale: scale})
-			}
-			shared, err := logtmse.RunShared(ctx, rcs, seed)
-			if err != nil {
-				rec.OK = false
-				rec.Mismatches = append(rec.Mismatches, fmt.Sprintf("%s seed %d: shared run: %v", wl, seed, err))
-				continue
-			}
-			for i, rc := range rcs {
-				rec.Cells++
-				want, err := logtmse.RunOne(rc, seed)
-				if err != nil {
-					rec.OK = false
-					rec.Mismatches = append(rec.Mismatches, fmt.Sprintf("%s/%s seed %d: unshared run: %v", wl, rc.Variant.Name, seed, err))
-					continue
-				}
-				if !reflect.DeepEqual(shared[i], want) {
-					rec.OK = false
-					rec.Mismatches = append(rec.Mismatches, fmt.Sprintf(
-						"%s/%s seed %d: shared result differs from unshared (shared %+v, unshared %+v)",
-						wl, rc.Variant.Name, seed, shared[i], want))
-				}
-			}
-		}
-	}
-	after := logtmse.SharedPrefixStats()
-	rec.Groups = after.Groups - before.Groups
-	rec.Reused = after.Reused - before.Reused
-	rec.Forked = after.Forked - before.Forked
-	rec.Cold = after.Cold - before.Cold
-	if rec.Groups == 0 {
-		rec.OK = false
-		rec.Mismatches = append(rec.Mismatches, "no shared group ran — the probe cells were refused by the shareability gate")
-	}
-	return rec
 }
 
 func configNames() []string {

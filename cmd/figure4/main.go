@@ -33,7 +33,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist cached cell results in this directory across invocations (implies -cache)")
 	cacheMetrics := flag.String("cache-metrics", "", "write the cache hit/miss/eviction counters as a metrics CSV here (summarize with txviz -metrics)")
 	serveAddr := flag.String("serve", "", "serve live /metrics and /progress on this address during the sweep")
-	sharePrefix := flag.Bool("share-prefix", false, "run each seed's TM variants as one prefix-shared group: simulate the common prefix once, fork diverging variants from snapshots (output is byte-identical either way)")
 	flag.Parse()
 	cache := logtmse.CacheFromFlags(*useCache, *cacheDir)
 
@@ -71,13 +70,7 @@ func main() {
 	logtmse.WriteFigure4Header(os.Stdout, *scale, *seeds)
 	for _, name := range sel {
 		params := logtmse.DefaultParams()
-		var row logtmse.Figure4Row
-		var err error
-		if *sharePrefix {
-			row, err = logtmse.Figure4SharedObserved(ctx, name, *scale, seedList, &params, *threads, *jobs, cache, camp)
-		} else {
-			row, err = logtmse.Figure4Observed(ctx, name, *scale, seedList, &params, *threads, *jobs, cache, camp)
-		}
+		row, err := logtmse.Figure4Observed(ctx, name, *scale, seedList, &params, *threads, *jobs, cache, camp)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "figure4: %v\n", err)
 			if errors.Is(err, context.Canceled) {
@@ -86,9 +79,6 @@ func main() {
 			os.Exit(1)
 		}
 		logtmse.WriteFigure4Row(os.Stdout, row)
-	}
-	if *sharePrefix {
-		fmt.Fprintln(os.Stderr, logtmse.PrefixSummary())
 	}
 	if cache != nil {
 		fmt.Fprintln(os.Stderr, logtmse.CacheSummary(cache))

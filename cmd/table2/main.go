@@ -24,7 +24,6 @@ func main() {
 	jobs := flag.Int("j", 0, "parallel simulation cells (0 = GOMAXPROCS); output is identical for any -j")
 	useCache := flag.Bool("cache", false, "memoize cell results by fingerprint (output is byte-identical either way)")
 	cacheDir := flag.String("cache-dir", "", "persist cached cell results in this directory across invocations (implies -cache)")
-	sharePrefix := flag.Bool("share-prefix", false, "route cells through the prefix-shared runner; Table 2 has one cell per benchmark so every group is a singleton and nothing is forked (accepted for sweep-script uniformity)")
 	flag.Parse()
 	cache := logtmse.CacheFromFlags(*useCache, *cacheDir)
 
@@ -38,29 +37,12 @@ func main() {
 		err error
 	}
 	workloads := logtmse.Workloads()
-	rcFor := func(i int) logtmse.RunConfig {
-		return logtmse.RunConfig{
+	rows, err := sweep.Map(ctx, len(workloads), *jobs, func(i int) cell {
+		res, err := logtmse.RunOne(logtmse.RunConfig{
 			Workload: workloads[i].Name, Variant: v, Scale: *scale, Cache: cache,
-		}
-	}
-	var rows []cell
-	var err error
-	if *sharePrefix {
-		group := make([]logtmse.SweepCell, len(workloads))
-		for i := range workloads {
-			group[i] = logtmse.SweepCell{RC: rcFor(i), Seed: *seed}
-		}
-		var results []logtmse.RunResult
-		results, err = logtmse.RunCellsShared(ctx, group, *jobs)
-		for i := range results {
-			rows = append(rows, cell{res: results[i]})
-		}
-	} else {
-		rows, err = sweep.Map(ctx, len(workloads), *jobs, func(i int) cell {
-			res, err := logtmse.RunOne(rcFor(i), *seed)
-			return cell{res: res, err: err}
-		})
-	}
+		}, *seed)
+		return cell{res: res, err: err}
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "table2: %v\n", err)
 		if errors.Is(err, context.Canceled) {

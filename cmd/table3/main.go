@@ -27,7 +27,6 @@ func main() {
 	jobs := flag.Int("j", 0, "parallel simulation cells (0 = GOMAXPROCS); output is identical for any -j")
 	useCache := flag.Bool("cache", false, "memoize cell results by fingerprint (output is byte-identical either way)")
 	cacheDir := flag.String("cache-dir", "", "persist cached cell results in this directory across invocations (implies -cache)")
-	sharePrefix := flag.Bool("share-prefix", false, "run each benchmark's seven signature cells as one prefix-shared group: simulate once, fork variants from snapshots (output is byte-identical either way)")
 	flag.Parse()
 	cache := logtmse.CacheFromFlags(*useCache, *cacheDir)
 
@@ -62,32 +61,15 @@ func main() {
 			res logtmse.RunResult
 			err error
 		}
-		rcFor := func(i int) logtmse.RunConfig {
-			return logtmse.RunConfig{
+		rows, err := sweep.Map(ctx, len(cells), *jobs, func(i int) cell {
+			res, err := logtmse.RunOne(logtmse.RunConfig{
 				Workload: bench,
 				Variant:  logtmse.Variant{Name: cells[i].label, Mode: workload.TM, Sig: cells[i].sc},
 				Scale:    *scale,
 				Cache:    cache,
-			}
-		}
-		var rows []cell
-		var err error
-		if *sharePrefix {
-			group := make([]logtmse.SweepCell, len(cells))
-			for i := range cells {
-				group[i] = logtmse.SweepCell{RC: rcFor(i), Seed: *seed}
-			}
-			var results []logtmse.RunResult
-			results, err = logtmse.RunCellsShared(ctx, group, *jobs)
-			for i := range results {
-				rows = append(rows, cell{res: results[i]})
-			}
-		} else {
-			rows, err = sweep.Map(ctx, len(cells), *jobs, func(i int) cell {
-				res, err := logtmse.RunOne(rcFor(i), *seed)
-				return cell{res: res, err: err}
-			})
-		}
+			}, *seed)
+			return cell{res: res, err: err}
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "table3: %v\n", err)
 			if errors.Is(err, context.Canceled) {
@@ -105,9 +87,6 @@ func main() {
 				c.label, st.Commits, st.Aborts, st.Stalls, st.StallEpisodes, st.FPEpisodePct())
 		}
 		fmt.Println()
-	}
-	if *sharePrefix {
-		fmt.Fprintln(os.Stderr, logtmse.PrefixSummary())
 	}
 	if cache != nil {
 		fmt.Fprintln(os.Stderr, logtmse.CacheSummary(cache))

@@ -115,9 +115,9 @@ type RunConfig struct {
 	// Sabotage, when active, arms a deliberate engine bug (see
 	// core.Sabotage) — the validation target the oracles, the
 	// differential harness and cycle-level bisect are proved against.
-	// Sabotaged cells are never cached, pooled or prefix-shared; unlike
-	// the hook-based fault injector, sabotage is plain machine state, so
-	// snapshots capture it and BisectFailure can localize its damage.
+	// Sabotaged cells are never cached or pooled; unlike the hook-based
+	// fault injector, sabotage is plain machine state, so snapshots
+	// capture it and BisectFailure can localize its damage.
 	Sabotage Sabotage
 	// Jobs bounds how many seeds run concurrently (0 = GOMAXPROCS,
 	// 1 = serial). Each seed is a share-nothing cell, so the worker
@@ -516,21 +516,12 @@ func Figure4Observed(ctx context.Context, workloadName string, scale float64, se
 	if err != nil {
 		return Figure4Row{Workload: workloadName}, err
 	}
-	return figure4RowFromOuts(workloadName, seeds, outs)
-}
-
-// figure4RowFromOuts assembles one row from the (variant, seed)-ordered
-// cell outputs — the shared back half of Figure4Observed and
-// Figure4SharedObserved, which is what makes a prefix-shared row
-// byte-identical to a plain one.
-func figure4RowFromOuts(workloadName string, seeds []int64, outs []seedOut) (Figure4Row, error) {
 	row := Figure4Row{
 		Workload: workloadName,
 		Speedup:  make(map[string]float64),
 		CI:       make(map[string]float64),
 		Cells:    make(map[string]Aggregate),
 	}
-	variants := Figure4Variants()
 	// variants[0] is Lock: the baseline aggregate is assembled once here
 	// and shared below — no per-variant re-run, and no special-casing
 	// beyond its position in the variant list.

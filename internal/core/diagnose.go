@@ -303,8 +303,5 @@ func (s *System) InjectSigNoise(core, thread, n int, salt uint64) int {
 		inserted++
 	}
 	s.bumpVersion()
-	if s.Shadow != nil && inserted > 0 {
-		s.Shadow.DivergeAll("signature noise injected")
-	}
 	return inserted
 }

@@ -115,57 +115,6 @@ func (st *SystemState) InTx() bool {
 	return false
 }
 
-// WithSignatures returns a copy of the capture with every signature —
-// the per-context hardware pairs and the saved pairs inside nested log
-// frames — replaced by a variant's ghost signatures from a ShadowSigs
-// overlay taken at the same boundary. The result restores onto a machine
-// built with the variant's signature config; everything non-signature
-// (memory, caches, logs, engine, RNG) is shared with the original
-// capture. The receiver is never mutated.
-func (st *SystemState) WithSignatures(ov *SigOverlay) (*SystemState, error) {
-	if len(ov.ctxSigs) != len(st.ctxs) {
-		return nil, fmt.Errorf("core: overlay %s has %d context signatures, capture has %d",
-			ov.Name, len(ov.ctxSigs), len(st.ctxs))
-	}
-	out := *st
-	out.ctxs = make([]ctxState, len(st.ctxs))
-	for i := range st.ctxs {
-		out.ctxs[i] = ctxState{sig: ov.ctxSigs[i].Clone(), filter: st.ctxs[i].filter}
-	}
-	out.threads = append([]threadState(nil), st.threads...)
-	for ti := range out.threads {
-		ts := &out.threads[ti]
-		need := 0
-		for i := range ts.log {
-			if ts.log[i].SavedSig != nil {
-				need++
-			}
-		}
-		var stack []*sig.Signature
-		if ti < len(ov.sav) {
-			stack = ov.sav[ti]
-		}
-		if need != len(stack) {
-			return nil, fmt.Errorf("core: overlay %s thread %d has %d ghost saves, capture's log holds %d",
-				ov.Name, ti, len(stack), need)
-		}
-		if need == 0 {
-			continue
-		}
-		frames := make([]txlog.Frame, len(ts.log))
-		copy(frames, ts.log)
-		k := 0
-		for i := range frames {
-			if frames[i].SavedSig != nil {
-				frames[i].SavedSig = stack[k].Clone()
-				k++
-			}
-		}
-		ts.log = frames
-	}
-	return &out, nil
-}
-
 // CaptureState captures the complete dynamic state of the machine at a
 // quiescent event boundary (between events: after RunUntil returns, before
 // the next Run). barriers lists every workload barrier threads may be

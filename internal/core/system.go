@@ -135,12 +135,6 @@ type System struct {
 	// harness can prove it detects real bugs (cmd/difftest -sabotage).
 	// The zero value is a correct engine; never set outside tests.
 	Sabotage Sabotage
-	// Shadow, when attached with AttachShadow, mirrors every signature
-	// operation into ghost filters for alternative signature configs and
-	// tracks where each would first behave differently (the prefix-shared
-	// sweep's divergence detector). Mirroring only observes: Stats are
-	// bit-identical with or without it, and CaptureState permits it.
-	Shadow *ShadowSigs
 }
 
 // Sabotage selects deliberate semantics bugs for differential-test
@@ -447,7 +441,6 @@ func (s *System) Reset(seed int64) error {
 	s.OnOuterCommit, s.PreemptCheck, s.OnPreempt, s.OnThreadDone = nil, nil, nil, nil
 	s.Tracer, s.Sink, s.Met, s.Check, s.Fault = nil, nil, nil, nil, nil
 	s.Sabotage = Sabotage{}
-	s.Shadow = nil
 	return nil
 }
 
@@ -902,9 +895,6 @@ func (s *System) begin(t *Thread, open bool) {
 			})
 			ctx.Filter.Clear()
 			lat += s.sigCopyLat(t.depth - 1)
-			if s.Shadow != nil {
-				s.Shadow.pushSave(ctx, t.ID, t.depth-1)
-			}
 		}
 	}
 	t.Log.Push(nil, saved, open)
@@ -929,18 +919,13 @@ func (s *System) begin(t *Thread, open bool) {
 // from a log frame header. Levels within the backup-signature depth
 // (§3.2 optimization) are free — hardware keeps S_backup copies.
 func (s *System) sigCopyLat(level int) sim.Cycle {
-	return s.sigCopyLatBits(s.P.Signature.Bits, level)
-}
-
-// sigCopyLatBits is sigCopyLat for an arbitrary filter width — the
-// shadow tracker uses it to ask what a variant's hardware would charge.
-func (s *System) sigCopyLatBits(bits, level int) sim.Cycle {
 	if level <= s.P.SigBackupCopies {
 		return 0
 	}
 	if s.P.SigSaveLat > 0 {
 		return s.P.SigSaveLat
 	}
+	bits := s.P.Signature.Bits
 	if bits <= 0 {
 		bits = 2048 // Perfect: model a 2 Kb software image
 	}
@@ -977,9 +962,6 @@ func (s *System) commit(t *Thread) {
 			t.exact = snap.set
 			t.depth--
 			s.recountTx(t.ctx.Core)
-			if s.Shadow != nil {
-				s.Shadow.popRestore(ctx, t.ID, t.depth)
-			}
 			if s.Tracer != nil {
 				s.trace(t, "commit open depth=%d", t.depth+1)
 			}
@@ -1001,9 +983,6 @@ func (s *System) commit(t *Thread) {
 		}
 		if s.P.CD != CDCacheBits {
 			t.exactStack = t.exactStack[:len(t.exactStack)-1]
-			if s.Shadow != nil {
-				s.Shadow.popDiscard(t.ID)
-			}
 		}
 		t.depth--
 		s.recountTx(t.ctx.Core)
@@ -1045,9 +1024,6 @@ func (s *System) commit(t *Thread) {
 	t.exactStack = t.exactStack[:0]
 	ctx.Sig.ClearAll()
 	ctx.Filter.Clear()
-	if s.Shadow != nil {
-		s.Shadow.clearAll(ctx, t.ID)
-	}
 	if s.P.CD == CDCacheBits {
 		// Flash clear of the R/W bits and overflow flag (the cache-array
 		// operation LogTM-SE eliminates).
@@ -1168,9 +1144,6 @@ func (s *System) access(t *Thread, r request, op sig.Op) {
 			}
 		} else {
 			ctx.Sig.Insert(op, pa)
-			if s.Shadow != nil {
-				s.Shadow.insert(ctx, op, pa)
-			}
 			if s.Check != nil {
 				s.Check.OnSigInsert(t.ID, ctx.Sig, op, pa)
 			}
@@ -1565,9 +1538,6 @@ func (s *System) abort(t *Thread, cause obs.AbortCause) {
 		if t.depth == 0 {
 			ctx.Sig.ClearAll()
 			ctx.Filter.Clear()
-			if s.Shadow != nil {
-				s.Shadow.clearAll(ctx, t.ID)
-			}
 			if s.P.CD == CDCacheBits {
 				clear(ctx.rwRead)
 				clear(ctx.rwWrite)
@@ -1598,9 +1568,6 @@ func (s *System) abort(t *Thread, cause obs.AbortCause) {
 			t.exact = snap.set
 			ctx.Filter.Clear()
 			lat += s.sigCopyLat(t.depth)
-			if s.Shadow != nil {
-				s.Shadow.popRestore(ctx, t.ID, t.depth)
-			}
 			if s.Check != nil {
 				er, ew := t.ExactSets()
 				s.Check.SigCovers(t.ID, "nested-abort restore", ctx.Sig, er, ew)
@@ -1697,11 +1664,7 @@ func (s *System) ctxConflict(ctx *Context, op sig.Op, a addr.PAddr) bool {
 		}
 		return ctx.rwRead[a] || ctx.rwWrite[a]
 	}
-	hit := ctx.Sig.ConflictProbe(op, s.probeFor(a))
-	if s.Shadow != nil {
-		s.Shadow.checkConflict(ctx, op, a, hit)
-	}
-	return hit
+	return ctx.Sig.ConflictProbe(op, s.probeFor(a))
 }
 
 // SignatureCheck implements eager conflict detection at a target core: a
@@ -1770,11 +1733,7 @@ func (s *System) MayBeInSignature(core int, a addr.PAddr) bool {
 			}
 			continue
 		}
-		h := ctx.Sig.ConflictProbe(sig.Write, s.probeFor(a))
-		if s.Shadow != nil {
-			s.Shadow.checkConflict(ctx, sig.Write, a, h)
-		}
-		if h {
+		if ctx.Sig.ConflictProbe(sig.Write, s.probeFor(a)) {
 			hit = true
 		}
 	}
@@ -1812,11 +1771,7 @@ func (s *System) SignatureMember(core int, req coherence.Request) bool {
 		}
 		// A write probe conflicts with both the read and write sets, so
 		// it is exactly set membership.
-		h := ctx.Sig.ConflictProbe(sig.Write, s.probeFor(req.Addr))
-		if s.Shadow != nil {
-			s.Shadow.checkConflict(ctx, sig.Write, req.Addr, h)
-		}
-		if h {
+		if ctx.Sig.ConflictProbe(sig.Write, s.probeFor(req.Addr)) {
 			return true
 		}
 	}
@@ -1857,9 +1812,6 @@ func (s *System) Deschedule(t *Thread) {
 		panic("core: original LogTM cannot context-switch mid-transaction (R/W bits are not software accessible): " + t.Name)
 	}
 	ctx := t.ctx
-	if s.Shadow != nil {
-		s.Shadow.DivergeAll("thread descheduled")
-	}
 	if t.InTx() {
 		t.SavedSig = ctx.Sig.Clone()
 	} else {
@@ -1898,8 +1850,5 @@ func (s *System) ScheduleOn(t *Thread, core, thread int) error {
 // InstallSummary sets the summary signature checked on every memory
 // reference by the context. Pass nil to clear.
 func (s *System) InstallSummary(core, thread int, sum *sig.Signature) {
-	if s.Shadow != nil {
-		s.Shadow.DivergeAll("summary signature installed")
-	}
 	s.ctxs[core][thread].Summary = sum
 }

@@ -33,10 +33,10 @@ type retryVerdict struct {
 // side effects a replay would skip (router and bank queues, OverflowNACKs
 // and R/W-bit consumption). The dynamic hooks each observe the walk or
 // perturb it: a Tracer or Sink sees every SMT conflict and sticky
-// forward, a Shadow mirrors every signature probe, and a fault hook
-// means a fault plan that perturbs latencies and state from its own RNG.
+// forward, and a fault hook means a fault plan that perturbs latencies
+// and state from its own RNG.
 func (s *System) verdictsOn() bool {
-	return s.verdictCoh != nil && s.Tracer == nil && s.Sink == nil && s.Shadow == nil && s.Fault == nil
+	return s.verdictCoh != nil && s.Tracer == nil && s.Sink == nil && s.Fault == nil
 }
 
 // bumpVersion advances the conflict-state version after an engine-side

@@ -1,7 +1,7 @@
 // Package snap captures and restores complete simulator state at
-// event-queue quiescent boundaries, enabling forked sweep cells (run a
-// shared prefix once, fork each variant) and cycle-level bisect (restore
-// the nearest snapshot instead of replaying from zero).
+// event-queue quiescent boundaries, enabling cycle-level bisect (restore
+// the nearest snapshot instead of replaying from zero) and the
+// logtmsim -snap-every self-check.
 //
 // A snapshot bundles three layers:
 //

@@ -8,8 +8,7 @@ import (
 )
 
 // Figure 4 rendering for cmd/figure4: the report is a pure function of
-// the rows, so a plain, prefix-shared or cached sweep at any -j prints
-// the same bytes.
+// the rows, so a plain or cached sweep at any -j prints the same bytes.
 
 // WriteFigure4Header writes the report preamble and column header.
 func WriteFigure4Header(w io.Writer, scale float64, seeds int) {

@@ -47,12 +47,8 @@ go test -run xxx -bench 'BenchmarkFigure4' \
 # pooled/cold and cached/cold ratios from these cells.
 go test -run xxx -bench 'BenchmarkSweepCell' \
     -benchtime "$benchtime" -benchmem . >>"$tmp"
-# Snapshot engine: capture/restore cost on the Table-1 machine, and a
-# full Figure-4 row executed plain vs prefix-shared — benchdiff reports
-# the shared/plain ratio from the ForkedSweepRow pair.
+# Snapshot engine: capture/restore cost on the Table-1 machine.
 go test -run xxx -bench 'BenchmarkSnapshotRestore' \
-    -benchtime "$benchtime" -benchmem . >>"$tmp"
-go test -run xxx -bench 'BenchmarkForkedSweepRow' \
     -benchtime "$benchtime" -benchmem . >>"$tmp"
 go test -run xxx -bench 'BenchmarkSignatureOps' \
     -benchtime 10000x -benchmem . >>"$tmp"
