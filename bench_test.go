@@ -5,7 +5,8 @@ package logtmse
 // iteration index, matching the paper's pseudo-random perturbation); the
 // interesting results are exported with b.ReportMetric, so
 // `go test -bench . -benchmem` regenerates the evaluation at reduced
-// scale. The cmd/ tools run the same cells at full scale.
+// scale. `reproduce <campaign>` (cmd/reproduce) runs the same cells at
+// full scale.
 
 import (
 	"fmt"
@@ -19,7 +20,7 @@ import (
 )
 
 // benchScale keeps a single benchmark iteration around tens of
-// milliseconds; cmd/figure4 etc. run at scale 1.0.
+// milliseconds; the reproduce campaigns run at scale 1.0.
 const benchScale = 0.05
 
 func benchRun(b *testing.B, wl string, v Variant, scale float64) (last RunResult) {
@@ -84,22 +85,9 @@ func BenchmarkFigure4(b *testing.B) {
 // BenchmarkTable3 regenerates Table 3: conflict-detection quality versus
 // signature implementation and size, for Raytrace and BerkeleyDB.
 func BenchmarkTable3(b *testing.B) {
-	cells := []struct {
-		label string
-		sc    sig.Config
-	}{
-		{"Perfect", sig.Config{Kind: sig.KindPerfect}},
-		{"BS_2048", sig.Config{Kind: sig.KindBitSelect, Bits: 2048}},
-		{"CBS_2048", sig.Config{Kind: sig.KindCoarseBitSelect, Bits: 2048}},
-		{"DBS_2048", sig.Config{Kind: sig.KindDoubleBitSelect, Bits: 2048}},
-		{"BS_64", sig.Config{Kind: sig.KindBitSelect, Bits: 64}},
-		{"CBS_64", sig.Config{Kind: sig.KindCoarseBitSelect, Bits: 64}},
-		{"DBS_64", sig.Config{Kind: sig.KindDoubleBitSelect, Bits: 64}},
-	}
-	for _, wl := range []string{"Raytrace", "BerkeleyDB"} {
-		for _, c := range cells {
-			b.Run(wl+"/"+c.label, func(b *testing.B) {
-				v := Variant{Name: c.label, Mode: workload.TM, Sig: c.sc}
+	for _, wl := range table3Workloads {
+		for _, v := range Table3Variants() {
+			b.Run(wl+"/"+v.Name, func(b *testing.B) {
 				r := benchRun(b, wl, v, benchScale)
 				st := r.Stats
 				b.ReportMetric(float64(st.Commits), "txns")

@@ -101,16 +101,17 @@ func TestCachedRunIdentity(t *testing.T) {
 // then warm) must match the row computed with no cache at all.
 func TestFigure4CachedIdentity(t *testing.T) {
 	seeds := []int64{1, 2}
-	plain, err := Figure4(context.Background(), "Cholesky", testScale, seeds, nil, 0, 2)
+	rc := RunConfig{Workload: "Cholesky", Scale: testScale, Seeds: seeds, Jobs: 2}
+	plain, err := Figure4(context.Background(), rc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewResultCache(t.TempDir(), 0)
-	coldRow, err := Figure4Cached(context.Background(), "Cholesky", testScale, seeds, nil, 0, 2, cache)
+	rc.Cache = NewResultCache(t.TempDir(), 0)
+	coldRow, err := Figure4(context.Background(), rc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRow, err := Figure4Cached(context.Background(), "Cholesky", testScale, seeds, nil, 0, 2, cache)
+	warmRow, err := Figure4(context.Background(), rc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestFigure4CachedIdentity(t *testing.T) {
 	if !reflect.DeepEqual(warmRow, plain) {
 		t.Errorf("warm cached row differs from uncached row")
 	}
-	s := cache.Stats()
+	s := rc.Cache.Stats()
 	if s.Hits == 0 || s.Misses == 0 {
 		t.Errorf("cache stats = %+v, want both misses (cold) and hits (warm + shared lock baseline)", s)
 	}
@@ -134,7 +135,8 @@ func TestFigure4CachedIdentity(t *testing.T) {
 func TestFigure4ResumesFromDiskCache(t *testing.T) {
 	const k = 3
 	seeds := []int64{1, 2, 3}
-	cold, err := Figure4(context.Background(), "Cholesky", testScale, seeds, nil, 0, 2)
+	rc := RunConfig{Workload: "Cholesky", Scale: testScale, Seeds: seeds, Jobs: 2}
+	cold, err := Figure4(context.Background(), rc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,8 @@ func TestFigure4ResumesFromDiskCache(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, err = Figure4Observed(ctx, "Cholesky", testScale, seeds, nil, 0, 1, NewResultCache(dir, 0), camp)
+	rc.Jobs, rc.Cache = 1, NewResultCache(dir, 0)
+	_, err = Figure4(ctx, rc, camp)
 	<-watched
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep returned %v, want context.Canceled", err)
@@ -162,7 +165,8 @@ func TestFigure4ResumesFromDiskCache(t *testing.T) {
 	}
 
 	resume := NewResultCache(dir, 0)
-	got, err := Figure4Observed(context.Background(), "Cholesky", testScale, seeds, nil, 0, 1, resume, nil)
+	rc.Cache = resume
+	got, err := Figure4(context.Background(), rc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +197,8 @@ func cellsDone(c *Campaign) int64 {
 func TestFigure4SharesLockBaseline(t *testing.T) {
 	cache := NewResultCache("", 0)
 	seeds := []int64{3}
-	if _, err := Figure4Cached(context.Background(), "Radiosity", testScale, seeds, nil, 0, 1, cache); err != nil {
+	rc := RunConfig{Workload: "Radiosity", Scale: testScale, Seeds: seeds, Jobs: 1, Cache: cache}
+	if _, err := Figure4(context.Background(), rc, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := cache.Stats()

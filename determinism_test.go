@@ -92,11 +92,11 @@ func TestRunParallelIdentity(t *testing.T) {
 // variants x seeds cell matrix of a Figure 4 row.
 func TestFigure4ParallelIdentity(t *testing.T) {
 	p := DefaultParams()
-	serial, err := Figure4(context.Background(), "Mp3d", testScale, []int64{1, 2}, &p, 0, 1)
+	serial, err := Figure4(context.Background(), RunConfig{Workload: "Mp3d", Scale: testScale, Seeds: []int64{1, 2}, Params: &p, Jobs: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Figure4(context.Background(), "Mp3d", testScale, []int64{1, 2}, &p, 0, 8)
+	parallel, err := Figure4(context.Background(), RunConfig{Workload: "Mp3d", Scale: testScale, Seeds: []int64{1, 2}, Params: &p, Jobs: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

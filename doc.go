@@ -23,8 +23,10 @@
 //	})
 //	sys.Run()
 //
-// The experiment harness (Run, RunOne, Figure4) reproduces the
-// evaluation; see EXPERIMENTS.md for paper-vs-measured results.
+// The experiment harness (Run, RunOne, Figure4) and the paper's
+// campaigns as Experiments (Figure4Experiment, Table2Experiment, ...;
+// run by cmd/reproduce) reproduce the evaluation; see EXPERIMENTS.md
+// for paper-vs-measured results.
 package logtmse
 
 import (

@@ -33,6 +33,23 @@ func Figure4Variants() []Variant {
 	}
 }
 
+// Table3Variants returns Table 3's signature rows in order: Perfect,
+// then BS, CBS and DBS at 2 Kb and at 64 bits.
+func Table3Variants() []Variant {
+	return []Variant{
+		{Name: "Perfect", Mode: workload.TM, Sig: sig.Config{Kind: sig.KindPerfect}},
+		{Name: "BS_2048", Mode: workload.TM, Sig: sig.Config{Kind: sig.KindBitSelect, Bits: 2048}},
+		{Name: "CBS_2048", Mode: workload.TM, Sig: sig.Config{Kind: sig.KindCoarseBitSelect, Bits: 2048}},
+		{Name: "DBS_2048", Mode: workload.TM, Sig: sig.Config{Kind: sig.KindDoubleBitSelect, Bits: 2048}},
+		{Name: "BS_64", Mode: workload.TM, Sig: sig.Config{Kind: sig.KindBitSelect, Bits: 64}},
+		{Name: "CBS_64", Mode: workload.TM, Sig: sig.Config{Kind: sig.KindCoarseBitSelect, Bits: 64}},
+		{Name: "DBS_64", Mode: workload.TM, Sig: sig.Config{Kind: sig.KindDoubleBitSelect, Bits: 64}},
+	}
+}
+
+// table3Workloads are the two benchmarks Table 3 reports.
+var table3Workloads = []string{"Raytrace", "BerkeleyDB"}
+
 // VariantByName resolves a Figure 4 bar label.
 func VariantByName(name string) (Variant, bool) {
 	for _, v := range Figure4Variants() {
@@ -412,139 +429,19 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 	return res, nil
 }
 
-// seedOut pairs one seed's result with its error for ordered collection.
-type seedOut struct {
-	r   RunResult
-	err error
-}
-
 // Run executes an experiment cell across its seeds, up to rc.Jobs of them
 // concurrently. Results are aggregated in seed-list order, so the
 // Aggregate is bit-identical for every worker count.
 func Run(rc RunConfig) (Aggregate, error) {
-	return RunContext(context.Background(), rc)
-}
-
-// RunContext is Run with cancellation: on ctx cancellation the sweep
-// stops claiming seeds (cells already simulating finish) and the
-// context's error is returned.
-func RunContext(ctx context.Context, rc RunConfig) (Aggregate, error) {
-	rc = rc.withDefaults()
-	agg := Aggregate{Workload: rc.Workload, Variant: rc.Variant}
 	jobs := rc.Jobs
 	if rc.Tracer != nil || rc.Sink != nil || rc.Metrics != nil || rc.Prof != nil || rc.Flight != nil {
 		// Observers are shared across seeds; keep their event streams
 		// serial and in seed order.
 		jobs = 1
 	}
-	outs, err := sweep.Map(ctx, len(rc.Seeds), jobs, func(i int) seedOut {
-		r, err := RunOne(rc, rc.Seeds[i])
-		return seedOut{r: r, err: err}
-	})
+	aggs, err := runCells(context.Background(), []RunConfig{rc}, jobs, nil, nil)
 	if err != nil {
-		return agg, err
+		return Aggregate{Workload: rc.Workload, Variant: rc.Variant}, err
 	}
-	for _, o := range outs {
-		if o.err != nil {
-			return agg, o.err
-		}
-		agg.Runs = append(agg.Runs, o.r)
-		agg.CPU.Add(o.r.CyclesPerUnit)
-	}
-	return agg, nil
-}
-
-// Figure4Row holds one benchmark's bars: speedups of each variant
-// normalized to Lock (the paper's Figure 4 y-axis).
-type Figure4Row struct {
-	Workload string
-	Speedup  map[string]float64 // variant name -> speedup vs Lock
-	CI       map[string]float64 // 95% CI of the speedup
-	Lock     Aggregate
-	Cells    map[string]Aggregate
-}
-
-// Figure4 regenerates one row of Figure 4 for a benchmark. threads = 0
-// uses every hardware context. jobs bounds concurrency across the full
-// variants x seeds cell matrix (0 = GOMAXPROCS, 1 = serial); results are
-// reassembled in (variant, seed) submission order so the row is
-// bit-identical for every worker count.
-func Figure4(ctx context.Context, workloadName string, scale float64, seeds []int64, params *Params, threads, jobs int) (Figure4Row, error) {
-	return Figure4Cached(ctx, workloadName, scale, seeds, params, threads, jobs, nil)
-}
-
-// Figure4Cached is Figure4 with an optional result cache. The lock
-// baseline is one cell per (benchmark, seed), simulated exactly once —
-// every TM variant's speedup divides by the same shared Lock aggregate
-// rather than asking for its own baseline — and with a cache set, any
-// cell the cache already holds (a Lock or Perfect reference another
-// table just ran, a previous invocation's row) is served without
-// simulating. Submission order, and therefore the row, is byte-identical
-// with or without a cache.
-func Figure4Cached(ctx context.Context, workloadName string, scale float64, seeds []int64, params *Params, threads, jobs int, cache *ResultCache) (Figure4Row, error) {
-	return Figure4Observed(ctx, workloadName, scale, seeds, params, threads, jobs, cache, nil)
-}
-
-// Figure4Observed is Figure4Cached with live campaign telemetry: each
-// cell reports its in-flight/done transitions and headline counters to
-// camp while the row computes (nil camp behaves exactly like
-// Figure4Cached — telemetry observes scheduling, never results).
-func Figure4Observed(ctx context.Context, workloadName string, scale float64, seeds []int64, params *Params, threads, jobs int, cache *ResultCache, camp *Campaign) (Figure4Row, error) {
-	if len(seeds) == 0 {
-		seeds = []int64{1, 2, 3}
-	}
-	var begin, end func(i int)
-	if camp != nil {
-		begin, end = camp.Hooks()
-	}
-	variants := Figure4Variants()
-	outs, err := sweep.MapNotify(ctx, len(variants)*len(seeds), jobs, begin, end, func(i int) seedOut {
-		rc := RunConfig{
-			Workload: workloadName, Variant: variants[i/len(seeds)],
-			Scale: scale, Seeds: seeds, Params: params, Threads: threads,
-			Cache: cache,
-		}
-		r, err := RunOne(rc.withDefaults(), seeds[i%len(seeds)])
-		if camp != nil {
-			camp.RecordRun(r.Stats.Commits, r.Stats.Aborts, r.Stats.Stalls)
-			if err != nil {
-				camp.FailCell()
-			}
-		}
-		return seedOut{r: r, err: err}
-	})
-	if err != nil {
-		return Figure4Row{Workload: workloadName}, err
-	}
-	row := Figure4Row{
-		Workload: workloadName,
-		Speedup:  make(map[string]float64),
-		CI:       make(map[string]float64),
-		Cells:    make(map[string]Aggregate),
-	}
-	// variants[0] is Lock: the baseline aggregate is assembled once here
-	// and shared below — no per-variant re-run, and no special-casing
-	// beyond its position in the variant list.
-	var lock Aggregate
-	for vi, v := range variants {
-		agg := Aggregate{Workload: workloadName, Variant: v}
-		for si := range seeds {
-			o := outs[vi*len(seeds)+si]
-			if o.err != nil {
-				return row, o.err
-			}
-			agg.Runs = append(agg.Runs, o.r)
-			agg.CPU.Add(o.r.CyclesPerUnit)
-		}
-		row.Cells[v.Name] = agg
-		if v.Name == "Lock" {
-			lock = agg
-		}
-	}
-	row.Lock = lock
-	for name, cell := range row.Cells {
-		row.Speedup[name] = stats.Speedup(lock.CPU, cell.CPU)
-		row.CI[name] = stats.SpeedupCI(lock.CPU, cell.CPU)
-	}
-	return row, nil
+	return aggs[0], nil
 }

@@ -154,7 +154,7 @@ func TestFigure4RowSmall(t *testing.T) {
 		t.Skip("full row is slow")
 	}
 	p := DefaultParams()
-	row, err := Figure4(context.Background(), "Mp3d", testScale, []int64{1, 2}, &p, 0, 0)
+	row, err := Figure4(context.Background(), RunConfig{Workload: "Mp3d", Scale: testScale, Seeds: []int64{1, 2}, Params: &p}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
