@@ -94,7 +94,7 @@ func (r *BisectResult) String() string {
 const maxBisectSnaps = 512
 
 // BisectFailure localizes the first failing cycle of a broken cell. The
-// cell must be observer-free, compiled, fault-plan-free and on the
+// cell must be observer-free, fault-plan-free and on the
 // single-chip signature-mode baseline (the snapshot layer's domain);
 // rc.Checks selects the probing oracles (default: all, watchdog off).
 // Typically rc.Sabotage arms the defect under study, but any
@@ -104,9 +104,6 @@ func BisectFailure(rc RunConfig, seed int64, snapEvery Cycle) (*BisectResult, er
 	if rc.Tracer != nil || rc.Sink != nil || rc.Metrics != nil || rc.Prof != nil ||
 		rc.Flight != nil || rc.Params.Sink != nil {
 		return nil, fmt.Errorf("logtmse: bisect needs an observer-free cell (snapshots don't coexist with hooks)")
-	}
-	if rc.Interpret {
-		return nil, fmt.Errorf("logtmse: bisect needs the compiled executor (an interpreted thread's position lives on a goroutine stack and cannot be snapshotted)")
 	}
 	if rc.Fault.Active() {
 		return nil, fmt.Errorf("logtmse: the fault injector's schedule is hook state a snapshot cannot carry; bisect localizes sabotage- and engine-class defects")
@@ -382,12 +379,13 @@ type SnapSelfCheck struct {
 	Snapshots int `json:"snapshots"`
 	// ResumedFrom is the cycle of the last snapshot, which the check
 	// restores and replays (0 when the run ended before the first
-	// boundary — vacuously identical).
+	// boundary).
 	ResumedFrom Cycle `json:"resumed_from"`
 	// EndCycle is the run's final cycle.
 	EndCycle Cycle `json:"end_cycle"`
 	// Identical is true when the resumed replay finished at the same
-	// cycle with bit-identical Stats and a passing verification.
+	// cycle with bit-identical Stats and a passing verification. It
+	// stays false when nothing was captured: no replay, no proof.
 	Identical bool `json:"identical"`
 }
 
@@ -396,7 +394,7 @@ type SnapSelfCheck struct {
 // is restored onto a freshly spawned machine and replayed to
 // completion, and the replay must finish at the same cycle with
 // bit-identical Stats. The cell must satisfy the same constraints as
-// BisectFailure (observer-free, compiled, no fault plan, single-chip
+// BisectFailure (observer-free, no fault plan, single-chip
 // signature baseline); the returned RunResult is the original run's,
 // bit-identical to RunOne.
 func RunWithSnapshots(rc RunConfig, seed int64, every Cycle) (RunResult, SnapSelfCheck, error) {
@@ -411,9 +409,6 @@ func RunWithSnapshots(rc RunConfig, seed int64, every Cycle) (RunResult, SnapSel
 	if rc.Tracer != nil || rc.Sink != nil || rc.Metrics != nil || rc.Prof != nil ||
 		rc.Flight != nil || rc.Params.Sink != nil {
 		return RunResult{}, sc, fmt.Errorf("logtmse: snapshots need an observer-free cell")
-	}
-	if rc.Interpret {
-		return RunResult{}, sc, fmt.Errorf("logtmse: snapshots need the compiled executor")
 	}
 	if rc.Fault.Active() {
 		return RunResult{}, sc, fmt.Errorf("logtmse: the fault injector is not snapshot-capable")
@@ -458,8 +453,7 @@ func RunWithSnapshots(rc RunConfig, seed int64, every Cycle) (RunResult, SnapSel
 			return err
 		}
 		if last == nil {
-			sc.Identical = true // nothing captured, nothing to disprove
-			return nil
+			return nil // nothing captured, nothing replayed
 		}
 		sc.ResumedFrom = last.Cycle
 

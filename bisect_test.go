@@ -157,18 +157,13 @@ func TestBisectCleanRun(t *testing.T) {
 	}
 }
 
-// TestBisectRejectsUnbisectable pins the gate: hooks, the interpreter,
-// and fault plans cannot be snapshotted, so bisect must refuse rather
-// than return a bogus localization.
+// TestBisectRejectsUnbisectable pins the gate: hooks and fault plans
+// cannot be snapshotted, so bisect must refuse rather than return a
+// bogus localization.
 func TestBisectRejectsUnbisectable(t *testing.T) {
 	bs, _ := VariantByName("BS")
 	base := RunConfig{Workload: "Mp3d", Variant: bs, Scale: testScale}
 
-	interp := base
-	interp.Interpret = true
-	if _, err := BisectFailure(interp, 1, 5_000); err == nil {
-		t.Error("interpreted cell accepted")
-	}
 	faulty := base
 	faulty.Fault = FaultPlan{NackDelayPct: 50, NackDelayMax: 64, Seed: 9}
 	if _, err := BisectFailure(faulty, 1, 5_000); err == nil {
@@ -196,30 +191,58 @@ func TestSabotageUncacheableUnshareable(t *testing.T) {
 	}
 }
 
-// TestRunWithSnapshotsSelfCheck: capturing snapshots during a run must
-// not perturb it (the result equals RunOne's bit for bit), and the
-// restore-last-and-replay self-check must pass.
+// TestRunWithSnapshotsSelfCheck: for every workload, capturing
+// snapshots during a run must not perturb it (the result equals
+// RunOne's bit for bit), at least one mid-run capture must happen, and
+// the restore-last-and-replay self-check must pass.
 func TestRunWithSnapshotsSelfCheck(t *testing.T) {
 	bs, _ := VariantByName("BS")
-	rc := RunConfig{Workload: "Mp3d", Variant: bs, Scale: testScale}
-	res, sc, err := RunWithSnapshots(rc, 1, 2_000)
+	for _, wl := range []string{"BerkeleyDB", "Cholesky", "Mp3d", "NestedMicro", "Radiosity", "Raytrace"} {
+		wl := wl
+		t.Run(wl, func(t *testing.T) {
+			t.Parallel()
+			rc := RunConfig{Workload: wl, Variant: bs, Scale: testScale}
+			res, sc, err := RunWithSnapshots(rc, 1, 2_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.Snapshots == 0 {
+				t.Fatalf("no snapshots captured (run ended at %d; lower the stride)", sc.EndCycle)
+			}
+			if !sc.Identical {
+				t.Fatalf("self-check not identical: %+v", sc)
+			}
+			if sc.ResumedFrom == 0 || sc.ResumedFrom >= sc.EndCycle {
+				t.Fatalf("implausible resume point %d (end %d)", sc.ResumedFrom, sc.EndCycle)
+			}
+			plain, err := RunOne(rc, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, plain) {
+				t.Errorf("snapshot-collecting run differs from RunOne:\nsnap  %+v\nplain %+v", res, plain)
+			}
+		})
+	}
+}
+
+// TestRunWithSnapshotsNothingCaptured: a stride longer than the run
+// captures nothing, so nothing is replayed and the self-check must not
+// claim identity.
+func TestRunWithSnapshotsNothingCaptured(t *testing.T) {
+	bs, _ := VariantByName("BS")
+	rc := RunConfig{Workload: "Mp3d", Variant: bs, Scale: 0.02}
+	res, sc, err := RunWithSnapshots(rc, 1, 100_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sc.Identical {
-		t.Fatalf("self-check not identical: %+v", sc)
+	if sc.Snapshots != 0 || sc.ResumedFrom != 0 {
+		t.Fatalf("stride beyond the run captured something: %+v", sc)
 	}
-	if sc.Snapshots == 0 {
-		t.Fatalf("no snapshots captured (run ended at %d; lower the stride)", sc.EndCycle)
+	if sc.Identical {
+		t.Errorf("self-check claims identity with nothing replayed: %+v", sc)
 	}
-	if sc.ResumedFrom == 0 || sc.ResumedFrom >= sc.EndCycle {
-		t.Fatalf("implausible resume point %d (end %d)", sc.ResumedFrom, sc.EndCycle)
-	}
-	plain, err := RunOne(rc, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, plain) {
-		t.Errorf("snapshot-collecting run differs from RunOne:\nsnap  %+v\nplain %+v", res, plain)
+	if sc.EndCycle == 0 || res.Cycles != sc.EndCycle {
+		t.Errorf("run result cycles %d, self-check end %d", res.Cycles, sc.EndCycle)
 	}
 }

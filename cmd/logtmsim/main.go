@@ -46,14 +46,13 @@ func run() int {
 	scale := flag.Float64("scale", 1.0, "input scale (1.0 = paper inputs)")
 	seed := flag.Int64("seed", 1, "random perturbation seed")
 	threads := flag.Int("threads", 0, "worker threads (0 = all contexts)")
-	compiled := flag.Bool("compiled", true, "run the compiled txvm workload tapes; -compiled=false runs the closure-based reference executor (identical Stats, slower)")
 	snoop := flag.Bool("snoop", false, "use the broadcast snooping protocol (§7) instead of the directory")
 	chips := flag.Int("chips", 1, "build a multiple-CMP system (§7) with this many chips")
 	trace := flag.Int("trace", 0, "print the first N transactional events")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event (catapult) JSON timeline to this file (open in chrome://tracing or Perfetto; summarize with txviz)")
 	metricsOut := flag.String("metrics-out", "", "write the interval metrics time series (counters, gauges, histogram percentiles) as CSV to this file")
 	metricsInterval := flag.Uint64("metrics-interval", 10000, "metrics snapshot interval in cycles")
-	snapEvery := flag.Uint64("snap-every", 0, "capture a full-state snapshot every N cycles and prove the layer on the spot: the last snapshot is restored onto a fresh machine and replayed, and the replay must match bit for bit (needs the compiled executor and no -trace/-trace-out/-metrics-out)")
+	snapEvery := flag.Uint64("snap-every", 0, "capture a full-state snapshot every N cycles and prove the layer on the spot: the last snapshot is restored onto a fresh machine and replayed, and the replay must match bit for bit (needs no -trace/-trace-out/-metrics-out); exits 1 if the run ends before the first capture")
 	asJSON := flag.Bool("json", false, "emit the result as JSON (for scripting)")
 	printConfig := flag.Bool("print-config", false, "print the Table 1 system parameters and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
@@ -141,7 +140,6 @@ func run() int {
 		Variant:         v,
 		Scale:           *scale,
 		Threads:         *threads,
-		Interpret:       !*compiled,
 		Params:          &params,
 		Tracer:          tracer,
 		Metrics:         metrics,
@@ -157,6 +155,11 @@ func run() int {
 		res, sc, err = logtmse.RunWithSnapshots(rc, *seed, logtmse.Cycle(*snapEvery))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "logtmsim: %v\n", err)
+			return 1
+		}
+		if !sc.Identical {
+			fmt.Fprintf(os.Stderr, "logtmsim: no snapshot captured before the run ended at cycle %d; nothing replayed (lower -snap-every)\n",
+				sc.EndCycle)
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "logtmsim: %d snapshots; replay from cycle %d of %d bit-identical\n",

@@ -154,8 +154,8 @@ func TestDeterministicEventStream(t *testing.T) {
 // simulated execution untouched — Stats identical to the bare run for
 // the same seed. A sink also turns off NACK retry-verdict replay, so the
 // instrumented run is the full-walk reference for the bare run's
-// replayed retries; the cells cover the retry-bound TM grid and the
-// interpreted executor (Cholesky).
+// replayed retries; the cells cover the retry-bound TM grid, Mp3d and
+// Cholesky.
 func TestInstrumentationDoesNotPerturb(t *testing.T) {
 	type cell struct{ wl, variant string }
 	cells := []cell{{"Mp3d", "CBS"}, {"Cholesky", "CBS"}}
@@ -302,162 +302,91 @@ func TestTraceOutHasSlicePerCommit(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesInterpreted pins the dual-executor contract: for
-// every workload, Figure-4 variant, and machine size, the compiled txvm
-// tapes must produce a run bit-identical to the closure-based reference
-// executor — same cycles, same work units, same value of every counter.
-// A diff means a tape's op or RNG-draw sequence diverged from its
-// workload body. Short mode trims to the default machine and three
-// variants (Lock exercises the spinlock engine, Perfect and BS_64 the
-// transactional paths with and without signature pressure).
-func TestCompiledMatchesInterpreted(t *testing.T) {
-	small := DefaultParams()
-	small.Cores, small.GridW, small.GridH = 8, 4, 2
-	machines := []struct {
-		name string
-		p    Params
-	}{
-		{"c16", DefaultParams()},
-		{"c8", small},
-	}
-	workloads := []string{"BerkeleyDB", "Radiosity", "Raytrace", "Mp3d", "NestedMicro"}
-	shortVariants := map[string]bool{"Lock": true, "Perfect": true, "BS_64": true}
-	for _, m := range machines {
-		if testing.Short() && m.name != "c16" {
-			continue
-		}
-		for _, wname := range workloads {
-			for _, v := range Figure4Variants() {
-				if testing.Short() && !shortVariants[v.Name] {
-					continue
-				}
-				m, wname, v := m, wname, v
-				t.Run(m.name+"/"+wname+"/"+v.Name, func(t *testing.T) {
-					t.Parallel()
-					p := m.p
-					rc := RunConfig{Workload: wname, Variant: v, Scale: 0.02, Params: &p}
-					compiled, err := RunOne(rc, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rc.Interpret = true
-					interpreted, err := RunOne(rc, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(compiled, interpreted) {
-						t.Errorf("executors diverged:\ncompiled    %+v\ninterpreted %+v", compiled, interpreted)
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestResetAndRestoreEquivalence closes the loop on machine reuse: for
-// every workload and both executors, a pooled machine (System.Reset +
-// re-spawn) and a machine restored from a snapshot must reproduce a
-// fresh machine's run bit for bit. Interpreted threads live on
-// goroutine stacks mid-run, so their snapshot is taken at cycle zero
-// (every thread still at its start continuation); compiled runs capture
-// mid-flight at the first quiescent boundary past the cut.
+// every workload, a pooled machine (System.Reset + re-spawn) and a
+// machine restored from a mid-run snapshot must reproduce a fresh
+// machine's run bit for bit. The capture is taken at the first
+// quiescent boundary past a cut; every workload must reach one. (The
+// closure-based reference executor's half lives next to the reference
+// bodies in internal/workload.)
 func TestResetAndRestoreEquivalence(t *testing.T) {
 	workloads := []string{"BerkeleyDB", "Cholesky", "Mp3d", "NestedMicro", "Radiosity", "Raytrace"}
 	for _, wname := range workloads {
-		for _, interp := range []bool{false, true} {
-			mode := "compiled"
-			if interp {
-				mode = "interpreted"
+		wname := wname
+		t.Run(wname+"/compiled", func(t *testing.T) {
+			t.Parallel()
+			const seed = 3
+			p := core.DefaultParams()
+			p.Cores, p.ThreadsPerCore = 4, 2
+			p.GridW, p.GridH = 2, 2
+			p.L2Banks = 4
+			p.Seed = seed
+			w, ok := workload.ByName(wname)
+			if !ok {
+				t.Fatalf("no workload %q", wname)
 			}
-			wname, interp := wname, interp
-			t.Run(wname+"/"+mode, func(t *testing.T) {
-				t.Parallel()
-				const seed = 3
-				p := core.DefaultParams()
-				p.Cores, p.ThreadsPerCore = 4, 2
-				p.GridW, p.GridH = 2, 2
-				p.L2Banks = 4
-				p.Seed = seed
-				w, ok := workload.ByName(wname)
-				if !ok {
-					t.Fatalf("no workload %q", wname)
-				}
-				cfg := workload.Config{Scale: 0.02, Interpret: interp}
-				spawn := func() (*core.System, *workload.Instance) {
-					sys, err := core.NewSystem(p)
-					if err != nil {
-						t.Fatalf("NewSystem: %v", err)
-					}
-					inst, err := w.Spawn(sys, cfg)
-					if err != nil {
-						t.Fatalf("Spawn: %v", err)
-					}
-					return sys, inst
-				}
-				finish := func(sys *core.System, inst *workload.Instance) core.Stats {
-					sys.Run()
-					if !sys.AllDone() {
-						t.Fatalf("run hung; stuck: %v", sys.Stuck())
-					}
-					if err := inst.Verify(sys); err != nil {
-						t.Fatalf("verify: %v", err)
-					}
-					return sys.Stats()
-				}
-
-				// Fresh reference run, snapshotting on the way.
-				sys, inst := spawn()
-				var shot *snap.Snapshot
-				if interp {
-					s, err := snap.Capture(sys, inst)
-					if err != nil {
-						t.Fatalf("cycle-0 capture: %v", err)
-					}
-					shot = s
-				} else {
-					// Cycle-0 capture as the fallback for cells that finish
-					// before the first cut; prefer a mid-run boundary.
-					if s, err := snap.Capture(sys, inst); err == nil {
-						shot = s
-					}
-					for cut := Cycle(500); cut <= 12_000; cut += 500 {
-						sys.RunUntil(cut)
-						if sys.AllDone() {
-							break
-						}
-						if s, err := snap.Capture(sys, inst); err == nil {
-							shot = s
-							break
-						}
-					}
-				}
-				want := finish(sys, inst)
-
-				// Pooled path: Reset the same machine and run the cell again.
-				if err := sys.Reset(seed); err != nil {
-					t.Fatalf("Reset: %v", err)
-				}
-				rinst, err := w.Spawn(sys, cfg)
+			cfg := workload.Config{Scale: 0.02}
+			spawn := func() (*core.System, *workload.Instance) {
+				sys, err := core.NewSystem(p)
 				if err != nil {
-					t.Fatalf("re-spawn after Reset: %v", err)
+					t.Fatalf("NewSystem: %v", err)
 				}
-				if got := finish(sys, rinst); got != want {
-					t.Errorf("Reset machine diverged:\n got %+v\nwant %+v", got, want)
+				inst, err := w.Spawn(sys, cfg)
+				if err != nil {
+					t.Fatalf("Spawn: %v", err)
 				}
+				return sys, inst
+			}
+			finish := func(sys *core.System, inst *workload.Instance) core.Stats {
+				sys.Run()
+				if !sys.AllDone() {
+					t.Fatalf("run hung; stuck: %v", sys.Stuck())
+				}
+				if err := inst.Verify(sys); err != nil {
+					t.Fatalf("verify: %v", err)
+				}
+				return sys.Stats()
+			}
 
-				// Restore path: fork the snapshot onto a fresh machine.
-				if shot == nil {
-					t.Logf("no capturable boundary before the run ended; restore path not exercised")
-					return
+			// Fresh reference run, snapshotting at the first mid-run
+			// boundary on the way.
+			sys, inst := spawn()
+			var shot *snap.Snapshot
+			for cut := Cycle(500); cut <= 12_000; cut += 500 {
+				sys.RunUntil(cut)
+				if sys.AllDone() {
+					break
 				}
-				fsys, finst := spawn()
-				if err := snap.Restore(fsys, finst, shot); err != nil {
-					t.Fatalf("restore (cycle %d): %v", shot.Cycle, err)
+				if s, err := snap.Capture(sys, inst); err == nil {
+					shot = s
+					break
 				}
-				if got := finish(fsys, finst); got != want {
-					t.Errorf("restored machine (cycle %d) diverged:\n got %+v\nwant %+v", shot.Cycle, got, want)
-				}
-			})
-		}
+			}
+			want := finish(sys, inst)
+			if shot == nil {
+				t.Fatalf("no capturable boundary before the run ended at cycle %d", want.Cycles)
+			}
+
+			// Pooled path: Reset the same machine and run the cell again.
+			if err := sys.Reset(seed); err != nil {
+				t.Fatalf("Reset: %v", err)
+			}
+			rinst, err := w.Spawn(sys, cfg)
+			if err != nil {
+				t.Fatalf("re-spawn after Reset: %v", err)
+			}
+			if got := finish(sys, rinst); got != want {
+				t.Errorf("Reset machine diverged:\n got %+v\nwant %+v", got, want)
+			}
+
+			// Restore path: fork the snapshot onto a fresh machine.
+			fsys, finst := spawn()
+			if err := snap.Restore(fsys, finst, shot); err != nil {
+				t.Fatalf("restore (cycle %d): %v", shot.Cycle, err)
+			}
+			if got := finish(fsys, finst); got != want {
+				t.Errorf("restored machine (cycle %d) diverged:\n got %+v\nwant %+v", shot.Cycle, got, want)
+			}
+		})
 	}
 }

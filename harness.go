@@ -74,11 +74,6 @@ type RunConfig struct {
 	Scale float64
 	// Threads overrides the worker count (default: all 32 contexts).
 	Threads int
-	// Interpret runs the closure-based reference executor (goroutine
-	// workers) instead of the compiled txvm tapes. Both executors
-	// produce bit-identical Stats for the same cell (pinned by the
-	// determinism tests); the compiled default is simply faster.
-	Interpret bool
 	// Seeds lists the pseudo-random perturbations; each yields one run
 	// (default {1, 2, 3}).
 	Seeds []int64
@@ -340,10 +335,9 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 		sys.AttachMetrics(rc.Metrics, interval)
 	}
 	inst, err := w.Spawn(sys, workload.Config{
-		Mode:      rc.Variant.Mode,
-		Threads:   rc.Threads,
-		Scale:     rc.Scale,
-		Interpret: rc.Interpret,
+		Mode:    rc.Variant.Mode,
+		Threads: rc.Threads,
+		Scale:   rc.Scale,
 	})
 	if err != nil {
 		return RunResult{}, err

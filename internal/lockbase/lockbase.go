@@ -3,6 +3,11 @@
 // and-set spinlocks built from ordinary loads, stores and an atomic
 // exchange, all issued through the simulated memory system so they incur
 // the same coherence traffic a real lock would.
+//
+// This is the core.API form of the spin. The paper's workloads run it as
+// txvm's LockAcq/LockRel ops, which replicate it cycle for cycle; here it
+// serves goroutine-thread programs and the workloads' test-only
+// reference bodies.
 package lockbase
 
 import (

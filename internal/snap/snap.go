@@ -41,7 +41,7 @@ type Snapshot struct {
 // Capture captures the pair at a quiescent boundary (between events —
 // after RunUntil returns, before the next Run). It fails with
 // core.ErrNotCapturable when the state has parts that cannot be rebuilt
-// on a fork (hooks attached, interpreted thread mid-run, non-baseline
+// on a fork (hooks attached, goroutine thread mid-run, non-baseline
 // machine shape); callers fall back to running from scratch.
 func Capture(sys *core.System, inst *workload.Instance) (*Snapshot, error) {
 	st, err := sys.CaptureState(inst.Barriers)

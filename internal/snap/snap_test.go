@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"logtmse/internal/addr"
 	"logtmse/internal/core"
 	"logtmse/internal/sim"
 	"logtmse/internal/workload"
@@ -57,7 +58,7 @@ func finish(t *testing.T, sys *core.System, inst *workload.Instance) core.Stats 
 // spawned system, and require the forked run's Stats to be bit-identical
 // to the uninterrupted run's.
 func TestForkEquivalence(t *testing.T) {
-	for _, name := range []string{"BerkeleyDB", "Radiosity", "Raytrace", "Mp3d", "NestedMicro"} {
+	for _, name := range []string{"BerkeleyDB", "Cholesky", "Radiosity", "Raytrace", "Mp3d", "NestedMicro"} {
 		for _, seed := range []int64{1, 7} {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				cfg := workload.Config{Scale: 0.02}
@@ -126,18 +127,32 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
-// TestInterpretedNotCapturable pins the documented limitation: an
-// interpreted thread mid-run lives on a goroutine stack and cannot be
-// captured; Capture reports ErrNotCapturable so callers fall back.
+// TestInterpretedNotCapturable pins the documented limitation: a
+// goroutine (core.API) thread mid-run lives on its goroutine stack and
+// cannot be captured; Capture reports ErrNotCapturable so callers fall
+// back.
 func TestInterpretedNotCapturable(t *testing.T) {
-	cfg := workload.Config{Scale: 0.02, Interpret: true}
-	sys, inst := spawnPair(t, testParams(1), "BerkeleyDB", cfg)
+	sys, err := core.NewSystem(testParams(1))
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	pt := sys.NewPageTable(1)
+	if _, err := sys.SpawnOn(0, 0, "api-0", 1, pt, func(a *core.API) {
+		for i := 0; i < 100; i++ {
+			a.Store(addr.VAddr(0x1000_0000+i*addr.BlockBytes), uint64(i))
+			a.Compute(100)
+		}
+		a.WorkUnit()
+	}); err != nil {
+		t.Fatalf("SpawnOn: %v", err)
+	}
+	inst := &workload.Instance{PT: pt, Verify: func(*core.System) error { return nil }}
 	sys.RunUntil(5_000)
 	if sys.AllDone() {
-		t.Skip("run too short")
+		t.Fatal("goroutine thread finished before the capture probe")
 	}
 	if _, err := Capture(sys, inst); !errors.Is(err, core.ErrNotCapturable) {
-		t.Fatalf("capture of interpreted mid-run: err=%v, want ErrNotCapturable", err)
+		t.Fatalf("capture of goroutine thread mid-run: err=%v, want ErrNotCapturable", err)
 	}
 	finish(t, sys, inst)
 }
@@ -165,6 +180,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint16(5_000), uint8(0))
 	f.Add(int64(7), uint16(12_000), uint8(2))
 	f.Add(int64(42), uint16(800), uint8(5))
+	f.Add(int64(3), uint16(2_000), uint8(1))
+	f.Add(int64(5), uint16(4_000), uint8(3))
+	f.Add(int64(9), uint16(6_000), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, cut uint16, which uint8) {
 		name := names[int(which)%len(names)]
 		p := testParams(seed)

@@ -6,10 +6,10 @@ import (
 )
 
 // The workloads' random-set generators. These are the single source of
-// truth for both executors: the interpreted closures in
-// internal/workload delegate here, and the Machine's OpDrawCount/OpZipf
-// ops call them directly, so a given RNG stream yields the same sets on
-// either path.
+// truth for both executors: the Machine's OpDrawCount/OpZipf ops call
+// them directly, and the closure-based reference bodies in
+// internal/workload's tests delegate here, so a given RNG stream
+// yields the same sets on either path.
 
 // DrawCount draws a set size with the given mean and hard maximum: a
 // geometric-ish distribution with minimum 1, matching the skew the

@@ -1,6 +1,7 @@
 // Package txvm compiles workload bodies into flat per-thread op tapes
 // and executes them on core's stepped-thread path (no goroutine, no
-// channel handoff per response).
+// channel handoff per response). It is the only executor the paper's
+// workloads run on in production.
 //
 // A tape is a []Instr: a compact encoding of the workload's memory-op
 // stream — loads, stores, exchanges, fetch-adds, transaction begins and
@@ -8,10 +9,11 @@
 // (zipf, uniform, sorted-run, sequential-ring) the synthetic workloads
 // draw their sharing patterns from. Register draws execute at tape run
 // time against the thread's own RNG, in exactly the order the
-// interpreted closure body would consume them, so a compiled run's
-// random stream — and with it every Stats counter — is bit-identical
-// to the interpreted reference executor (pinned by determinism_test.go
-// at the repo root).
+// workload's closure-based reference body would consume them, so a
+// compiled run's random stream — and with it every Stats counter — is
+// bit-identical to that reference (pinned by
+// TestCompiledMatchesInterpreted in internal/workload, where the
+// reference bodies live as test code).
 //
 // Aborts replay by program counter: every Begin records its own pc in a
 // per-depth frame table, and an abort response unwinds the machine to

@@ -2,13 +2,9 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 	"sync/atomic"
 
-	"logtmse/internal/addr"
 	"logtmse/internal/core"
-	"logtmse/internal/lockbase"
 	"logtmse/internal/txvm"
 )
 
@@ -35,128 +31,29 @@ const (
 	bdbLockBlocks  = 64 // lock-table objects, one per block
 	bdbTxnsPerUnit = 9  // lock-subsystem ops per database read
 	bdbDBWords     = 1000
-	bdbMaxSet      = 27 // hard cap on read-/write-set draws
 )
 
-// bdbSets holds one transaction's lock-object index sets in reusable
-// buffers, so the per-transaction draws allocate nothing after the
-// first use.
-type bdbSets struct {
-	ridxs, widxs []int
-	buf          [2 * bdbMaxSet]int
-}
-
-// draw refills ridxs/widxs with the transaction's skewed lock-object
-// sets (write set sorted, per the deadlock-avoidance discipline).
-func (s *bdbSets) draw(rng *rand.Rand) {
-	kr := drawCount(rng, 7.3, 27)
-	s.ridxs = s.buf[:kr:bdbMaxSet]
-	for i := range s.ridxs {
-		s.ridxs[i] = zipfIdx(rng, bdbLockBlocks, 1.5)
-	}
-	kw := drawCount(rng, 7.6, 27)
-	s.widxs = s.buf[bdbMaxSet : bdbMaxSet+kw]
-	for i := range s.widxs {
-		s.widxs[i] = zipfIdx(rng, bdbLockBlocks, 2.8)
-	}
-	sort.Ints(s.widxs)
-}
-
 func spawnBDB(sys *core.System, cfg Config) (*Instance, error) {
+	inst, units := newBDB(sys, cfg)
+	expected := inst.Counters[0]
+	return spawnCompiled(sys, inst, cfg.Threads, "bdb", func(id int) *txvm.Program {
+		return compileBDB(cfg, units, id, expected)
+	})
+}
+
+// newBDB builds the state every BerkeleyDB executor shares: the address
+// space, the committed lock-object increment tally (Counters[0]) and
+// Verify. It returns the unit count.
+func newBDB(sys *core.System, cfg Config) (*Instance, int) {
 	pt := sys.NewPageTable(1)
 	units := int(float64(BerkeleyDB().Units) * cfg.Scale)
 	if units < cfg.Threads {
 		units = cfg.Threads
 	}
-	regionMutex := lockbase.NewMutex(regionLocks)
-
-	var expected atomic.Int64
-
-	worker := func(id int, a *core.API) {
-		rng := a.Rand()
-		myUnits := split(units, cfg.Threads, id)
-		// Read-/write-set index buffers live for the whole worker; each
-		// transaction reslices them instead of allocating (guarded by
-		// TestBDBDrawSetsNoAlloc).
-		var sets bdbSets
-		for u := 0; u < myUnits; u++ {
-			for tx := 0; tx < bdbTxnsPerUnit; tx++ {
-				// One lock-subsystem operation: read lock-status blocks
-				// (holder lists, hash buckets), atomically update a
-				// skewed set of lock objects in sorted order (the
-				// database's deadlock-avoidance discipline), and read a
-				// database word.
-				sets.draw(rng)
-				ridxs, widxs := sets.ridxs, sets.widxs
-				writeMeta := rng.Float64() < 0.5
-				// Occasionally a lock object's state is inspected before
-				// acquisition; these reads create the rare read-write
-				// deadlock cycles (and thus aborts) the paper observes.
-				peek := -1
-				if rng.Float64() < 0.1 {
-					peek = zipfIdx(rng, bdbLockBlocks, 2.0)
-				}
-				dbWord := rng.Intn(bdbDBWords)
-
-				body := func() {
-					// System calls, I/O and allocation inside the
-					// critical section run as non-transactional escape
-					// actions (§6.2, via Nested LogTM): not signed, not
-					// logged, never rolled back.
-					a.Escape(func() {
-						a.FetchAdd(privBase(id), 1)
-					})
-					if writeMeta {
-						a.FetchAdd(regionMeta, 1)
-					} else {
-						_ = a.Load(regionMeta)
-					}
-					if peek >= 0 {
-						_ = a.Load(spreadAt(regionA, peek))
-					}
-					// Acquire the lock objects first (holding them for
-					// the rest of the operation), then walk holder lists
-					// and the database page.
-					for _, i := range widxs {
-						a.FetchAdd(spreadAt(regionA, i), 1)
-					}
-					for _, i := range ridxs {
-						_ = a.Load(spreadAt(regionB, i))
-					}
-					_ = a.Load(regionC + addr.VAddr(dbWord)*addr.WordBytes)
-					a.Compute(20)
-				}
-				if cfg.Mode == TM {
-					a.Transaction(body)
-				} else {
-					regionMutex.With(a, body)
-				}
-				// Tally after the (possibly retried) atomic section has
-				// committed, so aborted executions are not counted.
-				expected.Add(int64(len(widxs)))
-				a.Compute(150)
-			}
-			a.WorkUnit()
-		}
-	}
-
-	var machines []*txvm.Machine
-	if cfg.Interpret {
-		if err := spawnAll(sys, pt, cfg.Threads, "bdb", worker); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if machines, err = spawnCompiled(sys, pt, cfg.Threads, "bdb", func(id int) *txvm.Program {
-			return compileBDB(cfg, units, id, &expected)
-		}); err != nil {
-			return nil, err
-		}
-	}
+	expected := new(atomic.Int64)
 	return &Instance{
 		PT:       pt,
-		Machines: machines,
-		Counters: []*atomic.Int64{&expected},
+		Counters: []*atomic.Int64{expected},
 		Verify: func(sys *core.System) error {
 			var got int64
 			for i := 0; i < bdbLockBlocks; i++ {
@@ -167,5 +64,5 @@ func spawnBDB(sys *core.System, cfg Config) (*Instance, error) {
 			}
 			return nil
 		},
-	}, nil
+	}, units
 }

@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"logtmse/internal/core"
-	"logtmse/internal/lockbase"
-	"logtmse/internal/sim"
+	"logtmse/internal/txvm"
 )
 
 // Cholesky models the SPLASH Cholesky factorization (tk14.O): threads pull
@@ -30,62 +29,29 @@ const (
 )
 
 func spawnCholesky(sys *core.System, cfg Config) (*Instance, error) {
+	inst, tasks := newCholesky(sys, cfg)
+	done := inst.Barriers[0]
+	return spawnCompiled(sys, inst, cfg.Threads, "chol", func(id int) *txvm.Program {
+		return compileCholesky(cfg, tasks, id, done)
+	})
+}
+
+// newCholesky builds the state every Cholesky executor shares: the
+// address space, the completion barrier (Barriers[0]) and Verify. It
+// returns the task count.
+//
+// Queue layout: block 0 of regionA is the head counter, blocks 1-3 are
+// bookkeeping the pop reads; a pop writes blocks 0 and 1, and a pop
+// that finds the queue drained writes blocks 2 and 3 instead.
+func newCholesky(sys *core.System, cfg Config) (*Instance, int) {
 	pt := sys.NewPageTable(1)
 	tasks := int(float64(choleskyTasks) * cfg.Scale)
 	if tasks < cfg.Threads {
 		tasks = cfg.Threads
 	}
-	queueMutex := lockbase.NewMutex(regionLocks)
-	done := core.NewBarrier(cfg.Threads)
-
-	// Queue layout: block 0 = head counter, blocks 1-3 = bookkeeping the
-	// pop reads; pops write blocks 0 and 1.
-	worker := func(id int, a *core.API) {
-		for {
-			var claimed uint64
-			pop := func() {
-				head := a.Load(blockAt(regionA, 0))
-				_ = a.Load(blockAt(regionA, 1))
-				_ = a.Load(blockAt(regionA, 2))
-				_ = a.Load(blockAt(regionA, 3))
-				claimed = head
-				if head < uint64(tasks) {
-					a.Store(blockAt(regionA, 0), head+1)
-					a.Store(blockAt(regionA, 1), head+1)
-				} else {
-					// Worker-done bookkeeping keeps the write set at the
-					// constant two blocks Table 2 reports.
-					a.Store(blockAt(regionA, 2), head)
-					a.Store(blockAt(regionA, 3), head)
-				}
-			}
-			if cfg.Mode == TM {
-				a.Transaction(pop)
-			} else {
-				queueMutex.With(a, pop)
-			}
-			if claimed >= uint64(tasks) {
-				break
-			}
-			// Numeric kernel: private data + compute.
-			base := privBase(id)
-			for i := 0; i < 8; i++ {
-				a.Store(base+blockAt(0, i), claimed+uint64(i))
-			}
-			a.Compute(sim.Cycle(choleskyKernelCost))
-		}
-		a.Barrier(done)
-		if id == 0 {
-			a.WorkUnit() // the factorization is one unit of work
-		}
-	}
-
-	if err := spawnAll(sys, pt, cfg.Threads, "chol", worker); err != nil {
-		return nil, err
-	}
 	return &Instance{
 		PT:       pt,
-		Barriers: []*core.Barrier{done},
+		Barriers: []*core.Barrier{core.NewBarrier(cfg.Threads)},
 		Verify: func(sys *core.System) error {
 			head := sys.Mem.ReadWord(pt.Translate(blockAt(regionA, 0)))
 			if head != uint64(tasks) {
@@ -93,5 +59,5 @@ func spawnCholesky(sys *core.System, cfg Config) (*Instance, error) {
 			}
 			return nil
 		},
-	}, nil
+	}, tasks
 }

@@ -6,17 +6,15 @@ import (
 
 	"logtmse/internal/addr"
 	"logtmse/internal/core"
-	"logtmse/internal/mem"
 	"logtmse/internal/txvm"
 )
 
-// This file lowers the workload bodies into txvm op tapes — the
-// compiled execution path (Config.Interpret=false, the default). Each
-// compiler emits, for one thread id, exactly the op and RNG-draw
-// sequence the interpreted closure in the sibling file performs, so
-// the two paths produce bit-identical Stats (pinned by the root
-// determinism tests). Any edit to a workload body must be mirrored
-// here, and vice versa.
+// This file lowers the workload bodies into txvm op tapes, the only
+// production executor. Each compiler emits, for one thread id, exactly
+// the op and RNG-draw sequence of the closure-based reference body in
+// the sibling *_test.go file, so the two produce bit-identical Stats
+// (pinned by TestCompiledMatchesInterpreted). Any edit to a tape must
+// be mirrored in its reference body, and vice versa.
 
 var (
 	spreadStride = int64(addr.MacroBlockBytes + addr.BlockBytes) // spreadAt
@@ -25,26 +23,26 @@ var (
 
 const noReg = txvm.NoReg
 
-// spawnCompiled places n stepped tape threads exactly as spawnAll
-// places interpreted ones (same round-robin contexts, names, ASID, and
-// therefore the same thread IDs and RNG seeds). It returns the attached
-// machines in thread-ID order for snapshot capture.
-func spawnCompiled(sys *core.System, pt *mem.PageTable, n int, name string, build func(id int) *txvm.Program) ([]*txvm.Machine, error) {
+// spawnCompiled places n stepped tape threads round-robin over the
+// machine's contexts (cores first, then SMT ways), in inst's address
+// space, and records the attached machines in thread-ID order in
+// inst.Machines for snapshot capture.
+func spawnCompiled(sys *core.System, inst *Instance, n int, name string, build func(id int) *txvm.Program) (*Instance, error) {
 	if n > sys.P.Contexts() {
 		return nil, fmt.Errorf("workload: %d threads exceed %d contexts (use the osm scheduler for oversubscription)", n, sys.P.Contexts())
 	}
-	machines := make([]*txvm.Machine, 0, n)
+	inst.Machines = make([]*txvm.Machine, 0, n)
 	for i := 0; i < n; i++ {
 		c := i % sys.P.Cores
 		th := (i / sys.P.Cores) % sys.P.ThreadsPerCore
-		t := sys.SpawnStepped(fmt.Sprintf("%s-%d", name, i), 1, pt)
-		machines = append(machines, txvm.Attach(sys, t, build(i)))
+		t := sys.SpawnStepped(fmt.Sprintf("%s-%d", name, i), 1, inst.PT)
+		inst.Machines = append(inst.Machines, txvm.Attach(sys, t, build(i)))
 		if err := sys.Place(t, c, th); err != nil {
 			return nil, err
 		}
 		sys.Start(t)
 	}
-	return machines, nil
+	return inst, nil
 }
 
 // --- BerkeleyDB ---------------------------------------------------------------
@@ -112,6 +110,56 @@ func compileBDB(cfg Config, units, id int, expected *atomic.Int64) *txvm.Program
 	b.Label("end")
 	b.Done()
 	return b.MustBuild(fmt.Sprintf("bdb-%d", id))
+}
+
+// --- Cholesky -----------------------------------------------------------------
+
+func compileCholesky(cfg Config, tasks, id int, done *core.Barrier) *txvm.Program {
+	const (
+		rHead = iota
+		rNext
+		rZero
+		rPriv
+	)
+	b := txvm.NewBuilder()
+	b.Set(rZero, 0)
+	b.Set(rPriv, 8)
+	b.Label("pop")
+	if cfg.Mode == TM {
+		b.Begin(false)
+	} else {
+		b.LockAcq(regionLocks, noReg, 0)
+	}
+	b.Load(rHead, blockAt(regionA, 0), noReg, 0, 0)
+	b.Load(noReg, blockAt(regionA, 1), noReg, 0, 0)
+	b.Load(noReg, blockAt(regionA, 2), noReg, 0, 0)
+	b.Load(noReg, blockAt(regionA, 3), noReg, 0, 0)
+	b.JgeI(rHead, int64(tasks), "drained")
+	b.AddI(rNext, rHead, 1)
+	b.Store(blockAt(regionA, 0), noReg, 0, 0, rNext)
+	b.Store(blockAt(regionA, 1), noReg, 0, 0, rNext)
+	b.Jmp("popped")
+	b.Label("drained")
+	b.Store(blockAt(regionA, 2), noReg, 0, 0, rHead)
+	b.Store(blockAt(regionA, 3), noReg, 0, 0, rHead)
+	b.Label("popped")
+	if cfg.Mode == TM {
+		b.Commit()
+	} else {
+		b.LockRel(regionLocks, noReg, 0)
+	}
+	b.JgeI(rHead, int64(tasks), "bar")
+	// Numeric kernel: 8 private stores of head+i, then compute.
+	b.ForStore(privBase(id), rZero, 0, rPriv, 0, blockStride, rHead, true)
+	b.Compute(choleskyKernelCost)
+	b.Jmp("pop")
+	b.Label("bar")
+	b.BarrierWait(done)
+	if id == 0 {
+		b.WorkUnit()
+	}
+	b.Done()
+	return b.MustBuild(fmt.Sprintf("chol-%d", id))
 }
 
 // --- Raytrace -----------------------------------------------------------------

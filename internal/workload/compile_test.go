@@ -22,6 +22,7 @@ func compiledTapes(mode Mode) map[string]*txvm.Program {
 	done := core.NewBarrier(cfg.Threads)
 	return map[string]*txvm.Program{
 		"bdb":       compileBDB(cfg, 8, 1, &counter),
+		"cholesky":  compileCholesky(cfg, 8, 1, done),
 		"raytrace":  compileRaytrace(cfg, 32, 1, &counter, done),
 		"mp3d":      compileMp3d(cfg, 4, 1, &counter, done),
 		"radiosity": compileRadiosity(cfg, 8, 1, &counter),

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"logtmse/internal/core"
-	"logtmse/internal/lockbase"
 	"logtmse/internal/txvm"
 )
 
@@ -25,72 +24,26 @@ func NestedMicro() *Workload {
 }
 
 func spawnNestedMicro(sys *core.System, cfg Config) (*Instance, error) {
+	inst, units := newNestedMicro(sys, cfg)
+	opens := inst.Counters[0]
+	return spawnCompiled(sys, inst, cfg.Threads, "nest", func(id int) *txvm.Program {
+		return compileNestedMicro(cfg, units, id, opens)
+	})
+}
+
+// newNestedMicro builds the state every NestedMicro executor shares:
+// the address space, the committed-operation tally (Counters[0]) and
+// Verify. It returns the unit count.
+func newNestedMicro(sys *core.System, cfg Config) (*Instance, int) {
 	pt := sys.NewPageTable(1)
 	units := int(float64(NestedMicro().Units) * cfg.Scale)
 	if units < cfg.Threads {
 		units = cfg.Threads
 	}
-	mutex := lockbase.NewMutex(regionLocks)
-	var opens atomic.Int64
-
-	worker := func(id int, a *core.API) {
-		rng := a.Rand()
-		myUnits := split(units, cfg.Threads, id)
-		priv := privBase(id)
-		for u := 0; u < myUnits; u++ {
-			slot := rng.Intn(256)
-			body := func() {
-				a.Store(priv, uint64(u))
-				// Remove from one bucket, insert into another —
-				// composed operations, each its own transaction.
-				a.Transaction(func() {
-					a.FetchAdd(spreadAt(regionA, slot%64), 1)
-				})
-				a.Transaction(func() {
-					a.FetchAdd(spreadAt(regionB, slot%64), 1)
-				})
-				// Open-nested statistics update.
-				a.OpenTransaction(func() {
-					a.FetchAdd(regionMeta, 1)
-				})
-				a.Compute(60)
-			}
-			if cfg.Mode == TM {
-				a.Transaction(body)
-			} else {
-				// The lock version flattens the whole operation under
-				// one mutex (locks do not compose).
-				mutex.With(a, func() {
-					a.Store(priv, uint64(u))
-					a.FetchAdd(spreadAt(regionA, slot%64), 1)
-					a.FetchAdd(spreadAt(regionB, slot%64), 1)
-					a.FetchAdd(regionMeta, 1)
-					a.Compute(60)
-				})
-			}
-			opens.Add(1)
-			a.WorkUnit()
-			a.Compute(120)
-		}
-	}
-
-	var machines []*txvm.Machine
-	if cfg.Interpret {
-		if err := spawnAll(sys, pt, cfg.Threads, "nest", worker); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if machines, err = spawnCompiled(sys, pt, cfg.Threads, "nest", func(id int) *txvm.Program {
-			return compileNestedMicro(cfg, units, id, &opens)
-		}); err != nil {
-			return nil, err
-		}
-	}
+	opens := new(atomic.Int64)
 	return &Instance{
 		PT:       pt,
-		Machines: machines,
-		Counters: []*atomic.Int64{&opens},
+		Counters: []*atomic.Int64{opens},
 		Verify: func(sys *core.System) error {
 			got := int64(sys.Mem.ReadWord(pt.Translate(regionMeta)))
 			if got != opens.Load() {
@@ -106,5 +59,5 @@ func spawnNestedMicro(sys *core.System, cfg Config) (*Instance, error) {
 			}
 			return nil
 		},
-	}, nil
+	}, units
 }

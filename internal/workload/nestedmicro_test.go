@@ -4,7 +4,57 @@ import (
 	"testing"
 
 	"logtmse/internal/core"
+	"logtmse/internal/lockbase"
 )
+
+// referenceNestedMicro is the closure-based reference for compileNestedMicro.
+func referenceNestedMicro(sys *core.System, cfg Config) (*Instance, error) {
+	inst, units := newNestedMicro(sys, cfg)
+	mutex := lockbase.NewMutex(regionLocks)
+	opens := inst.Counters[0]
+
+	worker := func(id int, a *core.API) {
+		rng := a.Rand()
+		myUnits := split(units, cfg.Threads, id)
+		priv := privBase(id)
+		for u := 0; u < myUnits; u++ {
+			slot := rng.Intn(256)
+			body := func() {
+				a.Store(priv, uint64(u))
+				// Remove from one bucket, insert into another —
+				// composed operations, each its own transaction.
+				a.Transaction(func() {
+					a.FetchAdd(spreadAt(regionA, slot%64), 1)
+				})
+				a.Transaction(func() {
+					a.FetchAdd(spreadAt(regionB, slot%64), 1)
+				})
+				// Open-nested statistics update.
+				a.OpenTransaction(func() {
+					a.FetchAdd(regionMeta, 1)
+				})
+				a.Compute(60)
+			}
+			if cfg.Mode == TM {
+				a.Transaction(body)
+			} else {
+				// The lock version flattens the whole operation under
+				// one mutex (locks do not compose).
+				mutex.With(a, func() {
+					a.Store(priv, uint64(u))
+					a.FetchAdd(spreadAt(regionA, slot%64), 1)
+					a.FetchAdd(spreadAt(regionB, slot%64), 1)
+					a.FetchAdd(regionMeta, 1)
+					a.Compute(60)
+				})
+			}
+			opens.Add(1)
+			a.WorkUnit()
+			a.Compute(120)
+		}
+	}
+	return spawnAll(sys, inst, cfg.Threads, "nest", worker)
+}
 
 func TestNestedMicroBothModes(t *testing.T) {
 	for _, mode := range []Mode{TM, Lock} {

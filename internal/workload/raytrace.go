@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"logtmse/internal/core"
-	"logtmse/internal/lockbase"
 	"logtmse/internal/txvm"
 )
 
@@ -35,102 +34,27 @@ const (
 )
 
 func spawnRaytrace(sys *core.System, cfg Config) (*Instance, error) {
+	inst, rays := newRaytrace(sys, cfg)
+	issued, done := inst.Counters[0], inst.Barriers[0]
+	return spawnCompiled(sys, inst, cfg.Threads, "ray", func(id int) *txvm.Program {
+		return compileRaytrace(cfg, rays, id, issued, done)
+	})
+}
+
+// newRaytrace builds the state every Raytrace executor shares: the
+// address space, the committed-ray tally (Counters[0]), the completion
+// barrier (Barriers[0]) and Verify. It returns the ray count.
+func newRaytrace(sys *core.System, cfg Config) (*Instance, int) {
 	pt := sys.NewPageTable(1)
 	rays := int(float64(raytraceRays) * cfg.Scale)
 	if rays < cfg.Threads {
 		rays = cfg.Threads
 	}
-	counterMutex := lockbase.NewMutex(regionLocks)
-	sceneMutex := lockbase.NewMutex(blockAt(regionLocks, 1))
 	done := core.NewBarrier(cfg.Threads)
-
-	var issued atomic.Int64
-
-	worker := func(id int, a *core.API) {
-		rng := a.Rand()
-		myRays := split(rays, cfg.Threads, id)
-		for r := 0; r < myRays; r++ {
-			// Fetch the next ray id from the hot global counter and
-			// record bookkeeping reads of the scene structures the
-			// original performs inside the same critical section.
-			reads := drawCount(rng, 3.9, 17)
-			start := rng.Intn(raytraceSceneSize)
-			pixel := rng.Intn(raytraceImageSize)
-			body := func() {
-				// Atomic fetch of the next ray id: the counter block
-				// enters the write set directly (no read-upgrade window).
-				v := a.FetchAdd(regionMeta, 1)
-				for j := 0; j < reads; j++ {
-					_ = a.Load(blockAt(regionA, (start+j)%raytraceSceneSize))
-				}
-				// Write the shaded result into the shared image; image
-				// blocks migrate between cores, so their GETMs exercise
-				// remote signature checks (aliasing hurts small
-				// signatures here).
-				a.Store(blockAt(regionC, pixel), v)
-			}
-			if cfg.Mode == TM {
-				a.Transaction(body)
-			} else {
-				counterMutex.With(a, body)
-			}
-			issued.Add(1) // tallied post-commit
-			// Trace the ray: private compute.
-			a.Compute(180)
-
-			if rng.Float64() < 1.0/raytraceBigEvery {
-				// Scene refit: read a large contiguous span (up to the
-				// 550-block worst case) and update a couple of blocks.
-				// Mostly mid-sized refits with a thin tail reaching the
-				// 550-block worst case Table 2 reports.
-				span := 60 + rng.Intn(380)
-				if rng.Float64() < 0.06 {
-					span = 480 + rng.Intn(70)
-				}
-				base := rng.Intn(raytraceSceneSize)
-				big := func() {
-					// Mark two shared scene blocks for refit (write-set
-					// max 3 with the private block below), then rescan
-					// the span. Two overlapping refits marking in
-					// opposite orders can deadlock, producing the
-					// occasional abort the paper observes.
-					a.Store(blockAt(regionA, base%raytraceSceneSize), uint64(span))
-					a.Store(blockAt(regionA, (base+span/2)%raytraceSceneSize), uint64(span))
-					for j := 0; j < span; j++ {
-						_ = a.Load(blockAt(regionA, (base+j)%raytraceSceneSize))
-					}
-					a.Store(blockAt(regionB, id), uint64(base))
-				}
-				if cfg.Mode == TM {
-					a.Transaction(big)
-				} else {
-					sceneMutex.With(a, big)
-				}
-			}
-		}
-		a.Barrier(done)
-		if id == 0 {
-			a.WorkUnit() // the parallel phase is one unit of work
-		}
-	}
-
-	var machines []*txvm.Machine
-	if cfg.Interpret {
-		if err := spawnAll(sys, pt, cfg.Threads, "ray", worker); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if machines, err = spawnCompiled(sys, pt, cfg.Threads, "ray", func(id int) *txvm.Program {
-			return compileRaytrace(cfg, rays, id, &issued, done)
-		}); err != nil {
-			return nil, err
-		}
-	}
+	issued := new(atomic.Int64)
 	return &Instance{
 		PT:       pt,
-		Machines: machines,
-		Counters: []*atomic.Int64{&issued},
+		Counters: []*atomic.Int64{issued},
 		Barriers: []*core.Barrier{done},
 		Verify: func(sys *core.System) error {
 			got := int64(sys.Mem.ReadWord(pt.Translate(regionMeta)))
@@ -139,5 +63,5 @@ func spawnRaytrace(sys *core.System, cfg Config) (*Instance, error) {
 			}
 			return nil
 		},
-	}, nil
+	}, rays
 }

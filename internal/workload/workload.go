@@ -9,11 +9,15 @@
 // transactions, as the paper did) and Lock (the original lock-based
 // synchronization, using the lockbase spinlocks). The paper's Figure 4
 // compares the two.
+//
+// Every workload runs as compiled txvm tapes (compile.go) on stepped
+// threads, so its whole state is data and any run can be snapshotted
+// mid-flight. The original goroutine closures over core.API survive
+// only in the package's tests, as the readable reference each tape is
+// checked against bit for bit.
 package workload
 
 import (
-	"fmt"
-	"math/rand"
 	"sync/atomic"
 
 	"logtmse/internal/addr"
@@ -47,13 +51,6 @@ type Config struct {
 	// Scale multiplies the paper's input sizes (1.0 = Table 2 inputs);
 	// benchmarks use smaller scales to keep iteration fast.
 	Scale float64
-	// Interpret runs the original closure-based workload bodies on
-	// goroutine threads instead of the compiled txvm tapes. The two
-	// executors produce bit-identical Stats (pinned by the determinism
-	// tests); the interpreted path is the readable reference, the
-	// compiled path (the zero-value default) the fast one. Cholesky has
-	// no compiled form and always interprets.
-	Interpret bool
 }
 
 func (c Config) withDefaults(sys *core.System) Config {
@@ -75,10 +72,9 @@ type Instance struct {
 
 	// Snapshot plumbing (internal/snap): the workload-level mutable
 	// state a System capture cannot see. Machines holds the compiled
-	// tape machines in thread-ID order (empty when interpreting);
-	// Counters the shared verification counters and Barriers the
-	// workload barriers, each in a fixed order every spawn of the same
-	// workload reproduces.
+	// tape machines in thread-ID order; Counters the shared
+	// verification counters and Barriers the workload barriers, each in
+	// a fixed order every spawn of the same workload reproduces.
 	Machines []*txvm.Machine
 	Counters []*atomic.Int64
 	Barriers []*core.Barrier
@@ -133,25 +129,6 @@ func ByName(name string) (*Workload, bool) {
 
 // --- shared helpers -----------------------------------------------------------
 
-// spawnAll places n worker threads round-robin over the machine's
-// contexts (cores first, then SMT ways).
-func spawnAll(sys *core.System, pt *mem.PageTable, n int, name string, fn func(id int, a *core.API)) error {
-	if n > sys.P.Contexts() {
-		return fmt.Errorf("workload: %d threads exceed %d contexts (use the osm scheduler for oversubscription)", n, sys.P.Contexts())
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		c := i % sys.P.Cores
-		th := (i / sys.P.Cores) % sys.P.ThreadsPerCore
-		if _, err := sys.SpawnOn(c, th, fmt.Sprintf("%s-%d", name, i), 1, pt, func(a *core.API) {
-			fn(i, a)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // split divides total units across n threads, giving the remainder to the
 // low-numbered threads.
 func split(total, n, id int) int {
@@ -160,19 +137,6 @@ func split(total, n, id int) int {
 		per++
 	}
 	return per
-}
-
-// drawCount draws a set size with the given mean and hard maximum. The
-// math lives in txvm so the compiled tapes consume the identical RNG
-// stream.
-func drawCount(r *rand.Rand, mean float64, max int) int {
-	return txvm.DrawCount(r, mean, max)
-}
-
-// zipfIdx draws an index in [0, n) skewed toward 0; skew > 1 increases
-// the concentration on hot entries.
-func zipfIdx(r *rand.Rand, n int, skew float64) int {
-	return txvm.ZipfIdx(r, n, skew)
 }
 
 // Virtual-memory layout shared by the workloads (each workload runs in
