@@ -101,8 +101,10 @@ const maxBisectSnaps = 512
 // deterministic in-engine defect an oracle can see is bisectable.
 func BisectFailure(rc RunConfig, seed int64, snapEvery Cycle) (*BisectResult, error) {
 	rc = rc.withDefaults()
-	if rc.Tracer != nil || rc.Sink != nil || rc.Metrics != nil || rc.Prof != nil ||
-		rc.Flight != nil || rc.Params.Sink != nil {
+	if rc.Params.Sink != nil {
+		return nil, errParamsSink
+	}
+	if rc.observed() {
 		return nil, fmt.Errorf("logtmse: bisect needs an observer-free cell (snapshots don't coexist with hooks)")
 	}
 	if rc.Fault.Active() {
@@ -406,8 +408,10 @@ func RunWithSnapshots(rc RunConfig, seed int64, every Cycle) (RunResult, SnapSel
 	if rc.Checks.Any() {
 		return RunResult{}, sc, fmt.Errorf("logtmse: snapshots don't coexist with oracles (use BisectFailure to probe a checked run)")
 	}
-	if rc.Tracer != nil || rc.Sink != nil || rc.Metrics != nil || rc.Prof != nil ||
-		rc.Flight != nil || rc.Params.Sink != nil {
+	if rc.Params.Sink != nil {
+		return RunResult{}, sc, errParamsSink
+	}
+	if rc.observed() {
 		return RunResult{}, sc, fmt.Errorf("logtmse: snapshots need an observer-free cell")
 	}
 	if rc.Fault.Active() {

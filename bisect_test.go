@@ -3,6 +3,7 @@ package logtmse
 import (
 	"math/bits"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -157,9 +158,9 @@ func TestBisectCleanRun(t *testing.T) {
 	}
 }
 
-// TestBisectRejectsUnbisectable pins the gate: hooks and fault plans
-// cannot be snapshotted, so bisect must refuse rather than return a
-// bogus localization.
+// TestBisectRejectsUnbisectable pins the gate: observers and fault
+// plans cannot be snapshotted, so bisect must refuse rather than return
+// a bogus localization; a Params-level sink is refused by name.
 func TestBisectRejectsUnbisectable(t *testing.T) {
 	bs, _ := VariantByName("BS")
 	base := RunConfig{Workload: "Mp3d", Variant: bs, Scale: testScale}
@@ -170,9 +171,16 @@ func TestBisectRejectsUnbisectable(t *testing.T) {
 		t.Error("fault-plan cell accepted")
 	}
 	traced := base
-	traced.Tracer = func(Cycle, string, string) {}
+	traced.Sink = FuncSink(func(Event) {})
 	if _, err := BisectFailure(traced, 1, 5_000); err == nil {
 		t.Error("traced cell accepted")
+	}
+	p := DefaultParams()
+	p.Sink = FuncSink(func(Event) {})
+	paramsSink := base
+	paramsSink.Params = &p
+	if _, err := BisectFailure(paramsSink, 1, 5_000); err == nil || !strings.Contains(err.Error(), "RunConfig.Sink") {
+		t.Errorf("Params.Sink cell: err = %v, want a rejection naming RunConfig.Sink", err)
 	}
 }
 

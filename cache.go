@@ -118,7 +118,7 @@ func poolKey(p core.Params) core.Params {
 }
 
 func (sp *systemPool) get(p core.Params, seed int64) *core.System {
-	if poolingOff.Load() || p.Sink != nil {
+	if poolingOff.Load() {
 		return nil
 	}
 	key := poolKey(p)
@@ -142,7 +142,7 @@ func (sp *systemPool) get(p core.Params, seed int64) *core.System {
 }
 
 func (sp *systemPool) put(sys *core.System) {
-	if poolingOff.Load() || sys.P.Sink != nil || !sys.AllDone() {
+	if poolingOff.Load() || !sys.AllDone() {
 		return
 	}
 	key := poolKey(sys.P)

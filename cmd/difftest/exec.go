@@ -97,11 +97,9 @@ type runOpts struct {
 	Checks    bool
 	Watchdog  sim.Cycle
 	MaxCycles sim.Cycle
-	// Trace, if set, receives the engine's per-event trace lines
-	// (difftest -repro file -trace debugging).
-	Trace core.TraceFunc
 	// Extra, if set, is teed into the lifecycle event stream alongside
-	// the commit-order sink (live campaign telemetry; -serve).
+	// the commit-order sink (the -trace printer and the -serve abort
+	// telemetry).
 	Extra obs.Sink
 	// Metrics, if set, is attached to every system for interval
 	// snapshots (-metrics-out). The registry is single-goroutine: the
@@ -161,10 +159,6 @@ func runSim(prog *progen.Program, cfg simConfig, seed int64, opts runOpts) (*sim
 		if e.Kind == obs.KindTxCommit && e.Depth == 1 {
 			order = append(order, e.TID)
 		}
-		if opts.Trace != nil && e.Kind == obs.KindFaultInject {
-			opts.Trace(e.Cycle, "fault",
-				fmt.Sprintf("inject %v addr=%v arg=%d", fault.Class(e.Arg), e.Addr, e.Arg2))
-		}
 	})
 	if opts.Extra != nil {
 		params.Sink = obs.Tee(params.Sink, opts.Extra)
@@ -178,7 +172,6 @@ func runSim(prog *progen.Program, cfg simConfig, seed int64, opts runOpts) (*sim
 		sys.AttachMetrics(opts.Metrics, 10_000)
 	}
 	sys.Sabotage = opts.Sabotage
-	sys.Tracer = opts.Trace
 	var chk *check.Checker
 	if opts.Checks && !opts.Sabotage.Active() {
 		chk = sys.AttachChecker(check.All(opts.Watchdog))

@@ -124,7 +124,7 @@ func run() int {
 	shrinkBudget := flag.Int("shrink-budget", 300, "predicate evaluations per divergence shrink")
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
 	verbose := flag.Bool("v", false, "print one line per seed to stderr")
-	trace := flag.Bool("trace", false, "stream the engine trace to stderr (repro debugging; use with -repro or -replay and -config)")
+	trace := flag.Bool("trace", false, "stream the lifecycle events to stderr, one line each (repro debugging; use with -repro or -replay and -config; disables -cache)")
 	jobs := flag.Int("j", 0, "parallel seeds (0 = GOMAXPROCS); the report is byte-identical for any -j")
 	useCache := flag.Bool("cache", false, "memoize per-(seed,config) outcomes (the report is byte-identical either way)")
 	cacheDir := flag.String("cache-dir", "", "persist cached outcomes in this directory (implies -cache)")
@@ -149,14 +149,18 @@ func run() int {
 	if *sabotage {
 		opts.Sabotage = core.Sabotage{SkipUndoRecord: true}
 	}
-	if *trace {
-		opts.Trace = func(cycle sim.Cycle, thread, event string) {
-			fmt.Fprintf(os.Stderr, "%8d %-12s %s\n", cycle, thread, event)
-		}
-	}
 	var cache *memo.Cache
 	if *useCache || *cacheDir != "" {
 		cache = memo.New(*cacheDir, 256<<20)
+	}
+	if *trace {
+		// A cached cell never simulates, so it would print nothing:
+		// every traced cell must run.
+		opts.Extra = obs.FuncSink(func(e obs.Event) { fmt.Fprintln(os.Stderr, e) })
+		if cache != nil {
+			fmt.Fprintln(os.Stderr, "difftest: -trace disables the result cache")
+			cache = nil
+		}
 	}
 	if *metricsOut != "" {
 		// One registry shared by every run: serialize the campaign and
@@ -201,7 +205,7 @@ func run() int {
 			// cached run never fires it — attach only on uncached
 			// campaigns so the counts stay exact.
 			if cache == nil {
-				opts.Extra = camp.CountAborts()
+				opts.Extra = obs.Tee(opts.Extra, camp.CountAborts())
 			}
 			bound, stop, err := prof.Serve(*serveAddr, camp)
 			if err != nil {

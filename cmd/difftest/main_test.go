@@ -3,6 +3,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"logtmse/internal/core"
@@ -234,5 +238,60 @@ func TestMatrixNamesUnique(t *testing.T) {
 	}
 	if len(seen) < 5 {
 		t.Fatalf("matrix shrank to %d cells", len(seen))
+	}
+}
+
+// runMain runs the command with args and returns its exit code and
+// stderr.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	errf, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldArgs, oldFlags, oldErr := os.Args, flag.CommandLine, os.Stderr
+	defer func() { os.Args, flag.CommandLine, os.Stderr = oldArgs, oldFlags, oldErr }()
+	os.Args = append([]string{"difftest"}, args...)
+	flag.CommandLine = flag.NewFlagSet("difftest", flag.ContinueOnError)
+	os.Stderr = errf
+	code := run()
+	errf.Close()
+	stderr, err := os.ReadFile(errf.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(stderr)
+}
+
+// TestTraceBypassesCache: a warm result cache would serve the traced
+// cell without simulating it, printing nothing. -trace must turn the
+// cache off, say so, stream the events, and write the same report.
+func TestTraceBypassesCache(t *testing.T) {
+	dir := t.TempDir()
+	cell := []string{"-replay", "302", "-config", "bs256-os-sched", "-cache-dir", filepath.Join(dir, "cache")}
+	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	if code, stderr := runMain(t, append(cell, "-out", a)...); code != 0 {
+		t.Fatalf("warming run: exit %d, stderr:\n%s", code, stderr)
+	}
+	code, stderr := runMain(t, append(cell, "-trace", "-out", b)...)
+	if code != 0 {
+		t.Fatalf("traced run: exit %d, stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "-trace disables the result cache") {
+		t.Errorf("traced run did not report the cache bypass:\n%.500s", stderr)
+	}
+	if n := strings.Count(stderr, " tx-commit "); n == 0 {
+		t.Errorf("traced run over a warm cache streamed no commit events:\n%.500s", stderr)
+	}
+	ra, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ra) != string(rb) {
+		t.Error("traced report differs from the cached one")
 	}
 }

@@ -5,6 +5,7 @@
 //
 //	logtmsim -workload Raytrace -variant Perfect -scale 0.2 -seed 1
 //	logtmsim -print-config          # Table 1 parameters
+//	logtmsim -trace 40              # first 40 lifecycle events as text
 //	logtmsim -trace-out run.json    # per-core timeline for chrome://tracing
 //	logtmsim -metrics-out run.csv   # interval metrics time series
 package main
@@ -48,7 +49,7 @@ func run() int {
 	threads := flag.Int("threads", 0, "worker threads (0 = all contexts)")
 	snoop := flag.Bool("snoop", false, "use the broadcast snooping protocol (§7) instead of the directory")
 	chips := flag.Int("chips", 1, "build a multiple-CMP system (§7) with this many chips")
-	trace := flag.Int("trace", 0, "print the first N transactional events")
+	trace := flag.Int("trace", 0, "print the first N lifecycle events, one text line each, ahead of the summary")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event (catapult) JSON timeline to this file (open in chrome://tracing or Perfetto; summarize with txviz)")
 	metricsOut := flag.String("metrics-out", "", "write the interval metrics time series (counters, gauges, histogram percentiles) as CSV to this file")
 	metricsInterval := flag.Uint64("metrics-interval", 10000, "metrics snapshot interval in cycles")
@@ -117,19 +118,19 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "logtmsim: unknown variant %q\n", *variant)
 		return 1
 	}
-	var traced int
-	var tracer logtmse.TraceFunc
+	var sinks []logtmse.Sink
 	if *trace > 0 {
-		tracer = func(cycle logtmse.Cycle, thread, event string) {
-			if traced < *trace {
-				fmt.Printf("%10d %-12s %s\n", cycle, thread, event)
-				traced++
+		traced := 0
+		sinks = append(sinks, logtmse.FuncSink(func(e logtmse.Event) {
+			if traced++; traced <= *trace {
+				fmt.Println(e)
 			}
-		}
+		}))
 	}
 	var rec *logtmse.Recorder
 	if *traceOut != "" {
 		rec = &logtmse.Recorder{}
+		sinks = append(sinks, rec)
 	}
 	var metrics *logtmse.CoreMetrics
 	if *metricsOut != "" {
@@ -141,12 +142,9 @@ func run() int {
 		Scale:           *scale,
 		Threads:         *threads,
 		Params:          &params,
-		Tracer:          tracer,
+		Sink:            logtmse.Tee(sinks...),
 		Metrics:         metrics,
 		MetricsInterval: logtmse.Cycle(*metricsInterval),
-	}
-	if rec != nil {
-		rc.Sink = rec
 	}
 	var res logtmse.RunResult
 	var err error

@@ -4,13 +4,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-// runArgs runs the command with args and returns its exit code and
-// stderr.
-func runArgs(t *testing.T, args ...string) (int, string) {
+// runArgs runs the command with args and returns its exit code,
+// stdout and stderr.
+func runArgs(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	dir := t.TempDir()
 	errf, err := os.Create(filepath.Join(dir, "stderr"))
@@ -26,20 +27,24 @@ func runArgs(t *testing.T, args ...string) (int, string) {
 	os.Args = append([]string{"logtmsim"}, args...)
 	flag.CommandLine = flag.NewFlagSet("logtmsim", flag.ContinueOnError)
 	os.Stderr, os.Stdout = errf, outf
-	code := run()
+	code = run()
 	errf.Close()
 	outf.Close()
-	stderr, err := os.ReadFile(errf.Name())
+	errb, err := os.ReadFile(errf.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return code, string(stderr)
+	outb, err := os.ReadFile(outf.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(outb), string(errb)
 }
 
 // TestSnapEveryProvesTheLayer: -snap-every must capture mid-run and
 // replay bit-identically on every workload, Cholesky included.
 func TestSnapEveryProvesTheLayer(t *testing.T) {
-	code, stderr := runArgs(t, "-workload", "Cholesky", "-variant", "BS", "-scale", "0.05", "-snap-every", "2000")
+	code, _, stderr := runArgs(t, "-workload", "Cholesky", "-variant", "BS", "-scale", "0.05", "-snap-every", "2000")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
@@ -52,11 +57,48 @@ func TestSnapEveryProvesTheLayer(t *testing.T) {
 // nothing, and the command must say so and fail rather than report a
 // vacuous bit-identical replay.
 func TestSnapEveryNothingCaptured(t *testing.T) {
-	code, stderr := runArgs(t, "-workload", "Mp3d", "-scale", "0.02", "-snap-every", "100000000")
+	code, _, stderr := runArgs(t, "-workload", "Mp3d", "-scale", "0.02", "-snap-every", "100000000")
 	if code == 0 {
 		t.Errorf("exit 0 with nothing captured")
 	}
 	if !strings.Contains(stderr, "no snapshot captured") || strings.Contains(stderr, "bit-identical") {
 		t.Errorf("stderr does not report the empty self-check:\n%s", stderr)
+	}
+}
+
+// eventLine matches one Event.String line: cycle, hardware context,
+// software thread, kind.
+var eventLine = regexp.MustCompile(`^ *\d+ (c\d+(\.\d+)?|-) +(tid=\d+|-) +[a-z-]+( |$)`)
+
+// TestTracePrintsFirstNEvents: -trace 25 prints exactly 25 lifecycle
+// event lines through Event.String ahead of the summary, and the
+// summary matches an untraced run of the same seed (the printer only
+// observes).
+func TestTracePrintsFirstNEvents(t *testing.T) {
+	args := []string{"-workload", "Mp3d", "-variant", "BS", "-scale", "0.03", "-seed", "3"}
+	code, plain, stderr := runArgs(t, args...)
+	if code != 0 {
+		t.Fatalf("untraced run: exit %d, stderr:\n%s", code, stderr)
+	}
+	code, traced, stderr := runArgs(t, append(args, "-trace", "25")...)
+	if code != 0 {
+		t.Fatalf("traced run: exit %d, stderr:\n%s", code, stderr)
+	}
+	lines := strings.SplitAfter(traced, "\n")
+	if len(lines) < 25 {
+		t.Fatalf("traced output has %d lines, want 25 events and a summary:\n%s", len(lines), traced)
+	}
+	kinds := map[string]bool{}
+	for i, l := range lines[:25] {
+		if !eventLine.MatchString(l) {
+			t.Fatalf("line %d is not an event line: %q", i+1, l)
+		}
+		kinds[strings.Fields(l)[3]] = true
+	}
+	if !kinds["tx-begin"] || !kinds["nack"] {
+		t.Errorf("first 25 events lack tx-begin or nack lines: %v", kinds)
+	}
+	if rest := strings.Join(lines[25:], ""); rest != plain {
+		t.Errorf("traced summary differs from the untraced run:\n--- untraced\n%s--- traced, after 25 events\n%s", plain, rest)
 	}
 }

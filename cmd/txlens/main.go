@@ -119,7 +119,7 @@ func run() int {
 			Scale:     *scale,
 			Threads:   *threads,
 			MaxCycles: logtmse.Cycle(*maxCycles),
-			Prof:      p,
+			Sink:      p,
 		}, c.seed)
 		camp.RecordRun(res.Stats.Commits, res.Stats.Aborts, res.Stats.Stalls)
 		for cause, n := range abortCauses(p) {

@@ -66,8 +66,6 @@ type (
 	Stats = core.Stats
 	// Resolution is a conflict-resolution (contention-management) policy.
 	Resolution = core.Resolution
-	// TraceFunc receives the engine's transactional event stream.
-	TraceFunc = core.TraceFunc
 	// CheckConfig selects the runtime invariant oracles (RunConfig.Checks).
 	CheckConfig = check.Config
 	// Checker evaluates the invariant oracles against one system.

@@ -27,8 +27,8 @@ import (
 const FingerprintSchemaVersion = 2
 
 // Cacheable reports whether a cell's result may be served from (or
-// stored into) a result cache. Cells with an observer attached — a
-// Tracer, an event Sink, a Metrics registry, a Profiler or a
+// stored into) a result cache. Cells with an observer attached — an
+// event Sink (a Profiler included), a Metrics registry or a
 // FlightRecorder — are excluded: their value is the event stream, which
 // the cache does not store. Stats are bit-identical with observers on
 // or off, so excluding observed cells costs nothing but re-simulation
@@ -36,9 +36,7 @@ const FingerprintSchemaVersion = 2
 // must never be stored under (nor served from) the key of the correct
 // cell the fingerprint names.
 func Cacheable(rc RunConfig) bool {
-	return rc.Tracer == nil && rc.Sink == nil && rc.Metrics == nil &&
-		rc.Prof == nil && rc.Flight == nil && !rc.Sabotage.Active() &&
-		(rc.Params == nil || rc.Params.Sink == nil)
+	return !rc.observed() && !rc.Sabotage.Active()
 }
 
 // Fingerprint returns the canonical content address of one simulation
@@ -63,7 +61,6 @@ func Fingerprint(rc RunConfig, seed int64) (string, error) {
 	p := *rc.Params
 	p.Seed = seed
 	p.Signature = rc.Variant.Sig
-	p.Sink = nil
 	if rc.Variant.Mode == workload.Lock {
 		p.Signature = sig.Config{Kind: sig.KindPerfect}
 	}

@@ -80,22 +80,14 @@ type RunConfig struct {
 	// Params overrides the machine (default: Table 1). The signature
 	// config is always replaced by the variant's.
 	Params *Params
-	// Tracer, if set, receives the engine's transactional event stream
-	// (see logtmsim -trace).
-	Tracer TraceFunc
 	// Sink, if set, receives the structured lifecycle event stream
 	// (transaction begins/commits/aborts, NACKs, stall episodes, log
 	// walks, summary conflicts, sticky forwards) from the engine and
-	// the coherence protocol. Nil disables instrumentation; Stats are
-	// bit-identical either way for the same seed.
+	// the coherence protocol — the one port for every consumer (a
+	// Recorder, a Profiler, an Event.String printer; join several with
+	// Tee). Nil disables instrumentation; Stats are bit-identical
+	// either way for the same seed. Params.Sink must stay nil.
 	Sink Sink
-	// Prof, if set, attaches the conflict-attribution profiler: it is
-	// teed into the lifecycle event stream (engine and protocol) and
-	// accumulates per-address conflict heatmaps, Bloom false-positive
-	// attribution, blame graphs and wasted-work accounting
-	// (internal/prof). Attribution only observes: Stats stay
-	// bit-identical with a Profiler attached.
-	Prof *Profiler
 	// Flight, if set, records recent lifecycle events into bounded
 	// per-core rings; invariant-oracle failures, watchdog trips and
 	// hung runs dump them as a postmortem.
@@ -134,7 +126,7 @@ type RunConfig struct {
 	// Jobs bounds how many seeds run concurrently (0 = GOMAXPROCS,
 	// 1 = serial). Each seed is a share-nothing cell, so the worker
 	// count never changes results — only wall-clock time. Cells with a
-	// Tracer, Sink or Metrics attached share those observers across
+	// Sink, Flight or Metrics attached share those observers across
 	// seeds and therefore always run serially, whatever Jobs says.
 	Jobs int
 	// Cache, if set, memoizes cell results by fingerprint (see
@@ -147,6 +139,16 @@ type RunConfig struct {
 	// cell a pure function of its fingerprint.
 	Cache *ResultCache
 }
+
+// observed reports whether the cell attaches an observer. Observed
+// cells are never cached, pooled or snapshotted, and run serially.
+func (rc RunConfig) observed() bool {
+	return rc.Sink != nil || rc.Flight != nil || rc.Metrics != nil
+}
+
+// errParamsSink rejects Params.Sink: the harness builds it from
+// RunConfig.Sink and RunConfig.Flight.
+var errParamsSink = fmt.Errorf("logtmse: attach event sinks with RunConfig.Sink, not Params.Sink")
 
 func (rc RunConfig) withDefaults() RunConfig {
 	if rc.Scale == 0 {
@@ -250,6 +252,9 @@ func (a Aggregate) TotalStats() Stats {
 // either way the returned result is identical.
 func RunOne(rc RunConfig, seed int64) (RunResult, error) {
 	rc = rc.withDefaults()
+	if rc.Params.Sink != nil {
+		return RunResult{}, errParamsSink
+	}
 	if rc.Cache != nil && Cacheable(rc) {
 		if key, err := Fingerprint(rc, seed); err == nil {
 			return runCached(rc, seed, key)
@@ -258,8 +263,8 @@ func RunOne(rc RunConfig, seed int64) (RunResult, error) {
 	return runOneSafe(rc, seed)
 }
 
-// runOneSafe traps panics out of the simulation (a buggy Tracer or
-// Sink, a workload defect) into an error, so a panicking cell fails
+// runOneSafe traps panics out of the simulation (a buggy Sink, a
+// workload defect) into an error, so a panicking cell fails
 // that cell — not the whole campaign sweeping it.
 func runOneSafe(rc RunConfig, seed int64) (r RunResult, err error) {
 	err = sweep.Trap(func() error {
@@ -310,8 +315,9 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 	p := *rc.Params
 	p.Seed = seed
 	p.Signature = rc.Variant.Sig
-	if sink := effectiveSink(rc, p.Sink); sink != nil {
-		p.Sink = sink
+	p.Sink = rc.Sink
+	if rc.Flight != nil {
+		p.Sink = Tee(rc.Sink, rc.Flight)
 	}
 	poolable := poolableCell(rc)
 	var sys *core.System
@@ -325,7 +331,6 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 			return RunResult{}, err
 		}
 	}
-	sys.Tracer = rc.Tracer
 	sys.Sabotage = rc.Sabotage
 	if rc.Metrics != nil {
 		interval := rc.MetricsInterval
@@ -428,7 +433,7 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 // Aggregate is bit-identical for every worker count.
 func Run(rc RunConfig) (Aggregate, error) {
 	jobs := rc.Jobs
-	if rc.Tracer != nil || rc.Sink != nil || rc.Metrics != nil || rc.Prof != nil || rc.Flight != nil {
+	if rc.observed() {
 		// Observers are shared across seeds; keep their event streams
 		// serial and in seed order.
 		jobs = 1

@@ -75,22 +75,39 @@ func TestRunOneBasic(t *testing.T) {
 	}
 }
 
-// TestRunOneTrapsPanickingObserver: a panicking Tracer fails its cell
-// with an error instead of killing the sweep around it.
+// TestRunOneTrapsPanickingObserver: a panicking event Sink fails its
+// cell with an error instead of killing the sweep around it.
 func TestRunOneTrapsPanickingObserver(t *testing.T) {
 	v, _ := VariantByName("Perfect")
 	rc := RunConfig{
 		Workload: "Cholesky",
 		Variant:  v,
 		Scale:    testScale,
-		Tracer:   func(cycle Cycle, thread, event string) { panic("observer bug") },
+		Sink:     FuncSink(func(Event) { panic("observer bug") }),
 	}
 	_, err := RunOne(rc, 1)
 	if err == nil {
-		t.Fatal("panicking tracer did not fail the cell")
+		t.Fatal("panicking sink did not fail the cell")
 	}
 	if got := err.Error(); !strings.Contains(got, "cell panicked") || !strings.Contains(got, "observer bug") {
 		t.Fatalf("err = %v, want trapped panic naming the observer bug", err)
+	}
+}
+
+// TestParamsSinkRejected: the harness builds the engine's sink from
+// RunConfig.Sink, so a Params-level sink is an error that names the
+// field to use instead — in RunOne (and through it Run) and in
+// RunWithSnapshots.
+func TestParamsSinkRejected(t *testing.T) {
+	v, _ := VariantByName("BS")
+	p := DefaultParams()
+	p.Sink = FuncSink(func(Event) {})
+	rc := RunConfig{Workload: "Mp3d", Variant: v, Scale: testScale, Params: &p}
+	if _, err := RunOne(rc, 1); err == nil || !strings.Contains(err.Error(), "RunConfig.Sink") {
+		t.Errorf("RunOne: err = %v, want a rejection naming RunConfig.Sink", err)
+	}
+	if _, _, err := RunWithSnapshots(rc, 1, 5_000); err == nil || !strings.Contains(err.Error(), "RunConfig.Sink") {
+		t.Errorf("RunWithSnapshots: err = %v, want a rejection naming RunConfig.Sink", err)
 	}
 }
 

@@ -4,15 +4,21 @@ import (
 	"testing"
 
 	"logtmse/internal/addr"
-	"logtmse/internal/sim"
+	"logtmse/internal/obs"
 )
 
-func TestThreadAccessorsAndTracer(t *testing.T) {
-	s := newSys(t, smallParams())
-	var lines []string
-	s.Tracer = func(cycle sim.Cycle, thread, event string) {
-		lines = append(lines, thread+": "+event)
-	}
+func TestThreadAccessorsAndEventSink(t *testing.T) {
+	p := smallParams()
+	var begins, commits int
+	p.Sink = obs.FuncSink(func(e obs.Event) {
+		switch e.Kind {
+		case obs.KindTxBegin:
+			begins++
+		case obs.KindTxCommit:
+			commits++
+		}
+	})
+	s := newSys(t, p)
 	pt := s.NewPageTable(1)
 	var th *Thread
 	th, _ = s.SpawnOn(0, 0, "probe", 1, pt, func(a *API) {
@@ -43,8 +49,8 @@ func TestThreadAccessorsAndTracer(t *testing.T) {
 	if len(s.Stuck()) != 0 {
 		t.Errorf("Stuck() nonempty after completion: %v", s.Stuck())
 	}
-	if len(lines) < 2 {
-		t.Errorf("tracer captured %d events, want begin+commit at least", len(lines))
+	if begins != 1 || commits != 1 {
+		t.Errorf("sink saw %d begins and %d commits, want 1 and 1", begins, commits)
 	}
 }
 

@@ -123,7 +123,7 @@ func (st *SystemState) InTx() bool {
 // Capture refuses (ErrNotCapturable) when the state has parts it cannot
 // rebuild on a fork:
 //
-//   - any hook is attached (tracer, sink, metrics, checker, fault
+//   - any hook is attached (sink, metrics, checker, fault
 //     injector, OS scheduling hooks) — hooks carry arbitrary external
 //     state. Sabotage is NOT a hook: it is plain machine state, captured
 //     and restored with everything else, which is what lets bisect probe
@@ -139,7 +139,7 @@ func (st *SystemState) InTx() bool {
 //   - no strong work remains — the run is over, snapshot it not.
 func (s *System) CaptureState(barriers []*Barrier) (*SystemState, error) {
 	if s.OnOuterCommit != nil || s.PreemptCheck != nil || s.OnPreempt != nil || s.OnThreadDone != nil ||
-		s.Tracer != nil || s.Sink != nil || s.Met != nil || s.Check != nil || s.Fault != nil {
+		s.Sink != nil || s.Met != nil || s.Check != nil || s.Fault != nil {
 		return nil, notCapturable("instrumentation or OS hook attached")
 	}
 	if s.P.CD != CDSignature {

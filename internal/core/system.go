@@ -86,7 +86,7 @@ type System struct {
 	runLast  sim.Cycle
 
 	// threadPanic holds a panic recovered on a thread goroutine (a buggy
-	// workload closure, tracer, or sink firing on the engine owner's
+	// workload closure or sink firing on the engine owner's
 	// stack). The goroutine parks the value here, hands the engine back
 	// through mainWake, and drive re-raises it on Run's caller — the
 	// goroutine whose recover (sweep.Trap in the harness) can turn it
@@ -112,10 +112,6 @@ type System struct {
 	// OnThreadDone, if set, is called when a thread function returns, so
 	// a scheduler can reclaim the context.
 	OnThreadDone func(*Thread)
-	// Tracer, if set, receives one line per transactional event (begin,
-	// commit, abort, stall, summary/SMT conflict) — the debugging and
-	// observability hook behind `logtmsim -trace`.
-	Tracer TraceFunc
 	// Sink receives the structured lifecycle event stream (set via
 	// Params.Sink; nil disables instrumentation).
 	Sink obs.Sink
@@ -187,16 +183,6 @@ type FaultHook interface {
 	// NackRetryDelay returns extra cycles to add before a NACKed (or
 	// summary-blocked) access retries — the "slow NACK response" fault.
 	NackRetryDelay(tid int) sim.Cycle
-}
-
-// TraceFunc receives transactional engine events.
-type TraceFunc func(cycle sim.Cycle, thread string, event string)
-
-func (s *System) trace(t *Thread, format string, args ...interface{}) {
-	if s.Tracer == nil {
-		return
-	}
-	s.Tracer(s.Engine.Now(), t.Name, fmt.Sprintf(format, args...))
 }
 
 // emit sends one lifecycle event for a thread to the sink. The event is
@@ -439,7 +425,7 @@ func (s *System) Reset(seed int64) error {
 	s.runLimit, s.runLast = 0, 0
 	s.nextPhysPage = 1
 	s.OnOuterCommit, s.PreemptCheck, s.OnPreempt, s.OnThreadDone = nil, nil, nil, nil
-	s.Tracer, s.Sink, s.Met, s.Check, s.Fault = nil, nil, nil, nil, nil
+	s.Sink, s.Met, s.Check, s.Fault = nil, nil, nil, nil
 	s.Sabotage = Sabotage{}
 	return nil
 }
@@ -900,15 +886,12 @@ func (s *System) begin(t *Thread, open bool) {
 	t.Log.Push(nil, saved, open)
 	if t.depth == 1 {
 		t.txStart = s.Engine.Now()
-		if s.Tracer != nil {
-			s.trace(t, "begin ts=%d", t.ts)
-		}
-	} else {
-		if s.Tracer != nil {
-			s.trace(t, "begin nested depth=%d open=%v", t.depth, open)
-		}
 	}
-	s.emit(obs.KindTxBegin, t, obs.CauseNone, t.depth, 0, 0, 0)
+	var openArg uint64
+	if open {
+		openArg = 1
+	}
+	s.emit(obs.KindTxBegin, t, obs.CauseNone, t.depth, 0, t.ts, openArg)
 	if s.Check != nil {
 		s.Check.OnBegin(t.ID, t.depth, open)
 	}
@@ -962,9 +945,6 @@ func (s *System) commit(t *Thread) {
 			t.exact = snap.set
 			t.depth--
 			s.recountTx(t.ctx.Core)
-			if s.Tracer != nil {
-				s.trace(t, "commit open depth=%d", t.depth+1)
-			}
 			s.emit(obs.KindTxCommit, t, obs.CauseNone, t.depth+1, 0, 0, 0)
 			if s.Check != nil {
 				s.Check.OnCommit(t.ID, t.depth+1, true)
@@ -986,9 +966,6 @@ func (s *System) commit(t *Thread) {
 		}
 		t.depth--
 		s.recountTx(t.ctx.Core)
-		if s.Tracer != nil {
-			s.trace(t, "commit closed depth=%d", t.depth+1)
-		}
 		s.emit(obs.KindTxCommit, t, obs.CauseNone, t.depth+1, 0, 0, 0)
 		if s.Check != nil {
 			s.Check.OnCommit(t.ID, t.depth+1, false)
@@ -1038,9 +1015,6 @@ func (s *System) commit(t *Thread) {
 		s.OnOuterCommit(t)
 		t.NeedsSummaryUpdate = false
 	}
-	if s.Tracer != nil {
-		s.trace(t, "commit reads=%d writes=%d", rs, ws)
-	}
 	s.emit(obs.KindTxCommit, t, obs.CauseNone, 1, 0, uint64(rs), uint64(ws))
 	if s.Check != nil {
 		s.Check.OnCommit(t.ID, 1, false)
@@ -1084,9 +1058,6 @@ func (s *System) access(t *Thread, r request, op sig.Op) {
 	// be detected even on L1 hits (§2, multi-threaded cores).
 	if n, conflict := s.smtConflict(t, op, pa); conflict {
 		s.stats.SMTConflicts++
-		if s.Tracer != nil {
-			s.trace(t, "SMT conflict %v %v with thread %d", op, pa, n.Thread)
-		}
 		s.smtNack[0] = n
 		s.seedVerdict(t, op, pa, true, false, s.smtNack[:])
 		s.resolveNACK(t, r, op, s.smtNack[:])
@@ -1255,9 +1226,6 @@ func (s *System) smtConflict(t *Thread, op sig.Op, pa addr.PAddr) (coherence.Nac
 // blocker.
 func (s *System) summaryConflict(t *Thread, r request, op sig.Op, pa addr.PAddr) {
 	s.stats.SummaryConflicts++
-	if s.Tracer != nil {
-		s.trace(t, "summary conflict %v %v", op, pa)
-	}
 	s.emit(obs.KindSummaryConflict, t, obs.CauseNone, t.depth, pa.Block(), 0, 0)
 	if t.InTx() && !t.escaped {
 		s.abort(t, obs.CauseSummary)
@@ -1292,9 +1260,6 @@ func (s *System) resolveNACK(t *Thread, r request, op sig.Op, nackers []coherenc
 		if t.escaped && t.InTx() && s.P.StarvationRetryLimit > 0 {
 			t.stallRetries++
 			if t.stallRetries >= s.P.StarvationRetryLimit {
-				if s.Tracer != nil {
-					s.trace(t, "escaped-access starvation escalation after %d NACKed retries", t.stallRetries)
-				}
 				s.abort(t, obs.CauseStarvation)
 				return
 			}
@@ -1315,11 +1280,6 @@ func (s *System) resolveNACK(t *Thread, r request, op sig.Op, nackers []coherenc
 	}
 	s.stats.Stalls++
 	t.Stalls++
-	if !r.retrying {
-		if s.Tracer != nil {
-			s.trace(t, "stall %v %v nackers=%d", op, t.PT.Translate(r.va).Block(), len(nackers))
-		}
-	}
 	allFalse := true
 	allOverflow := len(nackers) > 0
 	olderNacker := false
@@ -1397,9 +1357,6 @@ func (s *System) resolveNACK(t *Thread, r request, op sig.Op, nackers []coherenc
 	if s.P.StarvationRetryLimit > 0 {
 		t.stallRetries++
 		if t.stallRetries >= s.P.StarvationRetryLimit {
-			if s.Tracer != nil {
-				s.trace(t, "starvation escalation after %d NACKed retries", t.stallRetries)
-			}
 			s.abort(t, obs.CauseStarvation)
 			return
 		}
@@ -1591,9 +1548,6 @@ func (s *System) abort(t *Thread, cause obs.AbortCause) {
 	t.consecAborts++
 	s.stats.Aborts++
 	t.Aborts++
-	if s.Tracer != nil {
-		s.trace(t, "abort to depth=%d (streak %d)", t.depth, t.consecAborts)
-	}
 	s.emit(obs.KindLogWalkEnd, t, cause, t.depth, 0, uint64(records), 0)
 	s.emit(obs.KindTxAbort, t, cause, t.depth, 0, uint64(records), 0)
 	if s.Met != nil {

@@ -32,11 +32,11 @@ type retryVerdict struct {
 // system without the contention model or CDCacheBits, whose walks have
 // side effects a replay would skip (router and bank queues, OverflowNACKs
 // and R/W-bit consumption). The dynamic hooks each observe the walk or
-// perturb it: a Tracer or Sink sees every SMT conflict and sticky
+// perturb it: a Sink sees every NACK, conflict edge and sticky
 // forward, and a fault hook means a fault plan that perturbs latencies
 // and state from its own RNG.
 func (s *System) verdictsOn() bool {
-	return s.verdictCoh != nil && s.Tracer == nil && s.Sink == nil && s.Fault == nil
+	return s.verdictCoh != nil && s.Sink == nil && s.Fault == nil
 }
 
 // bumpVersion advances the conflict-state version after an engine-side

@@ -4,7 +4,8 @@
 // metrics registry (counters, gauges, log-scale histograms) with periodic
 // time-series snapshots, and exporters — Chrome trace-event (catapult)
 // JSON for chrome://tracing / Perfetto timelines, and CSV for the
-// interval series.
+// interval series — plus a one-line text form of each event
+// (Event.String) for trace printing and postmortems.
 //
 // The package depends only on the simulation clock and address types, so
 // every layer of the model (core engine, coherence, network) can emit
@@ -27,7 +28,10 @@ type Kind uint8
 // Event kinds.
 const (
 	// KindTxBegin marks a transaction begin; Depth is the resulting
-	// nesting depth (1 = outermost).
+	// nesting depth (1 = outermost). Arg carries the transaction's
+	// timestamp (begin order, retained across aborts), which LogTM
+	// conflict resolution orders by; Arg2 is 1 for an open-nested
+	// begin, 0 otherwise.
 	KindTxBegin Kind = iota
 	// KindTxCommit marks a commit of the frame at Depth. For an
 	// outermost commit Arg/Arg2 carry the read-/write-set sizes in

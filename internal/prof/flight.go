@@ -2,7 +2,6 @@ package prof
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -96,30 +95,16 @@ func (f *FlightRecorder) Events() []obs.Event {
 	return out
 }
 
-// Dump writes the retained events as a readable postmortem: one line
-// per event, in emission order, oldest first.
-func (f *FlightRecorder) Dump(w io.Writer) {
-	evs := f.Events()
-	fmt.Fprintf(w, "flight recorder: last %d events\n", len(evs))
-	for _, e := range evs {
-		fmt.Fprintf(w, "  %10d c%-2d t%-2d tid%-3d d%d %-16s", e.Cycle, e.Core, e.Thread, e.TID, e.Depth, e.Kind)
-		if e.Cause != obs.CauseNone {
-			fmt.Fprintf(w, " cause=%s", e.Cause)
-		}
-		if e.Addr != 0 {
-			fmt.Fprintf(w, " addr=%v", e.Addr)
-		}
-		if e.Arg != 0 || e.Arg2 != 0 {
-			fmt.Fprintf(w, " arg=%d arg2=%#x", e.Arg, e.Arg2)
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// DumpString renders Dump as a string (the hook format the invariant
-// checker and the harness's hung-run report attach).
+// DumpString renders the retained events as a readable postmortem —
+// one Event.String line per event, in emission order, oldest first —
+// the format the invariant checker and the harness's hung-run report
+// attach.
 func (f *FlightRecorder) DumpString() string {
+	evs := f.Events()
 	var b strings.Builder
-	f.Dump(&b)
+	fmt.Fprintf(&b, "flight recorder: last %d events\n", len(evs))
+	for _, e := range evs {
+		fmt.Fprintf(&b, "  %s\n", e)
+	}
 	return b.String()
 }

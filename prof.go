@@ -5,16 +5,14 @@ package logtmse
 // the flight recorder and campaign telemetry without importing
 // internal packages. See DESIGN.md §11.
 
-import (
-	"logtmse/internal/obs"
-	"logtmse/internal/prof"
-)
+import "logtmse/internal/prof"
 
 // Re-exported attribution and telemetry types.
 type (
 	// Profiler attributes conflicts from the lifecycle event stream:
 	// per-address heatmaps, Bloom false-positive partition, blame
-	// graphs, wasted-work accounting (RunConfig.Prof).
+	// graphs, wasted-work accounting. It is a Sink: attach it as
+	// RunConfig.Sink (or Tee it with other sinks).
 	Profiler = prof.Profiler
 	// Attribution partitions every signature-positive NACK into
 	// {true conflict, Bloom alias, sticky carryover} plus the
@@ -48,28 +46,4 @@ func NewCampaign(name string, total int) *Campaign { return prof.NewCampaign(nam
 // until stop is called, returning the bound address.
 func ServeCampaign(addr string, c *Campaign) (bound string, stop func(), err error) {
 	return prof.Serve(addr, c)
-}
-
-// effectiveSink combines the cell's sink — RunConfig.Sink when set,
-// else the Params-level sink — with the attribution observers into one
-// fan-out. The typed-nil pointers must not reach Tee as non-nil
-// interfaces, hence the explicit guards.
-func effectiveSink(rc RunConfig, base Sink) Sink {
-	sinks := make([]obs.Sink, 0, 3)
-	if rc.Sink != nil {
-		base = rc.Sink
-	}
-	if base != nil {
-		sinks = append(sinks, base)
-	}
-	if rc.Prof != nil {
-		sinks = append(sinks, rc.Prof)
-	}
-	if rc.Flight != nil {
-		sinks = append(sinks, rc.Flight)
-	}
-	if len(sinks) == 0 {
-		return nil
-	}
-	return obs.Tee(sinks...)
 }

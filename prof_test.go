@@ -29,10 +29,10 @@ func TestProfilerDoesNotPerturb(t *testing.T) {
 				t.Errorf("%s/%s changed cycle count: %d vs %d", wl, label, bare.Cycles, r.Cycles)
 			}
 		}
-		check("prof", RunConfig{Prof: NewProfiler()})
+		check("prof", RunConfig{Sink: NewProfiler()})
 		check("flight", RunConfig{Flight: NewFlightRecorder(16, 64)})
 		check("prof+flight+sink", RunConfig{
-			Prof: NewProfiler(), Flight: NewFlightRecorder(16, 64), Sink: &Recorder{},
+			Sink: Tee(NewProfiler(), &Recorder{}), Flight: NewFlightRecorder(16, 64),
 		})
 	}
 }
@@ -50,7 +50,7 @@ func TestProfilerReconcilesFigure4(t *testing.T) {
 				t.Fatalf("unknown variant %q", vn)
 			}
 			p := NewProfiler()
-			r, err := RunOne(RunConfig{Workload: wl, Variant: v, Scale: testScale, Prof: p}, 3)
+			r, err := RunOne(RunConfig{Workload: wl, Variant: v, Scale: testScale, Sink: p}, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestFlightRecorderAttachesToHungRunDiagnostics(t *testing.T) {
 // flight-recorded run is never served from the result cache (a cached
 // cell would silently skip the sinks).
 func TestProfilerRunsCacheBypass(t *testing.T) {
-	if Cacheable(RunConfig{Prof: NewProfiler()}) {
+	if Cacheable(RunConfig{Sink: NewProfiler()}) {
 		t.Error("profiled run reported cacheable")
 	}
 	if Cacheable(RunConfig{Flight: NewFlightRecorder(4, 4)}) {
