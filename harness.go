@@ -255,6 +255,11 @@ func RunOne(rc RunConfig, seed int64) (RunResult, error) {
 	if rc.Params.Sink != nil {
 		return RunResult{}, errParamsSink
 	}
+	if rc.MaxCycles > 0 && rc.WarmupCycles >= rc.MaxCycles {
+		// The warm-up would consume the whole bounded run, leaving
+		// nothing to measure and every thread unfinished at the bound.
+		return RunResult{}, fmt.Errorf("logtmse: WarmupCycles (%d) must be below MaxCycles (%d)", rc.WarmupCycles, rc.MaxCycles)
+	}
 	if rc.Cache != nil && Cacheable(rc) {
 		if key, err := Fingerprint(rc, seed); err == nil {
 			return runCached(rc, seed, key)

@@ -286,3 +286,34 @@ func TestWarmupMeasurement(t *testing.T) {
 		t.Errorf("no work units in the measurement window")
 	}
 }
+
+// TestWarmupNotBelowMaxRejected: a warm-up that reaches the run's bound
+// would leave nothing to measure and every thread unfinished, so RunOne
+// rejects it with an error naming both fields instead of reporting the
+// run as stuck. A warm-up below the bound still runs and measures the
+// same window as the unbounded run.
+func TestWarmupNotBelowMaxRejected(t *testing.T) {
+	v, _ := VariantByName("Perfect")
+	for _, c := range []struct{ warm, max Cycle }{{200_000, 100_000}, {100_000, 100_000}} {
+		_, err := RunOne(RunConfig{
+			Workload: "Mp3d", Variant: v, Scale: 0.05,
+			WarmupCycles: c.warm, MaxCycles: c.max,
+		}, 1)
+		if err == nil || !strings.Contains(err.Error(), "WarmupCycles") || !strings.Contains(err.Error(), "MaxCycles") {
+			t.Errorf("warm-up %d, bound %d: err = %v, want a rejection naming WarmupCycles and MaxCycles", c.warm, c.max, err)
+		}
+	}
+	rc := RunConfig{Workload: "Mp3d", Variant: v, Scale: testScale, WarmupCycles: 20_000}
+	open, err := RunOne(rc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.MaxCycles = 100 * open.Cycles
+	bounded, err := RunOne(rc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bounded.Cycles != open.Cycles || bounded.Stats != open.Stats {
+		t.Errorf("a bound the run never reaches changed the measured window: %d vs %d cycles", bounded.Cycles, open.Cycles)
+	}
+}

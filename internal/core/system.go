@@ -575,7 +575,9 @@ func (s *System) Run() sim.Cycle {
 	return c
 }
 
-// RunUntil drives the simulation to at most the given cycle.
+// RunUntil drives the simulation to at most the given cycle and returns
+// the last strong cycle, as sim.Engine.RunUntil does: a limit already
+// behind the clock runs nothing and returns the current cycle.
 func (s *System) RunUntil(limit sim.Cycle) sim.Cycle {
 	c := s.drive(limit)
 	s.stats.Cycles = c
@@ -583,16 +585,16 @@ func (s *System) RunUntil(limit sim.Cycle) sim.Cycle {
 }
 
 // drive runs the engine up to limit, reproducing Engine.Run/RunUntil
-// semantics (last strong cycle, Halt, trailing clamp) while handing
-// engine ownership to thread goroutines as their responses become ready.
-// Event execution order is exactly the engine's queue order — only the
-// goroutine executing each event differs — so results are bit-identical
-// to a dedicated simulation goroutine.
+// semantics (last strong cycle, Halt, a clock that never moves
+// backwards) while handing engine ownership to thread goroutines as
+// their responses become ready. Event execution order is exactly the
+// engine's queue order — only the goroutine executing each event
+// differs — so results are bit-identical to a dedicated simulation
+// goroutine.
 func (s *System) drive(limit sim.Cycle) sim.Cycle {
-	e := s.Engine
-	e.ClearHalt()
+	s.Engine.ClearHalt()
 	s.runLimit = limit
-	s.runLast = e.Now()
+	s.runLast = s.Engine.Now()
 	for {
 		if x := s.readied; x != nil {
 			s.readied = nil
@@ -610,14 +612,7 @@ func (s *System) drive(limit sim.Cycle) sim.Cycle {
 		s.threadPanic = nil
 		panic(fmt.Sprintf("thread %s: %v\n%s", pi.thread, pi.val, pi.stack))
 	}
-	if e.Now() > limit {
-		e.ClampNow(limit)
-	}
-	last := s.runLast
-	if last > limit {
-		last = limit
-	}
-	return last
+	return s.runLast
 }
 
 // stepBounded executes one event within the active bound, tracking the
@@ -756,9 +751,9 @@ func (s *System) handle(t *Thread, r request) {
 	case reqCompute:
 		s.finish(t, response{}, r.cycles)
 	case reqLoad:
-		s.access(t, r, sig.Read)
+		s.access(t, &r, sig.Read)
 	case reqStore, reqExchange, reqFetchAdd:
-		s.access(t, r, sig.Write)
+		s.access(t, &r, sig.Write)
 	case reqBegin:
 		s.begin(t, r.open)
 	case reqCommit:
@@ -783,8 +778,6 @@ func (s *System) handle(t *Thread, r request) {
 	}
 }
 
-// finish delivers the response after lat cycles and pumps the thread's
-// next request.
 // finish delivers a response to t after lat cycles and pumps its next
 // request. A thread has at most one continuation in flight (its request
 // loop is strictly sequential), so the completion closure is created once
@@ -1029,7 +1022,11 @@ func (s *System) commit(t *Thread) {
 
 // --- memory access -----------------------------------------------------------
 
-func (s *System) access(t *Thread, r request, op sig.Op) {
+// access issues t's memory request r: the caller's request on first
+// issue, or the request parked in t.retryReq on a NACK retry. The NACK
+// path only reads r through the pointer until scheduleRetry parks it, so
+// a retry never copies the request.
+func (s *System) access(t *Thread, r *request, op sig.Op) {
 	// Asynchronous (fault-injected) aborts are honored only here, at the
 	// thread's own continuation — first issue or NACK retry — so abort
 	// never runs from another thread's event.
@@ -1224,26 +1221,24 @@ func (s *System) smtConflict(t *Thread, op sig.Op, pa addr.PAddr) (coherence.Nac
 // so a transactional requester traps and aborts; a non-transactional
 // (or escaped) one backs off until the OS reschedules and commits the
 // blocker.
-func (s *System) summaryConflict(t *Thread, r request, op sig.Op, pa addr.PAddr) {
+func (s *System) summaryConflict(t *Thread, r *request, op sig.Op, pa addr.PAddr) {
 	s.stats.SummaryConflicts++
 	s.emit(obs.KindSummaryConflict, t, obs.CauseNone, t.depth, pa.Block(), 0, 0)
 	if t.InTx() && !t.escaped {
 		s.abort(t, obs.CauseSummary)
 		return
 	}
-	epoch := t.abortEpoch
+	epoch, retry := t.abortEpoch, *r
 	s.Engine.Schedule(8*s.P.StallRetryLat+s.jitter()+s.faultRetryDelay(t), func() {
 		t.checkRetryEpoch(epoch)
-		s.access(t, r, op)
+		s.access(t, &retry, op)
 	})
 }
 
 // resolveNACK applies LogTM conflict resolution: stall and retry, but
 // abort on a possible deadlock cycle (NACKed by an older transaction
 // while having NACKed an older one ourselves).
-func (s *System) resolveNACK(t *Thread, r request, op sig.Op, nackers []coherence.Nacker) {
-	retry := r
-	retry.retrying = true
+func (s *System) resolveNACK(t *Thread, r *request, op sig.Op, nackers []coherence.Nacker) {
 	if !t.InTx() || t.escaped {
 		// Non-transactional (or escaped) requesters never abort: they
 		// back off and retry until the conflicting transaction ends.
@@ -1264,7 +1259,7 @@ func (s *System) resolveNACK(t *Thread, r request, op sig.Op, nackers []coherenc
 				return
 			}
 		}
-		s.scheduleRetry(t, retry, op)
+		s.scheduleRetry(t, r, op)
 		return
 	}
 	// Record who is blocking us (wait-for diagnosis for the watchdog and
@@ -1361,7 +1356,7 @@ func (s *System) resolveNACK(t *Thread, r request, op sig.Op, nackers []coherenc
 			return
 		}
 	}
-	s.scheduleRetry(t, retry, op)
+	s.scheduleRetry(t, r, op)
 }
 
 // nackFlags packs the attribution classification bits of a NACK (or of
@@ -1387,9 +1382,17 @@ func nackFlags(falsePos, sticky, overflow bool, op sig.Op) uint64 {
 // thread has exactly one continuation in flight, so the request is
 // parked on the thread and re-dispatched by a single reusable closure —
 // stall-heavy workloads retry millions of times, and allocating a fresh
-// closure per retry dominated the allocation profile.
-func (s *System) scheduleRetry(t *Thread, retry request, op sig.Op) {
-	t.retryReq, t.retryOp, t.retryEpoch = retry, op, t.abortEpoch
+// closure per retry dominated the allocation profile. The request is
+// copied into t.retryReq once, on its first NACK; a retry that NACKs
+// again already points there and is re-armed in place. Marking the
+// parked request retrying changes what r.retrying reads, so this must be
+// the NACK path's last use of r.
+func (s *System) scheduleRetry(t *Thread, r *request, op sig.Op) {
+	if r != &t.retryReq {
+		t.retryReq = *r
+	}
+	t.retryReq.retrying = true
+	t.retryOp, t.retryEpoch = op, t.abortEpoch
 	s.ensureRetryFn(t)
 	t.pendAt, t.pendKey = s.Engine.Schedule(s.P.StallRetryLat+s.jitter()+s.faultRetryDelay(t), t.retryFn)
 	t.pendKind = pendRetry
@@ -1405,7 +1408,7 @@ func (s *System) ensureRetryFn(t *Thread) {
 	t.retryFn = func() {
 		t.pendKind = pendNone
 		t.checkRetryEpoch(t.retryEpoch)
-		s.access(t, t.retryReq, t.retryOp)
+		s.access(t, &t.retryReq, t.retryOp)
 	}
 }
 

@@ -641,3 +641,42 @@ func TestContentionModelSlowsHotBank(t *testing.T) {
 		t.Errorf("contended run not deterministic: %d vs %d", onCycles, onCycles2)
 	}
 }
+
+// TestRunUntilBehindClockKeepsClock: a bound already behind the clock (a
+// warm-up that outlasted it) runs nothing and leaves the clock where it
+// is — the engine's queue relies on a clock that only moves forward —
+// and the run then finishes exactly as an uninterrupted one.
+func TestRunUntilBehindClockKeepsClock(t *testing.T) {
+	build := func() *System {
+		s := newSys(t, smallParams())
+		pt := s.NewPageTable(1)
+		for c := 0; c < 2; c++ {
+			if _, err := s.SpawnOn(c, 0, "t", 1, pt, func(a *API) {
+				for i := 0; i < 40; i++ {
+					a.Compute(100)
+					a.Transaction(func() { a.FetchAdd(0x1000, 1) })
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	ref := build()
+	mustRun(t, ref)
+
+	s := build()
+	s.RunUntil(2000)
+	now := s.Engine.Now()
+	if now == 0 {
+		t.Fatal("setup: nothing ran before cycle 2000")
+	}
+	if got := s.RunUntil(now / 2); got != now || s.Engine.Now() != now {
+		t.Fatalf("RunUntil(%d) at clock %d returned %d and left the clock at %d; want both %d",
+			now/2, now, got, s.Engine.Now(), now)
+	}
+	mustRun(t, s)
+	if s.Stats() != ref.Stats() {
+		t.Errorf("interrupted run diverged:\n got %+v\nwant %+v", s.Stats(), ref.Stats())
+	}
+}

@@ -214,6 +214,9 @@ type Thread struct {
 	// parked in retryReq/retryOp/retryEpoch and one closure per thread
 	// re-issues it — instead of allocating a fresh closure per NACK,
 	// which dominated the allocation profile on stall-heavy workloads.
+	// The request is copied in once, on its first NACK; retries pass
+	// &retryReq down the access path, so a stall that NACKs again never
+	// copies it (see System.scheduleRetry).
 	retryFn    func()
 	retryReq   request
 	retryOp    sig.Op
@@ -247,10 +250,10 @@ type Thread struct {
 
 	// Pending-continuation descriptor: while the thread's single
 	// scheduled continuation is in the event queue, pendKind records
-	// which closure it is and pendAt/pendKey its heap position. Snapshot
+	// which closure it is and pendAt/pendKey its queue position. Snapshot
 	// capture serializes these three fields instead of the closure; a
 	// restore re-creates the closure and re-inserts it at the original
-	// ordering key (sim.Engine.ScheduleRaw), reproducing the heap
+	// ordering key (sim.Engine.ScheduleRaw), reproducing the queue
 	// bit-identically. Cleared at the top of each closure.
 	pendKind uint8
 	pendAt   sim.Cycle

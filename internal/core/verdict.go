@@ -78,7 +78,7 @@ func (s *System) seedVerdict(t *Thread, op sig.Op, pa addr.PAddr, smt, broadcast
 // reporting whether it did. A verdict holds for the retry of the access
 // that seeded it while the version is unchanged; the block check also
 // catches a page relocation of the requester's own page.
-func (s *System) replayRetry(t *Thread, r request, op sig.Op, pa addr.PAddr) bool {
+func (s *System) replayRetry(t *Thread, r *request, op sig.Op, pa addr.PAddr) bool {
 	v := &t.verdict
 	if !s.verdictsOn() || v.version != s.verdictCoh.Version() || v.block != pa.Block() || v.op != op {
 		v.ok = false

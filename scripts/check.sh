@@ -42,5 +42,6 @@ go test -fuzz FuzzCatapult -fuzztime "$fuzztime" -run xxx ./internal/obs
 go test -fuzz FuzzFingerprint -fuzztime "$fuzztime" -run xxx .
 go test -fuzz FuzzValidateDisassemble -fuzztime "$fuzztime" -run xxx ./internal/txvm
 go test -fuzz FuzzSnapshotRoundTrip -fuzztime "$fuzztime" -run xxx ./internal/snap
+go test -fuzz FuzzEngineOrder -fuzztime "$fuzztime" -run xxx ./internal/sim
 
 echo "check: OK"
