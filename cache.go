@@ -36,11 +36,11 @@ func NewResultCache(dir string, maxBytes int64) *ResultCache {
 	return memo.New(dir, maxBytes)
 }
 
-// CacheFromFlags builds the result cache behind the conventional
-// -cache/-cache-dir flag pair shared by the sweep commands: -cache-dir
-// implies -cache, and -cache alone keeps the cache in memory
-// (single-flight dedup within one invocation). Returns nil when
-// caching is off, which every RunConfig treats as "simulate normally".
+// CacheFromFlags builds the result cache behind the -cache/-cache-dir
+// flag pair of cmd/chaos: -cache-dir implies -cache, and -cache alone
+// keeps the cache in memory (single-flight dedup within one
+// invocation). Returns nil when caching is off, which every RunConfig
+// treats as "simulate normally".
 func CacheFromFlags(enabled bool, dir string) *ResultCache {
 	if !enabled && dir == "" {
 		return nil

@@ -3,14 +3,14 @@
 // abort causes, and the top-N conflict addresses. With -metrics it
 // instead (or additionally) summarizes a metrics CSV — the final value
 // of every counter and gauge, including the result cache's memo.*
-// counters when the CSV came from `figure4 -cache-metrics`.
+// counters when the CSV came from `reproduce <campaign> -cache-metrics`.
 //
 // Usage:
 //
 //	logtmsim -workload BerkeleyDB -scale 0.1 -trace-out run.json
 //	txviz run.json
 //	txviz -top 20 run.json
-//	figure4 -cache -cache-metrics cache.csv && txviz -metrics cache.csv
+//	reproduce figure4 -cache-dir d -cache-metrics cache.csv && txviz -metrics cache.csv
 package main
 
 import (
@@ -28,7 +28,7 @@ import (
 
 func main() {
 	top := flag.Int("top", 10, "conflict addresses to list")
-	metrics := flag.String("metrics", "", "summarize a metrics CSV (logtmsim -metrics-out or figure4 -cache-metrics)")
+	metrics := flag.String("metrics", "", "summarize a metrics CSV (logtmsim -metrics-out or reproduce -cache-metrics)")
 	flag.Parse()
 	if *metrics != "" {
 		if err := summarizeMetrics(os.Stdout, *metrics); err != nil {

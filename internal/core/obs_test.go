@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
 	"logtmse/internal/obs"
@@ -101,6 +102,48 @@ func TestLifecycleEventStream(t *testing.T) {
 	}
 	if rs != st.ReadSetSum || ws != st.WriteSetSum {
 		t.Errorf("commit-event set sizes %d/%d, stats %d/%d", rs, ws, st.ReadSetSum, st.WriteSetSum)
+	}
+}
+
+// TestResetKeepsParamsSink pins Reset's just-constructed promise for
+// the event stream: Params.Sink is configuration, so the same program
+// run before and after a Reset emits the same events — from the engine
+// and from the protocol alike — into it.
+func TestResetKeepsParamsSink(t *testing.T) {
+	counts := map[obs.Kind]uint64{}
+	p := smallParams()
+	p.Sink = obs.FuncSink(func(e obs.Event) { counts[e.Kind]++ })
+	s := newSys(t, p)
+	run := func() map[obs.Kind]uint64 {
+		clear(counts)
+		pt := s.NewPageTable(1)
+		for c := 0; c < 4; c++ {
+			if _, err := s.SpawnOn(c, 0, "w", 1, pt, func(a *API) {
+				for r := 0; r < 8; r++ {
+					a.Transaction(func() {
+						v := a.Load(0x100)
+						a.Compute(30)
+						a.Store(0x100, v+1)
+					})
+					a.Compute(10)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustRun(t, s)
+		return maps.Clone(counts)
+	}
+	before := run()
+	if before[obs.KindTxBegin] == 0 || before[obs.KindNack] == 0 {
+		t.Fatalf("program emitted %d begins and %d NACKs, want both nonzero",
+			before[obs.KindTxBegin], before[obs.KindNack])
+	}
+	if err := s.Reset(p.Seed); err != nil {
+		t.Fatal(err)
+	}
+	if after := run(); !maps.Equal(before, after) {
+		t.Errorf("event counts after Reset = %v, before = %v", after, before)
 	}
 }
 

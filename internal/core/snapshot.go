@@ -304,8 +304,8 @@ func (s *System) RestoreState(st *SystemState, barriers []*Barrier) error {
 	if len(barriers) != len(st.barriers) {
 		return fmt.Errorf("core: restore target has %d barriers, capture has %d", len(barriers), len(st.barriers))
 	}
-	if len(st.ctxs) != len(s.hot) {
-		return fmt.Errorf("core: restore target has %d contexts, capture has %d", len(s.hot), len(st.ctxs))
+	if len(st.ctxs) != s.P.Contexts() {
+		return fmt.Errorf("core: restore target has %d contexts, capture has %d", s.P.Contexts(), len(st.ctxs))
 	}
 
 	// Verify thread identity and page-table sharing topology before
@@ -445,7 +445,6 @@ func (s *System) RestoreState(st *SystemState, barriers []*Barrier) error {
 	for c := range s.ctxs {
 		s.recountTx(c)
 	}
-	s.probeValid = false
 	s.readied = nil
 	return nil
 }

@@ -44,29 +44,6 @@ type System struct {
 	// recountTx refreshes it at every scheduling or depth transition.
 	txLive []int
 
-	// hot holds the conflict-scan state of every hardware context
-	// regrouped struct-of-arrays: one flat row (scheduled thread,
-	// timestamp, address space, in-transaction flag) per context,
-	// indexed core*ThreadsPerCore+thread. The coherence hooks run on
-	// every memory reference and previously chased Context → Thread
-	// pointers to read three scattered fields; a row packs them into
-	// one cache line (two rows per line at the default SMT width).
-	// recountTx refreshes the core's rows at every transition that can
-	// change them — begin, each commit/abort level, Place, Deschedule —
-	// with the timestamp updates ordered before the recount.
-	hot []ctxHot
-
-	// probe is a one-entry cache of the last signature probe prepared by
-	// probeFor. A coherence broadcast tests one address against every
-	// context's filters, and every filter in the machine is built from
-	// the same Params.Signature — one geometry — so the hash work can be
-	// done once per address and the per-context checks reduced to word
-	// loads (sig.TestProbe). Valid for exactly one physical address at a
-	// time; geometry never changes between Resets.
-	probe      sig.Probe
-	probeAddr  addr.PAddr
-	probeValid bool
-
 	// verdictCoh is the memory system when NACK retry verdicts can be
 	// replayed on this machine (see verdictsOn); nil otherwise. It also
 	// carries the conflict-state version the engine bumps.
@@ -368,16 +345,7 @@ func NewSystem(p Params) (*System, error) {
 		s.ctxs = append(s.ctxs, row)
 	}
 	s.txLive = make([]int, p.Cores)
-	s.hot = make([]ctxHot, p.Cores*p.ThreadsPerCore)
 	return s, nil
-}
-
-// ctxHot is one context's conflict-scan row (see System.hot).
-type ctxHot struct {
-	cur  *Thread
-	ts   uint64
-	asid addr.ASID
-	inTx bool
 }
 
 // Reset returns the machine to its just-constructed state under a new
@@ -418,14 +386,15 @@ func (s *System) Reset(seed int64) error {
 	for i := range s.txLive {
 		s.txLive[i] = 0
 	}
-	clear(s.hot)
-	s.probeValid = false
 	s.verdictReplays = 0
 	s.readied = nil
 	s.runLimit, s.runLast = 0, 0
 	s.nextPhysPage = 1
 	s.OnOuterCommit, s.PreemptCheck, s.OnPreempt, s.OnThreadDone = nil, nil, nil, nil
-	s.Sink, s.Met, s.Check, s.Fault = nil, nil, nil, nil
+	// Params.Sink is configuration (coherence keeps it across its own
+	// Reset); only what was attached after construction is dropped.
+	s.Sink = s.P.Sink
+	s.Met, s.Check, s.Fault = nil, nil, nil
 	s.Sabotage = Sabotage{}
 	return nil
 }
@@ -510,15 +479,9 @@ func (s *System) Place(t *Thread, core, thread int) error {
 func (s *System) recountTx(core int) {
 	s.bumpVersion()
 	n := 0
-	base := core * s.P.ThreadsPerCore
-	for th := 0; th < s.P.ThreadsPerCore; th++ {
-		o := s.ctxs[core][th].Cur
-		row := &s.hot[base+th]
-		if o != nil && o.InTx() {
-			row.cur, row.ts, row.asid, row.inTx = o, o.ts, o.ASID, true
+	for _, ctx := range s.ctxs[core] {
+		if o := ctx.Cur; o != nil && o.InTx() {
 			n++
-		} else {
-			*row = ctxHot{cur: o}
 		}
 	}
 	s.txLive[core] = n
@@ -855,7 +818,6 @@ func (s *System) begin(t *Thread, open bool) {
 			t.ts = (uint64(s.Engine.Now())+1)<<8 | idx
 		}
 	}
-	// The timestamp is final before the recount so the hot row caches it.
 	s.recountTx(ctx.Core)
 	var saved *sig.Signature
 	lat := s.P.BeginLat
@@ -1190,25 +1152,22 @@ func (s *System) smtConflict(t *Thread, op sig.Op, pa addr.PAddr) (coherence.Nac
 	if live := s.txLive[ctx.Core]; live == 0 || (live == 1 && t.InTx()) {
 		return coherence.Nacker{}, false
 	}
-	base := ctx.Core * s.P.ThreadsPerCore
-	for th := 0; th < s.P.ThreadsPerCore; th++ {
+	for th, sib := range s.ctxs[ctx.Core] {
 		if th == ctx.Thread {
 			continue
 		}
-		row := &s.hot[base+th]
-		if !row.inTx || row.asid != t.ASID {
+		o := sib.Cur
+		if o == nil || !o.InTx() || o.ASID != t.ASID {
 			continue
 		}
-		sib := s.ctxs[ctx.Core][th]
 		if !s.ctxConflict(sib, op, pa) {
 			continue
 		}
-		o := row.cur
-		if t.ts != 0 && t.ts < row.ts {
+		if t.ts != 0 && t.ts < o.ts {
 			o.possibleCycle = true
 		}
 		return coherence.Nacker{
-			Core: ctx.Core, Thread: th, Timestamp: row.ts,
+			Core: ctx.Core, Thread: th, Timestamp: o.ts,
 			FalsePositive: !o.exactConflict(op, pa),
 			Overflow:      s.P.CD == CDCacheBits && sib.overflow,
 		}, true
@@ -1591,19 +1550,6 @@ func backoffWindow(base sim.Cycle, consecAborts int, capShift uint) sim.Cycle {
 
 // --- coherence.Hooks implementation ------------------------------------------
 
-// probeFor returns a's prepared signature probe, reusing the cached one
-// when the same address is tested back to back (the broadcast pattern:
-// one request, up to Contexts filter checks). All contexts share one
-// signature geometry, so any context's signature can prepare it.
-func (s *System) probeFor(a addr.PAddr) *sig.Probe {
-	if !s.probeValid || s.probeAddr != a {
-		s.probe = s.ctxs[0][0].Sig.PrepareProbe(a)
-		s.probeAddr = a
-		s.probeValid = true
-	}
-	return &s.probe
-}
-
 // ctxConflict applies the configured conflict-detection hardware: the
 // context's signature (LogTM-SE) or its R/W cache bits plus the
 // conservative overflow flag (original LogTM).
@@ -1621,7 +1567,7 @@ func (s *System) ctxConflict(ctx *Context, op sig.Op, a addr.PAddr) bool {
 		}
 		return ctx.rwRead[a] || ctx.rwWrite[a]
 	}
-	return ctx.Sig.ConflictProbe(op, s.probeFor(a))
+	return ctx.Sig.Conflict(op, a)
 }
 
 // SignatureCheck implements eager conflict detection at a target core: a
@@ -1633,27 +1579,24 @@ func (s *System) SignatureCheck(targetCore int, req coherence.Request) []coheren
 		return nil
 	}
 	ns := s.nackScratch[:0]
-	base := targetCore * s.P.ThreadsPerCore
-	for th := 0; th < s.P.ThreadsPerCore; th++ {
+	for th, ctx := range s.ctxs[targetCore] {
 		if targetCore == req.Core && th == req.Thread {
 			continue
 		}
-		row := &s.hot[base+th]
-		if !row.inTx || row.asid != req.ASID {
+		o := ctx.Cur
+		if o == nil || !o.InTx() || o.ASID != req.ASID {
 			continue
 		}
-		ctx := s.ctxs[targetCore][th]
 		if !s.ctxConflict(ctx, req.Op, req.Addr) {
 			continue
 		}
-		o := row.cur
-		if req.Timestamp != 0 && req.Timestamp < row.ts {
+		if req.Timestamp != 0 && req.Timestamp < o.ts {
 			// We are NACKing an older transaction: a deadlock cycle is
 			// now possible (LogTM's possible_cycle flag).
 			o.possibleCycle = true
 		}
 		ns = append(ns, coherence.Nacker{
-			Core: targetCore, Thread: th, Timestamp: row.ts,
+			Core: targetCore, Thread: th, Timestamp: o.ts,
 			FalsePositive: !o.exactConflict(req.Op, req.Addr),
 			Overflow:      s.P.CD == CDCacheBits && ctx.overflow,
 		})
@@ -1674,12 +1617,10 @@ func (s *System) MayBeInSignature(core int, a addr.PAddr) bool {
 		return false
 	}
 	hit := false
-	base := core * s.P.ThreadsPerCore
-	for th := 0; th < s.P.ThreadsPerCore; th++ {
-		if !s.hot[base+th].inTx {
+	for _, ctx := range s.ctxs[core] {
+		if o := ctx.Cur; o == nil || !o.InTx() {
 			continue
 		}
-		ctx := s.ctxs[core][th]
 		if s.P.CD == CDCacheBits {
 			b := a.Block()
 			if ctx.rwRead[b] || ctx.rwWrite[b] {
@@ -1690,7 +1631,7 @@ func (s *System) MayBeInSignature(core int, a addr.PAddr) bool {
 			}
 			continue
 		}
-		if ctx.Sig.ConflictProbe(sig.Write, s.probeFor(a)) {
+		if ctx.Sig.Conflict(sig.Write, a) {
 			hit = true
 		}
 	}
@@ -1709,16 +1650,13 @@ func (s *System) SignatureMember(core int, req coherence.Request) bool {
 	if s.txLive[core] == 0 {
 		return false
 	}
-	base := core * s.P.ThreadsPerCore
-	for th := 0; th < s.P.ThreadsPerCore; th++ {
+	for th, ctx := range s.ctxs[core] {
 		if core == req.Core && th == req.Thread {
 			continue
 		}
-		row := &s.hot[base+th]
-		if !row.inTx || row.asid != req.ASID {
+		if o := ctx.Cur; o == nil || !o.InTx() || o.ASID != req.ASID {
 			continue
 		}
-		ctx := s.ctxs[core][th]
 		if s.P.CD == CDCacheBits {
 			b := req.Addr.Block()
 			if ctx.overflow || ctx.rwRead[b] || ctx.rwWrite[b] {
@@ -1728,7 +1666,7 @@ func (s *System) SignatureMember(core int, req coherence.Request) bool {
 		}
 		// A write probe conflicts with both the read and write sets, so
 		// it is exactly set membership.
-		if ctx.Sig.ConflictProbe(sig.Write, s.probeFor(req.Addr)) {
+		if ctx.Sig.Conflict(sig.Write, req.Addr) {
 			return true
 		}
 	}
@@ -1741,13 +1679,8 @@ func (s *System) InExactSet(core int, a addr.PAddr) bool {
 	if s.txLive[core] == 0 {
 		return false
 	}
-	base := core * s.P.ThreadsPerCore
-	for th := 0; th < s.P.ThreadsPerCore; th++ {
-		row := &s.hot[base+th]
-		if !row.inTx {
-			continue
-		}
-		if row.cur.exactConflict(sig.Write, a) {
+	for _, ctx := range s.ctxs[core] {
+		if o := ctx.Cur; o != nil && o.InTx() && o.exactConflict(sig.Write, a) {
 			return true
 		}
 	}

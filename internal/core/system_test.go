@@ -680,3 +680,53 @@ func TestRunUntilBehindClockKeepsClock(t *testing.T) {
 		t.Errorf("interrupted run diverged:\n got %+v\nwant %+v", s.Stats(), ref.Stats())
 	}
 }
+
+// TestSignatureCheckZeroAlloc guards the conflict scan: once its NACK
+// scratch has grown, a SignatureCheck over every context with a live
+// transaction — and the scan's other hooks — must not allocate, under
+// both an exact and a bit-vector signature.
+func TestSignatureCheckZeroAlloc(t *testing.T) {
+	for _, c := range []sig.Config{
+		{Kind: sig.KindPerfect},
+		{Kind: sig.KindBitSelect, Bits: 2048},
+	} {
+		t.Run(c.String(), func(t *testing.T) {
+			p := smallParams()
+			p.Signature = c
+			s := newSys(t, p)
+			pt := s.NewPageTable(1)
+			for core := 0; core < p.Cores; core++ {
+				for th := 0; th < p.ThreadsPerCore; th++ {
+					x := s.SpawnStepped("tx", 1, pt)
+					if err := s.Place(x, core, th); err != nil {
+						t.Fatal(err)
+					}
+					x.depth, x.ts = 1, uint64(core*p.ThreadsPerCore+th+1)
+					for i := 0; i < 64; i++ {
+						a := addr.PAddr(i * addr.BlockBytes)
+						s.Ctx(core, th).Sig.Insert(sig.Read, a)
+						x.exactInsert(sig.Read, a)
+					}
+					s.recountTx(core)
+				}
+			}
+			i := 0
+			if n := testing.AllocsPerRun(1000, func() {
+				a := addr.PAddr((i % 128) * addr.BlockBytes)
+				for core := 0; core < p.Cores; core++ {
+					req := coherence.Request{Core: -1, Op: sig.Write, Addr: a, ASID: 1, Timestamp: 100}
+					_ = s.SignatureCheck(core, req)
+					_ = s.SignatureMember(core, req)
+					_ = s.MayBeInSignature(core, a)
+					_ = s.InExactSet(core, a)
+				}
+				i++
+			}); n != 0 {
+				t.Errorf("conflict scan allocated %.1f/op, want 0", n)
+			}
+			if got := len(s.SignatureCheck(0, coherence.Request{Core: -1, Op: sig.Write, ASID: 1})); got != p.ThreadsPerCore {
+				t.Errorf("SignatureCheck NACKed with %d contexts, want %d", got, p.ThreadsPerCore)
+			}
+		})
+	}
+}

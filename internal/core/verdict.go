@@ -41,7 +41,7 @@ func (s *System) verdictsOn() bool {
 
 // bumpVersion advances the conflict-state version after an engine-side
 // change a NACK outcome depends on: a scheduled context's transaction
-// row, a signature, or an exact set.
+// state, a signature, or an exact set.
 func (s *System) bumpVersion() {
 	if s.verdictCoh != nil {
 		s.verdictCoh.BumpVersion()

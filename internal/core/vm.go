@@ -57,10 +57,6 @@ func (s *System) SpawnStepped(name string, asid addr.ASID, pt *mem.PageTable) *T
 // BindStep installs the step continuation of a stepped thread.
 func (t *Thread) BindStep(fn StepFunc) { t.stepFn = fn }
 
-// Stepped reports whether the thread runs on the stepped (goroutine-
-// free) path.
-func (t *Thread) Stepped() bool { return t.stepped }
-
 // The Issue* methods dispatch one request on behalf of a stepped
 // thread. The response arrives at its StepFunc after the simulated
 // latency; exactly one request may be in flight per thread.

@@ -34,8 +34,10 @@ type Grid struct {
 	// unchanged but never a smaller one.
 	perturb func(sim.Cycle) sim.Cycle
 
-	// Precomputed uncontended latencies, used only while perturb is nil
-	// (a set perturbation must see the exact per-pair call sequence).
+	// Precomputed uncontended latencies. A point-to-point latency is
+	// its table entry passed through perturbed, one perturb call per
+	// message. The broadcast tables are used only while perturb is nil:
+	// a set perturbation must see one call per core reached.
 	nodes     int         // cached Nodes() for the latTab index
 	latTab    []sim.Cycle // router pair a,b at latTab[a*nodes+b]
 	bankBcast []sim.Cycle // BroadcastFromBank result per bank
@@ -210,26 +212,17 @@ func (g *Grid) Hops(a, b int) int {
 // Latency returns the uncontended latency between two routers: one link to
 // enter the network plus one per hop.
 func (g *Grid) Latency(a, b int) sim.Cycle {
-	if g.perturb == nil {
-		return g.latTab[a*g.nodes+b]
-	}
-	return g.perturbed(g.linkLat * sim.Cycle(1+g.Hops(a, b)))
+	return g.perturbed(g.latTab[a*g.nodes+b])
 }
 
 // CoreToBank is the latency of a request from a core to an L2 bank.
 func (g *Grid) CoreToBank(core, bank int) sim.Cycle {
-	if g.perturb == nil {
-		return g.coreBankLat[core*g.banks+bank]
-	}
-	return g.Latency(g.CoreNode(core), g.BankNode(bank))
+	return g.perturbed(g.coreBankLat[core*g.banks+bank])
 }
 
 // CoreToCore is the latency of a forwarded request between cores.
 func (g *Grid) CoreToCore(a, b int) sim.Cycle {
-	if g.perturb == nil {
-		return g.coreCoreLat[a*g.cores+b]
-	}
-	return g.Latency(g.CoreNode(a), g.CoreNode(b))
+	return g.perturbed(g.coreCoreLat[a*g.cores+b])
 }
 
 // BroadcastFromBank is the latency for a bank to reach every core and

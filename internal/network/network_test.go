@@ -1,6 +1,10 @@
 package network
 
-import "testing"
+import (
+	"testing"
+
+	"logtmse/internal/sim"
+)
 
 func TestHopsSymmetricAndTriangle(t *testing.T) {
 	g := New(4, 3, 3, 16, 16)
@@ -77,5 +81,34 @@ func TestDegenerateGridClamped(t *testing.T) {
 	}
 	if g.Hops(0, 0) != 0 {
 		t.Errorf("single-node hops = %d", g.Hops(0, 0))
+	}
+}
+
+// TestPerturbOncePerMessage pins the fault-injection contract: a
+// point-to-point latency passes through the perturbation exactly once,
+// and a broadcast once per core it reaches.
+func TestPerturbOncePerMessage(t *testing.T) {
+	g, ref := New(4, 3, 3, 16, 16), New(4, 3, 3, 16, 16)
+	calls := 0
+	g.SetPerturb(func(l sim.Cycle) sim.Cycle { calls++; return l + 1 })
+	for _, c := range []struct {
+		name  string
+		lat   func(*Grid) sim.Cycle
+		extra sim.Cycle // a round trip doubles the +1
+		calls int
+	}{
+		{"Latency", func(g *Grid) sim.Cycle { return g.Latency(0, 11) }, 1, 1},
+		{"CoreToBank", func(g *Grid) sim.Cycle { return g.CoreToBank(3, 9) }, 1, 1},
+		{"CoreToCore", func(g *Grid) sim.Cycle { return g.CoreToCore(2, 13) }, 1, 1},
+		{"BroadcastFromBank", func(g *Grid) sim.Cycle { return g.BroadcastFromBank(5) }, 2, 16},
+		{"BroadcastFromCore", func(g *Grid) sim.Cycle { return g.BroadcastFromCore(5) }, 2, 15},
+	} {
+		calls = 0
+		if got, want := c.lat(g), c.lat(ref)+c.extra; got != want {
+			t.Errorf("%s = %d, want %d", c.name, got, want)
+		}
+		if calls != c.calls {
+			t.Errorf("%s called perturb %d times, want %d", c.name, calls, c.calls)
+		}
 	}
 }

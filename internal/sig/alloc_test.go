@@ -144,3 +144,62 @@ func BenchmarkSignatureConflict(b *testing.B) {
 		})
 	}
 }
+
+// mustFilter builds one filter from c, panicking on a bad config (all
+// configs here are valid by construction).
+func mustFilter(c Config) Filter {
+	f, err := c.New()
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// BenchmarkInsert times the Insert loop per filter kind in the undo-log
+// walk / summary-rebuild shape: dozens of blocks back to back into one
+// filter.
+func BenchmarkInsert(b *testing.B) {
+	as := make([]addr.PAddr, 64)
+	for i := range as {
+		as[i] = addr.PAddr(i * 17 * addr.BlockBytes)
+	}
+	for _, c := range allocConfigs() {
+		f := mustFilter(c)
+		b.Run(c.String()+"/scalar", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, a := range as {
+					f.Insert(a)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMayContain times membership per filter kind in the broadcast
+// shape: one address tested against many same-geometry filters.
+func BenchmarkMayContain(b *testing.B) {
+	const filters = 32 // Contexts on the default machine
+	for _, c := range allocConfigs() {
+		fs := make([]Filter, filters)
+		for i := range fs {
+			fs[i] = mustFilter(c)
+			for j := 0; j < 256; j++ {
+				fs[i].Insert(addr.PAddr((i + j*31) * addr.BlockBytes))
+			}
+		}
+		b.Run(c.String()+"/scalar", func(b *testing.B) {
+			b.ReportAllocs()
+			var hits int
+			for i := 0; i < b.N; i++ {
+				a := addr.PAddr((i % 4096) * addr.BlockBytes)
+				for _, f := range fs {
+					if f.MayContain(a) {
+						hits++
+					}
+				}
+			}
+			_ = hits
+		})
+	}
+}

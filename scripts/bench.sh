@@ -52,8 +52,8 @@ go test -run xxx -bench 'BenchmarkSnapshotRestore' \
     -benchtime "$benchtime" -benchmem . >>"$tmp"
 go test -run xxx -bench 'BenchmarkSignatureOps' \
     -benchtime 10000x -benchmem . >>"$tmp"
-# Signature microbenchmarks: scalar vs batched (prepared-probe /
-# InsertBlocks) per filter kind, in internal/sig.
+# Signature microbenchmarks: the scalar Insert loop and the 32-filter
+# MayContain broadcast per filter kind, in internal/sig.
 go test -run xxx -bench 'BenchmarkInsert|BenchmarkMayContain' \
     -benchtime 10000x -benchmem ./internal/sig >>"$tmp"
 go test -run xxx -bench 'BenchmarkEngine|BenchmarkMemory' \
