@@ -101,6 +101,9 @@ const maxBisectSnaps = 512
 // deterministic in-engine defect an oracle can see is bisectable.
 func BisectFailure(rc RunConfig, seed int64, snapEvery Cycle) (*BisectResult, error) {
 	rc = rc.withDefaults()
+	if err := rc.validate(); err != nil {
+		return nil, err
+	}
 	if rc.Params.Sink != nil {
 		return nil, errParamsSink
 	}
@@ -402,6 +405,9 @@ type SnapSelfCheck struct {
 func RunWithSnapshots(rc RunConfig, seed int64, every Cycle) (RunResult, SnapSelfCheck, error) {
 	rc = rc.withDefaults()
 	var sc SnapSelfCheck
+	if err := rc.validate(); err != nil {
+		return RunResult{}, sc, err
+	}
 	if every <= 0 {
 		return RunResult{}, sc, fmt.Errorf("logtmse: snapshot stride must be positive")
 	}

@@ -102,3 +102,26 @@ func TestTracePrintsFirstNEvents(t *testing.T) {
 		t.Errorf("traced summary differs from the untraced run:\n--- untraced\n%s--- traced, after 25 events\n%s", plain, rest)
 	}
 }
+
+// TestInvalidScaleAndThreadsExit: a negative thread count or a scale
+// that is negative or not finite fails the command with an error naming
+// the flag's field, and prints no report.
+func TestInvalidScaleAndThreadsExit(t *testing.T) {
+	for _, c := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-threads", "-3"}, "Threads"},
+		{[]string{"-scale", "-1"}, "Scale"},
+		{[]string{"-scale", "NaN"}, "Scale"},
+	} {
+		args := append([]string{"-workload", "Mp3d", "-scale", "0.05"}, c.args...)
+		code, stdout, stderr := runArgs(t, args...)
+		if code != 1 || !strings.HasPrefix(stderr, "logtmsim: logtmse: "+c.field+" (") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 naming %s", c.args, code, stderr, c.field)
+		}
+		if stdout != "" {
+			t.Errorf("%v: printed a report:\n%s", c.args, stdout)
+		}
+	}
+}

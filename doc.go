@@ -86,9 +86,6 @@ type (
 // given progress-watchdog window (0 disarms the watchdog).
 func AllChecks(watchdogWindow Cycle) CheckConfig { return check.All(watchdogWindow) }
 
-// FaultMixNames lists the named fault mixes of the chaos campaign.
-func FaultMixNames() []string { return fault.MixNames() }
-
 // FaultMix returns the FaultPlan for a named mix with the given seed.
 func FaultMix(name string, seed int64) (FaultPlan, error) { return fault.MixPlan(name, seed) }
 

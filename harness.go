@@ -3,6 +3,7 @@ package logtmse
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"logtmse/internal/core"
 	"logtmse/internal/fault"
@@ -150,6 +151,19 @@ func (rc RunConfig) observed() bool {
 // RunConfig.Sink and RunConfig.Flight.
 var errParamsSink = fmt.Errorf("logtmse: attach event sinks with RunConfig.Sink, not Params.Sink")
 
+// validate rejects a defaulted cell the simulator cannot run: an input
+// scale that is negative or not finite (it would size every workload
+// from a meaningless number) or a negative thread count.
+func (rc RunConfig) validate() error {
+	if rc.Scale < 0 || math.IsNaN(rc.Scale) || math.IsInf(rc.Scale, 0) {
+		return fmt.Errorf("logtmse: Scale (%v) must be a finite positive number", rc.Scale)
+	}
+	if rc.Threads < 0 {
+		return fmt.Errorf("logtmse: Threads (%d) must not be negative", rc.Threads)
+	}
+	return nil
+}
+
 func (rc RunConfig) withDefaults() RunConfig {
 	if rc.Scale == 0 {
 		rc.Scale = 1.0
@@ -252,6 +266,9 @@ func (a Aggregate) TotalStats() Stats {
 // either way the returned result is identical.
 func RunOne(rc RunConfig, seed int64) (RunResult, error) {
 	rc = rc.withDefaults()
+	if err := rc.validate(); err != nil {
+		return RunResult{}, err
+	}
 	if rc.Params.Sink != nil {
 		return RunResult{}, errParamsSink
 	}

@@ -2,6 +2,7 @@ package logtmse
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -284,6 +285,36 @@ func TestWarmupMeasurement(t *testing.T) {
 	}
 	if warm.WorkUnits == 0 {
 		t.Errorf("no work units in the measurement window")
+	}
+}
+
+// TestInvalidScaleAndThreadsRejected: a scale that is negative or not
+// finite, or a negative thread count, must be refused with an error
+// naming the field, by RunOne and RunWithSnapshots alike, instead of
+// panicking in a workload constructor or reporting a run sized from a
+// meaningless number.
+func TestInvalidScaleAndThreadsRejected(t *testing.T) {
+	v, _ := VariantByName("Perfect")
+	for _, c := range []struct {
+		name    string
+		scale   float64
+		threads int
+		field   string
+	}{
+		{"negative scale", -1, 0, "Scale"},
+		{"NaN scale", math.NaN(), 0, "Scale"},
+		{"infinite scale", math.Inf(1), 0, "Scale"},
+		{"negative threads", testScale, -3, "Threads"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rc := RunConfig{Workload: "Mp3d", Variant: v, Scale: c.scale, Threads: c.threads}
+			if _, err := RunOne(rc, 1); err == nil || !strings.HasPrefix(err.Error(), "logtmse: "+c.field+" (") {
+				t.Errorf("RunOne: err = %v, want a rejection naming %s", err, c.field)
+			}
+			if _, _, err := RunWithSnapshots(rc, 1, 1000); err == nil || !strings.HasPrefix(err.Error(), "logtmse: "+c.field+" (") {
+				t.Errorf("RunWithSnapshots: err = %v, want a rejection naming %s", err, c.field)
+			}
+		})
 	}
 }
 

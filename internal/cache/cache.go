@@ -59,7 +59,6 @@ type Cache struct {
 	lines   []line // sets*ways, row-major
 	useClk  uint32
 	banked  int // number of banks (for bank-of-address queries); >=1
-	sizeB   int
 	evicted uint64
 }
 
@@ -84,7 +83,6 @@ func New(totalBytes, ways, banks int) (*Cache, error) {
 		ways:    ways,
 		lines:   make([]line, sets*ways),
 		banked:  banks,
-		sizeB:   totalBytes,
 	}, nil
 }
 
@@ -102,9 +100,6 @@ func (c *Cache) Sets() int { return c.sets }
 
 // Ways reports the associativity.
 func (c *Cache) Ways() int { return c.ways }
-
-// SizeBytes reports the capacity.
-func (c *Cache) SizeBytes() int { return c.sizeB }
 
 // Bank returns the bank a block maps to (interleaved by block address,
 // per Table 1).

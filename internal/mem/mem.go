@@ -108,11 +108,6 @@ func (m *Memory) ForEachBlock(fn func(a addr.PAddr, b *Block)) {
 	m.blocks.ForEach(fn)
 }
 
-// BlockCount reports how many distinct blocks have been touched.
-func (m *Memory) BlockCount() int {
-	return m.blocks.Len()
-}
-
 // Locked returns a mutex-guarded view of m for the rare uses that share
 // a Memory across goroutines (concurrency tests). All simulation-path
 // accessors stay on the unsynchronized Memory, which is owned by the

@@ -58,43 +58,3 @@ func FuzzNoFalseNegatives(f *testing.F) {
 		}
 	})
 }
-
-// FuzzUnmarshalSignature hardens the signature decoder: never panic,
-// and accepted inputs round-trip.
-func FuzzUnmarshalSignature(f *testing.F) {
-	for _, cfg := range []Config{
-		{Kind: KindBitSelect, Bits: 64},
-		{Kind: KindH3, Bits: 64, Hashes: 2},
-		{Kind: KindPerfect},
-	} {
-		s := MustSignature(cfg)
-		s.Insert(Read, 0x1000)
-		s.Insert(Write, 0x2000)
-		data, err := s.MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := UnmarshalSignature(data)
-		if err != nil {
-			return
-		}
-		out, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-marshal of accepted signature failed: %v", err)
-		}
-		s2, err := UnmarshalSignature(out)
-		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		// Behavioural equivalence on a probe set.
-		for i := 0; i < 64; i++ {
-			a := addr.PAddr(i * 64)
-			if s.Conflict(Write, a) != s2.Conflict(Write, a) {
-				t.Fatalf("round trip changed membership at %v", a)
-			}
-		}
-	})
-}

@@ -81,26 +81,6 @@ func TestH3Saturation(t *testing.T) {
 	}
 }
 
-func TestH3EncodeRoundTrip(t *testing.T) {
-	s := MustSignature(Config{Kind: KindH3, Bits: 512, Hashes: 3})
-	s.Insert(Read, 0x4000)
-	s.Insert(Write, 0x8000)
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalSignature(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Conflict(Write, 0x4000) || !got.Conflict(Read, 0x8000) {
-		t.Errorf("H3 round trip lost members")
-	}
-	if got.ReadSet().(*h3).k != 3 {
-		t.Errorf("hash count not preserved")
-	}
-}
-
 func TestH3ConfigString(t *testing.T) {
 	if got := (Config{Kind: KindH3, Bits: 2048}).String(); got != "H3x4_2048" {
 		t.Errorf("config string = %q", got)

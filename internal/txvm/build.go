@@ -222,7 +222,7 @@ func (b *Builder) LockRel(base addr.VAddr, src uint8, ring int64) {
 }
 
 // LockAcqVec acquires the locks indexed by V[vec] in sorted
-// deduplicated order (lockbase.Table.WithAll).
+// deduplicated order (the workload test reference lockTable.WithAll).
 func (b *Builder) LockAcqVec(vec uint8, base addr.VAddr, ring int64) {
 	b.emit(Instr{Code: OpLockAcqVec, Vec: vec, Base: base, Stride: int64(addr.BlockBytes), Ring: ring})
 }

@@ -33,10 +33,10 @@ type Machine struct {
 	vi int64
 
 	// Spinlock engine state (OpLockAcq / OpLockAcqVec). The spin
-	// replicates lockbase.Mutex.Acquire exactly: test with a load,
-	// test-and-set with an exchange, randomized exponential backoff
-	// (fresh base 8 per acquisition, doubling to a 1024 cap) drawn from
-	// the thread RNG.
+	// replicates the workload test reference spinLock.Acquire exactly:
+	// test with a load, test-and-set with an exchange, randomized
+	// exponential backoff (fresh base 8 per acquisition, doubling to a
+	// 1024 cap) drawn from the thread RNG.
 	spin     uint8
 	backoff  int64
 	spinAddr addr.VAddr
@@ -360,9 +360,10 @@ func (m *Machine) issueFor(op *Instr) {
 	}
 }
 
-// lockAddr is the spinlock address for table index i (lockbase.Table's
-// base.Block() + (i mod n)*BlockBytes layout; the compiler encodes the
-// table length in Ring and the block size in Stride).
+// lockAddr is the spinlock address for table index i (the workload test
+// reference lockTable's base.Block() + (i mod n)*BlockBytes layout; the
+// compiler encodes the table length in Ring and the block size in
+// Stride).
 func (m *Machine) lockAddr(op *Instr, i int64) addr.VAddr {
 	if op.Ring > 0 {
 		i %= op.Ring
@@ -371,7 +372,8 @@ func (m *Machine) lockAddr(op *Instr, i int64) addr.VAddr {
 }
 
 // buildLockSet copies V[Vec] and sorts/deduplicates it — the deadlock-
-// avoidance acquisition order of lockbase.Table.WithAll.
+// avoidance acquisition order of the workload test reference
+// lockTable.WithAll.
 func (m *Machine) buildLockSet(op *Instr) {
 	n := m.vlen[op.Vec]
 	copy(m.lockSet[:n], m.vecs[op.Vec][:n])
@@ -438,7 +440,8 @@ func (m *Machine) spinStep(op *Instr, res core.OpResult) bool {
 
 // spinBackoff issues the randomized-exponential-backoff compute of a
 // failed test or test-and-set, doubling the backoff as
-// lockbase.Mutex.Acquire does (draw before doubling, cap at 1024).
+// the workload test reference spinLock.Acquire does (draw before
+// doubling, cap at 1024).
 func (m *Machine) spinBackoff() {
 	d := m.backoff + m.t.Rand().Int63n(m.backoff)
 	if m.backoff < 1024 {

@@ -90,7 +90,8 @@ const (
 	OpWorkUnit // tally one unit of work
 	OpBarrier  // wait on Barriers[Aux]
 
-	// Dispatching lock ops (the lockbase spinlock baseline, compiled).
+	// Dispatching lock ops (the spinlock baseline, compiled; its test
+	// reference is spinLock in internal/workload/spinlock_test.go).
 	// OpLockAcq runs the full test-and-test-and-set spin with randomized
 	// exponential backoff at ea; the vector forms acquire every index in
 	// V[Vec] in sorted deduplicated order and release in reverse.

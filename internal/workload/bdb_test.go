@@ -7,7 +7,6 @@ import (
 
 	"logtmse/internal/addr"
 	"logtmse/internal/core"
-	"logtmse/internal/lockbase"
 )
 
 const bdbMaxSet = 27 // hard cap on read-/write-set draws
@@ -39,7 +38,7 @@ func (s *bdbSets) draw(rng *rand.Rand) {
 // referenceBDB is the closure-based reference for compileBDB.
 func referenceBDB(sys *core.System, cfg Config) (*Instance, error) {
 	inst, units := newBDB(sys, cfg)
-	regionMutex := lockbase.NewMutex(regionLocks)
+	regionMutex := newSpinLock(regionLocks)
 	expected := inst.Counters[0]
 
 	worker := func(id int, a *core.API) {

@@ -2,14 +2,13 @@ package workload
 
 import (
 	"logtmse/internal/core"
-	"logtmse/internal/lockbase"
 	"logtmse/internal/sim"
 )
 
 // referenceCholesky is the closure-based reference for compileCholesky.
 func referenceCholesky(sys *core.System, cfg Config) (*Instance, error) {
 	inst, tasks := newCholesky(sys, cfg)
-	queueMutex := lockbase.NewMutex(regionLocks)
+	queueMutex := newSpinLock(regionLocks)
 	done := inst.Barriers[0]
 
 	worker := func(id int, a *core.API) {

@@ -1,14 +1,11 @@
 package workload
 
-import (
-	"logtmse/internal/core"
-	"logtmse/internal/lockbase"
-)
+import "logtmse/internal/core"
 
 // referenceMp3d is the closure-based reference for compileMp3d.
 func referenceMp3d(sys *core.System, cfg Config) (*Instance, error) {
 	inst, steps := newMp3d(sys, cfg)
-	cellLocks := lockbase.NewTable(regionLocks, mp3dCells)
+	cellLocks := newLockTable(regionLocks, mp3dCells)
 	moves, stepBarrier := inst.Counters[0], inst.Barriers[0]
 
 	worker := func(id int, a *core.API) {

@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"logtmse/internal/core"
-	"logtmse/internal/lockbase"
 )
 
 // referenceNestedMicro is the closure-based reference for compileNestedMicro.
 func referenceNestedMicro(sys *core.System, cfg Config) (*Instance, error) {
 	inst, units := newNestedMicro(sys, cfg)
-	mutex := lockbase.NewMutex(regionLocks)
+	mutex := newSpinLock(regionLocks)
 	opens := inst.Counters[0]
 
 	worker := func(id int, a *core.API) {

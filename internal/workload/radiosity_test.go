@@ -1,16 +1,13 @@
 package workload
 
-import (
-	"logtmse/internal/core"
-	"logtmse/internal/lockbase"
-)
+import "logtmse/internal/core"
 
 // referenceRadiosity is the closure-based reference for compileRadiosity.
 func referenceRadiosity(sys *core.System, cfg Config) (*Instance, error) {
 	inst, tasks := newRadiosity(sys, cfg)
 	// Locks: one per queue, plus a table hashed over patches.
-	queueLocks := lockbase.NewTable(regionLocks, radiosityQueues)
-	patchLocks := lockbase.NewTable(blockAt(regionLocks, 8), 64)
+	queueLocks := newLockTable(regionLocks, radiosityQueues)
+	patchLocks := newLockTable(blockAt(regionLocks, 8), 64)
 	patchWrites := inst.Counters[0]
 
 	worker := func(id int, a *core.API) {

@@ -1,15 +1,12 @@
 package workload
 
-import (
-	"logtmse/internal/core"
-	"logtmse/internal/lockbase"
-)
+import "logtmse/internal/core"
 
 // referenceRaytrace is the closure-based reference for compileRaytrace.
 func referenceRaytrace(sys *core.System, cfg Config) (*Instance, error) {
 	inst, rays := newRaytrace(sys, cfg)
-	counterMutex := lockbase.NewMutex(regionLocks)
-	sceneMutex := lockbase.NewMutex(blockAt(regionLocks, 1))
+	counterMutex := newSpinLock(regionLocks)
+	sceneMutex := newSpinLock(blockAt(regionLocks, 1))
 	issued, done := inst.Counters[0], inst.Barriers[0]
 
 	worker := func(id int, a *core.API) {

@@ -7,7 +7,8 @@
 //
 // Each workload builds in two modes: TM (critical sections converted to
 // transactions, as the paper did) and Lock (the original lock-based
-// synchronization, using the lockbase spinlocks). The paper's Figure 4
+// synchronization, using test-and-test-and-set spinlocks; their
+// reference form is spinLock in spinlock_test.go). The paper's Figure 4
 // compares the two.
 //
 // Every workload runs as compiled txvm tapes (compile.go) on stepped

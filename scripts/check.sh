@@ -36,8 +36,6 @@ fi
 # checked-in seed corpus (go test -fuzz takes one target per invocation).
 fuzztime="${FUZZTIME:-10s}"
 go test -fuzz FuzzNoFalseNegatives -fuzztime "$fuzztime" -run xxx ./internal/sig
-go test -fuzz FuzzUnmarshalSignature -fuzztime "$fuzztime" -run xxx ./internal/sig
-go test -fuzz FuzzDecode -fuzztime "$fuzztime" -run xxx ./internal/trace
 go test -fuzz FuzzCatapult -fuzztime "$fuzztime" -run xxx ./internal/obs
 go test -fuzz FuzzFingerprint -fuzztime "$fuzztime" -run xxx .
 go test -fuzz FuzzValidateDisassemble -fuzztime "$fuzztime" -run xxx ./internal/txvm
