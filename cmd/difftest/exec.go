@@ -97,9 +97,9 @@ type runOpts struct {
 	Checks    bool
 	Watchdog  sim.Cycle
 	MaxCycles sim.Cycle
-	// Extra, if set, is teed into the lifecycle event stream alongside
-	// the commit-order sink (the -trace printer and the -serve abort
-	// telemetry).
+	// Extra, if set, becomes the lifecycle event sink (the -trace
+	// printer and the -serve abort telemetry). An attached sink turns
+	// NACK retry replay off, so such runs walk every retry.
 	Extra obs.Sink
 	// Metrics, if set, is attached to every system for interval
 	// snapshots (-metrics-out). The registry is single-goroutine: the
@@ -123,6 +123,9 @@ type simOutcome struct {
 	Stats         core.Stats
 	Faults        map[string]uint64
 	CheckFailures []string
+	// Replays counts NACK retries answered from a retry verdict rather
+	// than a protocol walk: host bookkeeping, never part of a report.
+	Replays uint64 `json:"-"`
 	// Err describes a run-level failure (stuck threads, oracle error);
 	// empty for a clean run.
 	Err string
@@ -152,17 +155,7 @@ func runSim(prog *progen.Program, cfg simConfig, seed int64, opts runOpts) (*sim
 	params.StarvationRetryLimit = 200
 
 	out := &simOutcome{}
-	var order []int
-	params.Sink = obs.FuncSink(func(e obs.Event) {
-		// Depth 1 marks outermost commits only; an injected abort at the
-		// commit point never reaches this event.
-		if e.Kind == obs.KindTxCommit && e.Depth == 1 {
-			order = append(order, e.TID)
-		}
-	})
-	if opts.Extra != nil {
-		params.Sink = obs.Tee(params.Sink, opts.Extra)
-	}
+	params.Sink = opts.Extra
 
 	sys, err := core.NewSystem(params)
 	if err != nil {
@@ -172,10 +165,17 @@ func runSim(prog *progen.Program, cfg simConfig, seed int64, opts runOpts) (*sim
 		sys.AttachMetrics(opts.Metrics, 10_000)
 	}
 	sys.Sabotage = opts.Sabotage
-	var chk *check.Checker
+	// The checker records the outermost-commit order; an injected abort
+	// at the commit point never reaches it. Its oracles run unless the
+	// engine is sabotaged: then the differential comparison alone must
+	// catch the bug.
+	var oracles check.Config
 	if opts.Checks && !opts.Sabotage.Active() {
-		chk = sys.AttachChecker(check.All(opts.Watchdog))
+		oracles = check.All(opts.Watchdog)
 	}
+	chk := sys.AttachChecker(oracles)
+	var order []int
+	chk.SetOuterCommitHook(func(tid int) { order = append(order, tid) })
 
 	nt := len(prog.Threads)
 	txReads := make([][]uint64, nt)
@@ -232,13 +232,12 @@ func runSim(prog *progen.Program, cfg simConfig, seed int64, opts runOpts) (*sim
 	end := sys.RunUntil(opts.MaxCycles)
 	out.Cycles = end
 	out.Stats = sys.Stats()
+	out.Replays = sys.VerdictReplays()
 	if inj != nil {
 		out.Faults = inj.Stats().ByClass()
 	}
-	if chk != nil {
-		for _, f := range chk.Failures() {
-			out.CheckFailures = append(out.CheckFailures, f.String())
-		}
+	for _, f := range chk.Failures() {
+		out.CheckFailures = append(out.CheckFailures, f.String())
 	}
 	if !sys.AllDone() {
 		out.Err = fmt.Sprintf("threads stuck after %d cycles: %v", end, sys.Stuck())

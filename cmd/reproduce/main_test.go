@@ -118,6 +118,29 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestRejectedCellsWriteNothing: a campaign whose cells cannot run
+// exits 1 before writing anything, so redirected output never holds a
+// partial report (a table header with no rows).
+func TestRejectedCellsWriteNothing(t *testing.T) {
+	for _, args := range [][]string{
+		{"table2", "-scale", "-1"},
+		{"figure4", "-scale", "-1", "-seeds", "1"},
+		{"figure4", "-scale", "0.02", "-seeds", "1", "-workloads", "Mp3d,NoSuchBench"},
+		{"-scale", "-1", "-seeds", "1"},
+	} {
+		var out, errOut bytes.Buffer
+		if got := run(context.Background(), args, &out, &errOut); got != 1 {
+			t.Errorf("reproduce %v exited %d, want 1", args, got)
+		}
+		if out.Len() != 0 {
+			t.Errorf("reproduce %v wrote %q to stdout", args, out.String())
+		}
+		if errOut.Len() == 0 {
+			t.Errorf("reproduce %v gave no reason on stderr", args)
+		}
+	}
+}
+
 // TestInterruptHelper is the child process of TestSecondSignalKills,
 // selected by the argument after "--"; run directly it skips. It
 // blocks inside a sweep cell that, like a livelocked simulation, never

@@ -30,8 +30,17 @@ type Section struct {
 // is served through cache (nil simulates everything) and reported to
 // camp (nil: no telemetry). The output is byte-identical for every
 // jobs and cache state. On cancellation the cells in flight finish and
-// Run returns the context's error.
+// Run returns the context's error. A cell that cannot run (a bad scale
+// or thread count, an unknown workload) fails Run before anything is
+// written, so a rejected campaign never leaves a partial report.
 func (e Experiment) Run(ctx context.Context, w io.Writer, jobs int, cache *ResultCache, camp *Campaign) error {
+	for _, s := range e {
+		for _, c := range s.Cells {
+			if err := c.withDefaults().validate(); err != nil {
+				return err
+			}
+		}
+	}
 	for _, s := range e {
 		if _, err := io.WriteString(w, s.Head); err != nil {
 			return err

@@ -161,6 +161,9 @@ func (rc RunConfig) validate() error {
 	if rc.Threads < 0 {
 		return fmt.Errorf("logtmse: Threads (%d) must not be negative", rc.Threads)
 	}
+	if _, ok := workload.ByName(rc.Workload); !ok {
+		return fmt.Errorf("logtmse: unknown workload %q", rc.Workload)
+	}
 	return nil
 }
 

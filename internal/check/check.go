@@ -165,6 +165,9 @@ type Checker struct {
 	// rings; invoked once, on the first recorded failure, and appended
 	// to that failure's detail (postmortem context).
 	flightDump func() string
+	// onOuterCommit, when set, is told the thread of every outermost
+	// commit, in engine order.
+	onOuterCommit func(tid int)
 
 	// Watchdog state.
 	activeTx     int
@@ -197,6 +200,12 @@ func (c *Checker) SetNamer(fn func(tid int) string) { c.name = fn }
 // appended to the first recorded failure (oracle violation or watchdog
 // trip), turning the report into a self-contained postmortem.
 func (c *Checker) SetFlightDump(fn func() string) { c.flightDump = fn }
+
+// SetOuterCommitHook installs fn to receive the software thread id of
+// every outermost commit, in engine order — the serial order a
+// differential oracle replays. Unlike an event sink, a checker leaves
+// NACK retry replay on, so the recorded run is the production path.
+func (c *Checker) SetOuterCommitHook(fn func(tid int)) { c.onOuterCommit = fn }
 
 // SeedShadow initializes the shadow from the current physical memory;
 // call it after workload setup writes but before the run starts. When
@@ -454,6 +463,9 @@ func (c *Checker) OnCommit(tid, depth int, open bool) {
 		c.activeTx--
 		c.lastProgress = c.now()
 		c.tripped = false
+		if c.onOuterCommit != nil {
+			c.onOuterCommit(tid)
+		}
 	}
 	if !c.tracksFrames() {
 		return

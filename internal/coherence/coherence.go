@@ -192,10 +192,15 @@ type System struct {
 	stats    Stats
 	bankFree []sim.Cycle // per-bank next-free cycle (contention model)
 
-	// version advances on every change to state a NACK outcome depends
-	// on (see Version). It is host bookkeeping, not simulated state: it
-	// only ever grows, and snapshots neither capture nor restore it.
-	version uint64
+	// epoch, stamps and touches date the state a NACK outcome depends on
+	// (see Epoch, BlockStamp and Touches). They are host bookkeeping, not
+	// simulated state: they only ever grow, and snapshots neither capture
+	// nor restore them.
+	epoch   uint64
+	stamps  *[stampSlots]uint64
+	touches uint64
+	// allMask is the mask of every core (see NACKShape).
+	allMask uint64
 
 	// Scratch storage for the per-access hot path. The system is owned
 	// by the single simulation goroutine and each returned slice is
@@ -217,7 +222,8 @@ func NewSystem(p Params, hooks Hooks) (*System, error) {
 	if p.Grid == nil {
 		return nil, fmt.Errorf("coherence: nil grid")
 	}
-	s := &System{p: p, hooks: hooks}
+	s := &System{p: p, hooks: hooks, stamps: new([stampSlots]uint64)}
+	s.allMask = ^uint64(0) >> uint(64-p.Cores)
 	for i := 0; i < p.Cores; i++ {
 		c, err := cache.New(p.L1Bytes, p.L1Ways, 1)
 		if err != nil {
@@ -275,38 +281,91 @@ func (s *System) emitSticky(owner, requester int, a addr.PAddr) {
 // Stats returns a snapshot of the protocol counters.
 func (s *System) Stats() Stats { return s.stats }
 
-// Version is the memory system's conflict-state version. It advances
-// whenever something a NACK outcome depends on may have changed: the
-// protocol bumps it on every L1 or directory change (grant, the E->M hit
-// upgrade, the L2-miss rebuild, leaving check-all mode, forced evictions,
-// Reset and restore), and the transactional engine bumps it through
-// BumpVersion whenever a signature, exact set or scheduled-transaction
-// row changes. An access that NACKed with Version unchanged across its
-// own walk NACKs again, with the same NACKers, for as long as Version
-// holds still, so its retries may be charged with ReplayNACK instead of
-// re-walking the protocol.
-func (s *System) Version() uint64 { return s.version }
+// The block-stamp table has stampSlots counters. Blocks hash into it, so
+// two blocks may share a stamp: a collision only ends a retry verdict
+// early, never keeps a stale one.
+const (
+	stampBits  = 12
+	stampSlots = 1 << stampBits
+)
 
-// BumpVersion records a change to conflict-detection state made outside
-// the protocol (signatures, exact sets, transaction scheduling).
-func (s *System) BumpVersion() { s.version++ }
+// stampSlot hashes a block (Fibonacci hashing of the block number).
+func stampSlot(a addr.PAddr) uint64 {
+	return (a.BlockIndex() * 0x9e3779b97f4a7c15) >> (64 - stampBits)
+}
+
+// touch records a change to block a's protocol state: its directory
+// entry, or its line in any L1.
+func (s *System) touch(a addr.PAddr) {
+	s.stamps[stampSlot(a)]++
+	s.touches++
+}
+
+// Touches counts the block-stamp advances so far. An Access across which
+// it held still changed no block's protocol state.
+func (s *System) Touches() uint64 { return s.touches }
+
+// BlockStamp dates block a's protocol state. It advances on every change
+// to the block's directory entry (owner, sharers, check-all, existence)
+// or to its line in any L1: a grant, an invalidation or downgrade, the
+// E->M hit upgrade, an L1 or L2 victimization, the L2-miss rebuild, and
+// a forced eviction. Together with Epoch and the engine's per-core
+// signature stamps it decides whether a NACK still holds: a NACK whose
+// own walk left the stamp unchanged repeats, with the same NACKers, while
+// the stamp, the epoch and the checked cores' signature state hold still,
+// so its retries may be charged with ReplayNACK instead of re-walking.
+func (s *System) BlockStamp(a addr.PAddr) uint64 { return s.stamps[stampSlot(a)] }
+
+// Epoch advances when all protocol state may have changed at once:
+// Reset, snapshot restore, and (through BumpEpoch) a page relocation.
+func (s *System) Epoch() uint64 { return s.epoch }
+
+// BumpEpoch records a change made outside the protocol that can move any
+// NACK outcome (the OS rewriting signatures and exact sets on a page
+// relocation).
+func (s *System) BumpEpoch() { s.epoch++ }
+
+// NACKShape describes a request that Access just NACKed without changing
+// any protocol state (Touches held still across it), for its replays:
+// checked is the mask of cores whose signatures the walk consulted —
+// every core for a broadcast, else the directory's routing targets, the
+// (possibly sticky) owner for a GETS and targetMask for a GETM — and
+// upgrade reports an S->M upgrade rather than an L1 miss. Both read the
+// state the walk routed on, so they stay right while the block's stamp
+// holds.
+func (s *System) NACKShape(req Request, broadcast bool) (checked uint64, upgrade bool) {
+	a := req.Addr.Block()
+	upgrade = req.Op == sig.Write && s.l1[req.Core].Peek(a) == cache.Shared
+	e := s.dir.Get(a)
+	switch {
+	case broadcast || e == nil:
+		return s.allMask, upgrade
+	case req.Op == sig.Read && e.owner >= 0:
+		return 1 << uint(e.owner), upgrade
+	case req.Op == sig.Read:
+		return s.allMask, upgrade // a GETS without an owner never NACKs
+	}
+	return targetMask(e, req.Core), upgrade
+}
 
 // ReplayNACK charges the counters of an Access that NACKs exactly as a
-// previous one did: same requester, operation and block, with Version
-// unchanged since that NACK's walk and no hook observing the walk (sink,
-// contention clock, latency perturbation). It repeats the requester's L1
-// Lookup — which decides L1Misses vs Upgrades and refreshes the line's
-// LRU position as the walk would — then counts the broadcast or forward
+// previous one did: same requester, operation and block, with the NACK
+// still holding (see BlockStamp) and no hook observing the walk (sink,
+// contention clock, latency perturbation). A read NACK is always an L1
+// miss; a NACKed upgrade repeats the requester's L1 Lookup, which
+// refreshes the Shared line's LRU position as the walk would (a Lookup
+// that misses changes nothing). It then counts the broadcast or forward
 // and the NACK. The walk's only other effect, the NACKers'
 // possible_cycle flags, was already set by the NACK being replayed and
-// cannot have been cleared without a bump.
-func (s *System) ReplayNACK(req Request, broadcast bool) {
+// is cleared only by their commit or abort, which ends the verdict.
+func (s *System) ReplayNACK(req Request, broadcast, upgrade bool) {
 	if req.Op == sig.Read {
 		s.stats.Loads++
 	} else {
 		s.stats.Stores++
 	}
-	if st := s.l1[req.Core].Lookup(req.Addr.Block()); req.Op == sig.Write && st == cache.Shared {
+	if upgrade {
+		s.l1[req.Core].Lookup(req.Addr.Block())
 		s.stats.Upgrades++
 	} else {
 		s.stats.L1Misses++
@@ -333,7 +392,7 @@ func (s *System) Reset() {
 	s.l2.Reset()
 	s.dir.Reset()
 	s.stats = Stats{}
-	s.version++
+	s.epoch++
 	for i := range s.bankFree {
 		s.bankFree[i] = 0
 	}
@@ -388,7 +447,6 @@ func (s *System) ForceEvict(core, n int) (addr.PAddr, bool) {
 	if !ok {
 		return 0, false
 	}
-	s.version++
 	s.l1Victim(core, v)
 	return v.Addr, true
 }
@@ -400,10 +458,11 @@ func (s *System) ForceEvict(core, n int) (addr.PAddr, bool) {
 // A NACK changes no protocol state except on the L2-miss rebuild path,
 // which creates the directory entry, inserts the block into the L2 (with
 // any inclusion evictions) and puts the entry in check-all mode before it
-// NACKs. The contract retry replay relies on: every path that changes L1
-// or directory state advances Version, so a NACK across which Version
-// held still touched nothing but counters and the requester's LRU order,
-// and an identical retry before the next bump would NACK the same way.
+// NACKs. The contract retry replay relies on: every path that changes a
+// block's directory entry or L1 lines advances its BlockStamp, so a NACK
+// across which the stamp held still touched nothing but counters and the
+// requester's LRU order, and an identical retry would NACK the same way
+// until the stamp, the Epoch or a checked core's signature state moves.
 func (s *System) Access(req Request) AccessResult {
 	req.Addr = req.Addr.Block()
 	if req.Op == sig.Read {
@@ -424,7 +483,7 @@ func (s *System) Access(req Request) AccessResult {
 	case req.Op == sig.Write && (st == cache.Modified || st == cache.Exclusive):
 		s.stats.L1Hits++
 		if st == cache.Exclusive {
-			s.version++
+			s.touch(req.Addr)
 			s.l1[req.Core].SetState(req.Addr, cache.Modified)
 			if e := s.dir.Get(req.Addr); e != nil {
 				e.owner = req.Core
@@ -455,7 +514,7 @@ func (s *System) accessDirectory(req Request) AccessResult {
 		// L2 victimized the block, so conservatively broadcast to the
 		// L1s so they can check their signatures (§5). The rebuild
 		// changes state even when it NACKs.
-		s.version++
+		s.touch(a)
 		s.stats.L2Misses++
 		lat += s.p.MemLat
 		lat += s.p.Grid.BroadcastFromBank(bank) + s.p.CheckLat
@@ -492,7 +551,7 @@ func (s *System) accessDirectory(req Request) AccessResult {
 		// A compatible grant does not prove the block left every
 		// signature (a read is granted against remote read-set
 		// membership); leave check-all until no signature contains it.
-		s.version++
+		s.touch(a)
 		e.checkAll = s.anySignatureMember(req)
 		// Fall through to the normal GETS/GETM handling: the entry may
 		// still record an owner or sharers whose cached copies need the
@@ -638,7 +697,7 @@ func (s *System) accessSnoop(req Request) AccessResult {
 // state, handling victim (sticky) bookkeeping.
 func (s *System) grant(req Request, e *dirEntry, lat sim.Cycle) AccessResult {
 	a := req.Addr
-	s.version++
+	s.touch(a)
 	var newState cache.State
 	if req.Op == sig.Write {
 		newState = cache.Modified
@@ -671,6 +730,7 @@ func (s *System) grant(req Request, e *dirEntry, lat sim.Cycle) AccessResult {
 // (sticky states); clean non-transactional blocks update or silently skip
 // the directory per MESI conventions.
 func (s *System) l1Victim(core int, v cache.Victim) {
+	s.touch(v.Addr)
 	if s.hooks.InExactSet(core, v.Addr) {
 		s.stats.L1TxVictims++
 	}
@@ -711,6 +771,7 @@ func (s *System) insertL2(a addr.PAddr) {
 	if !evicted {
 		return
 	}
+	s.touch(v.Addr)
 	for c := 0; c < s.p.Cores; c++ {
 		if s.hooks.InExactSet(c, v.Addr) {
 			s.stats.L2TxVictims++
@@ -728,20 +789,23 @@ func (s *System) insertL2(a addr.PAddr) {
 	}
 }
 
-// targetsOf lists the cores a GETM must check: the (possibly sticky)
-// owner plus every core in the conservative sharer mask, excluding the
-// requester itself.
-// The returned slice aliases a reusable scratch buffer: read it before
-// the next Access.
-func (s *System) targetsOf(e *dirEntry, reqCore int) []int {
-	ts := s.targetsBuf[:0]
+// targetMask is the set of cores a GETM must check: the (possibly
+// sticky) owner plus every core in the conservative sharer mask,
+// excluding the requester itself.
+func targetMask(e *dirEntry, reqCore int) uint64 {
 	mask := e.sharers
 	if e.owner >= 0 {
 		mask |= 1 << uint(e.owner)
 	}
-	mask &^= 1 << uint(reqCore)
-	for ; mask != 0; mask &= mask - 1 {
-		ts = append(ts, bits.TrailingZeros64(mask))
+	return mask &^ (1 << uint(reqCore))
+}
+
+// targetsOf lists targetMask's cores. The returned slice aliases a
+// reusable scratch buffer: read it before the next Access.
+func (s *System) targetsOf(e *dirEntry, reqCore int) []int {
+	ts := s.targetsBuf[:0]
+	for m := targetMask(e, reqCore); m != 0; m &= m - 1 {
+		ts = append(ts, bits.TrailingZeros64(m))
 	}
 	s.targetsBuf = ts
 	return ts

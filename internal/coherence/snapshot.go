@@ -52,7 +52,7 @@ func (s *System) RestoreFrom(snap *Snapshot) error {
 	}
 	s.dir.RestoreFrom(&snap.dir)
 	s.stats = snap.stats
-	s.version++
+	s.epoch++
 	copy(s.bankFree, snap.bankFree)
 	s.p.Grid.RestoreRouterState(snap.routers)
 	return nil

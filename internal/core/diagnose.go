@@ -65,7 +65,7 @@ func (s *System) AttachChecker(cfg check.Config) *check.Checker {
 // active (and descheduled mid-transaction) thread, the sticky-state
 // audit, and the watchdog evaluation.
 func (s *System) audit() {
-	if s.P.CD != CDCacheBits {
+	if s.P.CD != CDCacheBits && s.Check.Config().SigMembership {
 		for _, t := range s.threads {
 			if !t.InTx() {
 				continue
@@ -302,6 +302,6 @@ func (s *System) InjectSigNoise(core, thread, n int, salt uint64) int {
 		ctx.Sig.Insert(sig.Write, a)
 		inserted++
 	}
-	s.bumpVersion()
+	s.stampGrowth(ctx)
 	return inserted
 }

@@ -46,10 +46,16 @@ type System struct {
 
 	// verdictCoh is the memory system when NACK retry verdicts can be
 	// replayed on this machine (see verdictsOn); nil otherwise. It also
-	// carries the conflict-state version the engine bumps.
+	// carries the block stamps and the epoch a verdict depends on.
 	verdictCoh *coherence.System
 	// verdictReplays counts retries answered from a verdict.
 	verdictReplays uint64
+	// coreStamps date each core's transactional state (see stampCore);
+	// allStamp is their sum, and allCores the mask of every core. Host
+	// bookkeeping that only ever grows.
+	coreStamps []uint64
+	allStamp   uint64
+	allCores   uint64
 
 	// Engine-ownership handoff state (see pump): the event loop runs on
 	// whichever goroutine currently owns the engine — Run's caller or a
@@ -100,9 +106,7 @@ type System struct {
 	// LIFO, sticky audit, progress watchdog) against this system.
 	Check *check.Checker
 	// Fault, if set, is consulted at the engine's perturbation points by
-	// the fault injector. Nil (the default) leaves behavior untouched. An
-	// attached hook marks a fault-injected run, which never replays NACK
-	// retry verdicts (see verdictsOn).
+	// the fault injector. Nil (the default) leaves behavior untouched.
 	Fault FaultHook
 	// Sabotage deliberately breaks engine semantics so the differential
 	// harness can prove it detects real bugs (cmd/difftest -sabotage).
@@ -345,6 +349,8 @@ func NewSystem(p Params) (*System, error) {
 		s.ctxs = append(s.ctxs, row)
 	}
 	s.txLive = make([]int, p.Cores)
+	s.coreStamps = make([]uint64, p.Cores)
+	s.allCores = ^uint64(0) >> uint(64-p.Cores)
 	return s, nil
 }
 
@@ -475,9 +481,9 @@ func (s *System) Place(t *Thread, core, thread int) error {
 // status: begin, each commit/abort level, Place, and Deschedule. Recounting
 // (rather than maintaining deltas) makes drift impossible as long as every
 // transition site calls it. Each of these transitions can change a NACK
-// outcome, so it also advances the conflict-state version.
+// outcome, so it also advances the core's stamp.
 func (s *System) recountTx(core int) {
-	s.bumpVersion()
+	s.stampCore(core)
 	n := 0
 	for _, ctx := range s.ctxs[core] {
 		if o := ctx.Cur; o != nil && o.InTx() {
@@ -894,7 +900,6 @@ func (s *System) commit(t *Thread) {
 			if err := ctx.Sig.CopyFrom(f.SavedSig); err != nil {
 				panic(err)
 			}
-			s.bumpVersion()
 			snap := t.exactStack[len(t.exactStack)-1]
 			t.exactStack = t.exactStack[:len(t.exactStack)-1]
 			t.exact = snap.set
@@ -1018,7 +1023,9 @@ func (s *System) access(t *Thread, r *request, op sig.Op) {
 	if n, conflict := s.smtConflict(t, op, pa); conflict {
 		s.stats.SMTConflicts++
 		s.smtNack[0] = n
-		s.seedVerdict(t, op, pa, true, false, s.smtNack[:])
+		if s.verdictsOn() {
+			s.seedVerdict(t, op, pa, true, &coherence.AccessResult{Nackers: s.smtNack[:]})
+		}
 		s.resolveNACK(t, r, op, s.smtNack[:])
 		return
 	}
@@ -1027,16 +1034,19 @@ func (s *System) access(t *Thread, r *request, op sig.Op) {
 	if t.escaped {
 		reqTS = 0 // escaped accesses are non-transactional requests
 	}
-	v0 := s.cohVersion()
+	var touches uint64
+	if s.verdictCoh != nil {
+		touches = s.verdictCoh.Touches()
+	}
 	res := s.Coh.Access(coherence.Request{
 		Core: ctx.Core, Thread: ctx.Thread,
 		Op: op, Addr: pa, ASID: t.ASID, Timestamp: reqTS,
 	})
 	if res.NACK {
-		// A NACK that bumped the version (the L2-miss rebuild) changed
-		// state on its way, so its retry must walk again.
-		if s.cohVersion() == v0 {
-			s.seedVerdict(t, op, pa, false, res.Broadcast, res.Nackers)
+		// A NACK whose walk advanced a block stamp (the L2-miss rebuild)
+		// changed state on its way, so its retry must walk again.
+		if s.verdictsOn() && s.verdictCoh.Touches() == touches {
+			s.seedVerdict(t, op, pa, false, &res)
 		}
 		s.resolveNACK(t, r, op, res.Nackers)
 		return
@@ -1062,9 +1072,6 @@ func (s *System) access(t *Thread, r *request, op sig.Op) {
 
 	lat := res.Latency
 	if t.InTx() && !t.escaped {
-		// The footprint grows (an L1 hit included, which never reaches
-		// the protocol's own bumps): NACK outcomes against it change.
-		s.bumpVersion()
 		if s.P.CD == CDCacheBits {
 			// Original LogTM: set the R/W bit on the (now cached) line.
 			if op == sig.Read {
@@ -1078,7 +1085,13 @@ func (s *System) access(t *Thread, r *request, op sig.Op) {
 				s.Check.OnSigInsert(t.ID, ctx.Sig, op, pa)
 			}
 		}
-		t.exactInsert(op, pa)
+		// The footprint may grow (an L1 hit included, which never reaches
+		// the protocol's stamps): NACK outcomes against it can change.
+		// The signature always covers the exact set, so when the exact
+		// set did not grow the signature did not either.
+		if t.exactInsert(op, pa) {
+			s.stampGrowth(ctx)
+		}
 		if op == sig.Write {
 			lat += s.logStore(t, r.va, pa)
 		}
@@ -1199,26 +1212,7 @@ func (s *System) summaryConflict(t *Thread, r *request, op sig.Op, pa addr.PAddr
 // while having NACKed an older one ourselves).
 func (s *System) resolveNACK(t *Thread, r *request, op sig.Op, nackers []coherence.Nacker) {
 	if !t.InTx() || t.escaped {
-		// Non-transactional (or escaped) requesters never abort: they
-		// back off and retry until the conflicting transaction ends.
-		s.stats.NonTxRetries++
-		// One exception for liveness: an escaped access issued inside a
-		// transaction blocks while holding the enclosing transaction's
-		// isolation. Two transactions escaped into blocks aliased into
-		// each other's signatures then deadlock, with no timestamps to
-		// arbitrate (escaped requests carry none). Under the opt-in
-		// starvation escalation the enclosing transaction aborts and
-		// the whole escape re-executes on retry — escape actions are
-		// already documented to run once per attempt, not once per
-		// transaction.
-		if t.escaped && t.InTx() && s.P.StarvationRetryLimit > 0 {
-			t.stallRetries++
-			if t.stallRetries >= s.P.StarvationRetryLimit {
-				s.abort(t, obs.CauseStarvation)
-				return
-			}
-		}
-		s.scheduleRetry(t, r, op)
+		s.retryNonTx(t, r, op)
 		return
 	}
 	// Record who is blocking us (wait-for diagnosis for the watchdog and
@@ -1232,38 +1226,79 @@ func (s *System) resolveNACK(t *Thread, r *request, op sig.Op, nackers []coheren
 			t.waitingOn = append(t.waitingOn, o.ID)
 		}
 	}
-	s.stats.Stalls++
-	t.Stalls++
-	allFalse := true
-	allOverflow := len(nackers) > 0
-	olderNacker := false
-	anySticky := false
+	s.stall(t, r, op, nackers, classifyNACK(nackers, t.ts))
+}
+
+// nackClass is what conflict resolution reads of a NACKer list.
+type nackClass struct {
+	allFalse    bool // every NACKer a signature false positive
+	allOverflow bool // every NACKer an overflowed CDCacheBits context
+	olderNacker bool // some NACKer's transaction is older than the requester's
+	anySticky   bool // some NACKer no longer caches the block
+}
+
+// classifyNACK classifies nackers for a requester with timestamp ts.
+func classifyNACK(nackers []coherence.Nacker, ts uint64) nackClass {
+	c := nackClass{allFalse: true, allOverflow: len(nackers) > 0}
 	for _, n := range nackers {
 		if !n.FalsePositive {
-			allFalse = false
+			c.allFalse = false
 		}
 		if !n.Overflow {
-			allOverflow = false
+			c.allOverflow = false
 		}
 		if n.Sticky {
-			anySticky = true
+			c.anySticky = true
 		}
-		if n.Timestamp != 0 && n.Timestamp < t.ts {
-			olderNacker = true
+		if n.Timestamp != 0 && n.Timestamp < ts {
+			c.olderNacker = true
 		}
 	}
-	if allFalse {
+	return c
+}
+
+// retryNonTx resolves the NACK of a non-transactional (or escaped)
+// access. Such requesters never abort: they back off and retry until the
+// conflicting transaction ends.
+func (s *System) retryNonTx(t *Thread, r *request, op sig.Op) {
+	s.stats.NonTxRetries++
+	// One exception for liveness: an escaped access issued inside a
+	// transaction blocks while holding the enclosing transaction's
+	// isolation. Two transactions escaped into blocks aliased into
+	// each other's signatures then deadlock, with no timestamps to
+	// arbitrate (escaped requests carry none). Under the opt-in
+	// starvation escalation the enclosing transaction aborts and
+	// the whole escape re-executes on retry — escape actions are
+	// already documented to run once per attempt, not once per
+	// transaction.
+	if t.escaped && t.InTx() && s.P.StarvationRetryLimit > 0 {
+		t.stallRetries++
+		if t.stallRetries >= s.P.StarvationRetryLimit {
+			s.abort(t, obs.CauseStarvation)
+			return
+		}
+	}
+	s.scheduleRetry(t, r, op)
+}
+
+// stall resolves a transactional NACK classified as c: count the stall,
+// then abort or retry per the resolution policy. nackers only feeds the
+// Sink's NACK and conflict-edge events.
+func (s *System) stall(t *Thread, r *request, op sig.Op, nackers []coherence.Nacker, c nackClass) {
+	s.stats.Stalls++
+	t.Stalls++
+	if c.allFalse {
 		s.stats.FalsePositiveStalls++
 	}
 	if !r.retrying {
 		s.stats.StallEpisodes++
-		if allFalse {
+		if c.allFalse {
 			s.stats.FPEpisodes++
 		}
 	}
 	if s.Sink != nil {
 		pa := t.PT.Translate(r.va).Block()
-		flags := nackFlags(allFalse, anySticky, allOverflow, op)
+		flags := nackFlags(c.allFalse, c.anySticky, c.allOverflow, op)
 		s.emit(obs.KindNack, t, obs.CauseNone, t.depth, pa, uint64(len(nackers)), flags)
 		// One who-blocks-whom edge per NACKer, resolved to the blocking
 		// software thread the same way waitingOn is.
@@ -1286,7 +1321,7 @@ func (s *System) resolveNACK(t *Thread, r *request, op sig.Op, nackers []coheren
 		t.stallSince = s.Engine.Now()
 	}
 	cause := obs.CauseConflict
-	if allOverflow {
+	if c.allOverflow {
 		cause = obs.CauseOverflow
 	}
 	switch s.P.Resolution {
@@ -1294,12 +1329,12 @@ func (s *System) resolveNACK(t *Thread, r *request, op sig.Op, nackers []coheren
 		s.abort(t, cause)
 		return
 	case ResolveYoungerAborts:
-		if olderNacker {
+		if c.olderNacker {
 			s.abort(t, cause)
 			return
 		}
 	default: // ResolveStallAbort, LogTM's possible_cycle rule
-		if olderNacker && t.possibleCycle {
+		if c.olderNacker && t.possibleCycle {
 			s.stats.PossibleCycleAborts++
 			s.abort(t, cause)
 			return
@@ -1372,7 +1407,7 @@ func (s *System) ensureRetryFn(t *Thread) {
 }
 
 func (s *System) jitter() sim.Cycle {
-	return sim.Cycle(s.Engine.Rand().Int63n(8))
+	return sim.Cycle(s.Engine.Int63() & 7)
 }
 
 // faultRetryDelay asks the fault injector (if any) for extra delay on a
@@ -1481,7 +1516,6 @@ func (s *System) abort(t *Thread, cause obs.AbortCause) {
 			if err := ctx.Sig.CopyFrom(frame.SavedSig); err != nil {
 				panic(err)
 			}
-			s.bumpVersion()
 			snap := t.exactStack[len(t.exactStack)-1]
 			t.exactStack = t.exactStack[:len(t.exactStack)-1]
 			t.exact = snap.set
@@ -1726,7 +1760,6 @@ func (s *System) ScheduleOn(t *Thread, core, thread int) error {
 		if err := t.ctx.Sig.CopyFrom(t.SavedSig); err != nil {
 			return err
 		}
-		s.bumpVersion()
 		t.SavedSig = nil
 		t.NeedsSummaryUpdate = true
 		if s.Check != nil {

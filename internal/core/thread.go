@@ -26,6 +26,10 @@ type Context struct {
 	rwRead   map[addr.PAddr]bool
 	rwWrite  map[addr.PAddr]bool
 	overflow bool
+
+	// grown counts the growth of the context's signature and exact set
+	// (see retryVerdict); host bookkeeping that only ever increases.
+	grown uint64
 }
 
 // Overflowed reports whether the context's original-LogTM overflow flag
@@ -96,17 +100,21 @@ type exactSet struct {
 	writes int // blocks with exactW set
 }
 
-func (e *exactSet) insert(o sig.Op, a addr.PAddr) {
+// insert adds a to the read or write set, reporting whether the set grew.
+func (e *exactSet) insert(o sig.Op, a addr.PAddr) bool {
 	v, _ := e.tab.GetOrCreate(a.Block())
 	if o == sig.Read {
 		if *v&exactR == 0 {
 			*v |= exactR
 			e.reads++
+			return true
 		}
 	} else if *v&exactW == 0 {
 		*v |= exactW
 		e.writes++
+		return true
 	}
+	return false
 }
 
 // conflict applies the exact-set conflict rule: a read conflicts with the
@@ -337,8 +345,8 @@ func (t *Thread) RelocatePage(oldBase, newBase addr.PAddr) {
 	}
 }
 
-func (t *Thread) exactInsert(o sig.Op, a addr.PAddr) {
-	t.exact.insert(o, a)
+func (t *Thread) exactInsert(o sig.Op, a addr.PAddr) bool {
+	return t.exact.insert(o, a)
 }
 
 func (t *Thread) exactConflict(o sig.Op, a addr.PAddr) bool {

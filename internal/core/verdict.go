@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"logtmse/internal/addr"
 	"logtmse/internal/coherence"
 	"logtmse/internal/sig"
@@ -10,21 +12,43 @@ import (
 // conflict by stalling the requester and retrying, and a stalled access
 // usually finds nothing changed when it retries: the same signatures
 // NACK it for the same reason. A NACK whose own walk changed no protocol
-// state records how it was NACKed; a retry of the same block, issued
-// while the memory system's conflict-state version (coherence
-// System.Version) still has the value the NACK saw, replays the outcome
-// — the counters through coherence ReplayNACK, then the ordinary
-// resolveNACK — instead of re-running the SMT scan and the protocol
-// walk. Every Stats counter, RNG draw and scheduled event is the same
-// either way; only host time moves.
+// state records how it was NACKed and what the outcome depended on; a
+// retry of the same block while all of that holds still replays the
+// outcome — the counters through coherence ReplayNACK, then the stall
+// with the NACK's precomputed classification — instead of re-running
+// the SMT scan, the protocol walk and resolveNACK's loops. Every Stats
+// counter, RNG draw and scheduled event is the same either way; only
+// host time moves.
+//
+// The outcome depends on three things, each dated by a counter the
+// verdict records:
+//   - the block's protocol state: its directory entry and its lines in
+//     every L1 (coherence BlockStamp);
+//   - the transactional state of every context on the checked cores
+//     and on the requester's core (coreStamps): in-transaction status,
+//     timestamp, scheduling, signature and exact set. Signatures and
+//     exact sets only grow between begin and commit or abort, so a
+//     context that truly NACKed (not a false positive) keeps NACKing
+//     the block the same way however much it grows; its growth (its
+//     Context.grown) is subtracted from the sum;
+//   - everything at once: Reset, snapshot restore, page relocation
+//     (coherence Epoch).
 type retryVerdict struct {
 	ok        bool
 	smt       bool // NACKed by a same-core sibling, before the protocol
 	broadcast bool // the protocol broadcast the checks (else forwarded)
+	upgrade   bool // an S->M upgrade (else an L1 miss)
 	op        sig.Op
 	block     addr.PAddr
-	version   uint64
-	nackers   []coherence.Nacker
+	class     nackClass
+
+	epoch      uint64
+	blockStamp uint64
+	// cores is the checked cores plus the requester's; stamp is their
+	// coreStamps' sum less the growth of the true NACKers in grown.
+	cores uint64
+	stamp uint64
+	grown []*Context
 }
 
 // verdictsOn reports whether NACK verdicts may be seeded and replayed.
@@ -32,64 +56,111 @@ type retryVerdict struct {
 // system without the contention model or CDCacheBits, whose walks have
 // side effects a replay would skip (router and bank queues, OverflowNACKs
 // and R/W-bit consumption). The dynamic hooks each observe the walk or
-// perturb it: a Sink sees every NACK, conflict edge and sticky
-// forward, and a fault hook means a fault plan that perturbs latencies
-// and state from its own RNG.
+// perturb it: a Sink sees every NACK, conflict edge and sticky forward,
+// and a network latency perturbation (a fault plan's net-delay) draws
+// from the injector's RNG once per message the walk sends.
 func (s *System) verdictsOn() bool {
-	return s.verdictCoh != nil && s.Sink == nil && s.Fault == nil
+	return s.verdictCoh != nil && s.Sink == nil && !s.verdictCoh.Grid().Perturbed()
 }
 
-// bumpVersion advances the conflict-state version after an engine-side
-// change a NACK outcome depends on: a scheduled context's transaction
-// state, a signature, or an exact set.
-func (s *System) bumpVersion() {
-	if s.verdictCoh != nil {
-		s.verdictCoh.BumpVersion()
-	}
+// stampCore records a change to the transactional state of a context on
+// core: a transaction-state transition (recountTx, which also covers
+// every signature or exact-set restore, since each happens at a depth
+// transition or a Place), or signature growth.
+func (s *System) stampCore(core int) {
+	s.coreStamps[core]++
+	s.allStamp++
+}
+
+// stampGrowth records that ctx's signature or exact set grew.
+func (s *System) stampGrowth(ctx *Context) {
+	ctx.grown++
+	s.stampCore(ctx.Core)
 }
 
 // InvalidateRetryVerdicts records a change to conflict-detection state
 // made outside the engine — the OS model rewriting signatures and exact
 // sets on a page relocation — so no NACK seen before it is replayed.
-func (s *System) InvalidateRetryVerdicts() { s.bumpVersion() }
-
-// cohVersion reads the conflict-state version, which access compares
-// across a protocol walk (0 when verdicts are impossible on this machine).
-func (s *System) cohVersion() uint64 {
-	if s.verdictCoh == nil {
-		return 0
+func (s *System) InvalidateRetryVerdicts() {
+	if s.verdictCoh != nil {
+		s.verdictCoh.BumpEpoch()
 	}
-	return s.verdictCoh.Version()
 }
 
-// seedVerdict records t's NACK on pa. The caller guarantees the walk that
-// produced nackers changed no protocol state.
-func (s *System) seedVerdict(t *Thread, op sig.Op, pa addr.PAddr, smt, broadcast bool, nackers []coherence.Nacker) {
-	if !s.verdictsOn() {
-		return
+// VerdictReplays reports how many NACK retries were answered from a
+// verdict instead of a protocol walk since the machine was built or
+// Reset.
+func (s *System) VerdictReplays() uint64 { return s.verdictReplays }
+
+// verdictStamp sums the core stamps a verdict depends on, less its true
+// NACKers' growth. Every term of the difference only grows, so the sum
+// is unchanged exactly when none of them moved.
+func (s *System) verdictStamp(cores uint64, grown []*Context) uint64 {
+	var sum uint64
+	if cores == s.allCores {
+		sum = s.allStamp
+	} else {
+		for m := cores; m != 0; m &= m - 1 {
+			sum += s.coreStamps[bits.TrailingZeros64(m)]
+		}
 	}
+	for _, c := range grown {
+		sum -= c.grown
+	}
+	return sum
+}
+
+// seedVerdict records t's NACK res on pa; smt marks a NACK by a
+// same-core sibling, which res carries alone. The caller guarantees
+// verdictsOn and that the walk that produced res changed no protocol
+// state.
+func (s *System) seedVerdict(t *Thread, op sig.Op, pa addr.PAddr, smt bool, res *coherence.AccessResult) {
 	v := &t.verdict
-	v.ok, v.smt, v.broadcast = true, smt, broadcast
-	v.op, v.block, v.version = op, pa.Block(), s.verdictCoh.Version()
-	v.nackers = append(v.nackers[:0], nackers...)
+	v.ok, v.smt, v.op, v.block = true, smt, op, pa.Block()
+	v.broadcast, v.upgrade, v.cores = res.Broadcast, false, 0
+	if !smt {
+		v.cores, v.upgrade = s.verdictCoh.NACKShape(coherence.Request{Core: t.ctx.Core, Op: op, Addr: pa}, res.Broadcast)
+	}
+	v.cores |= 1 << uint(t.ctx.Core)
+	v.class = classifyNACK(res.Nackers, t.ts)
+	v.grown = v.grown[:0]
+	for _, n := range res.Nackers {
+		if !n.FalsePositive {
+			v.grown = append(v.grown, s.ctxs[n.Core][n.Thread])
+		}
+	}
+	v.stamp = s.verdictStamp(v.cores, v.grown)
+	v.epoch, v.blockStamp = s.verdictCoh.Epoch(), s.verdictCoh.BlockStamp(pa)
+}
+
+// verdictHolds reports whether nothing v's NACK depended on has changed.
+func (s *System) verdictHolds(v *retryVerdict) bool {
+	return v.ok && v.epoch == s.verdictCoh.Epoch() && v.blockStamp == s.verdictCoh.BlockStamp(v.block) &&
+		v.stamp == s.verdictStamp(v.cores, v.grown)
 }
 
 // replayRetry replays t's verdict for an access of pa if it still holds,
-// reporting whether it did. A verdict holds for the retry of the access
-// that seeded it while the version is unchanged; the block check also
-// catches a page relocation of the requester's own page.
+// reporting whether it did. The block check also catches a page
+// relocation of the requester's own page.
 func (s *System) replayRetry(t *Thread, r *request, op sig.Op, pa addr.PAddr) bool {
 	v := &t.verdict
-	if !s.verdictsOn() || v.version != s.verdictCoh.Version() || v.block != pa.Block() || v.op != op {
+	if !s.verdictsOn() || v.block != pa.Block() || v.op != op || !s.verdictHolds(v) {
 		v.ok = false
 		return false
 	}
 	if v.smt {
 		s.stats.SMTConflicts++
 	} else {
-		s.verdictCoh.ReplayNACK(coherence.Request{Core: t.ctx.Core, Thread: t.ctx.Thread, Op: op, Addr: pa}, v.broadcast)
+		s.verdictCoh.ReplayNACK(coherence.Request{Core: t.ctx.Core, Thread: t.ctx.Thread, Op: op, Addr: pa}, v.broadcast, v.upgrade)
 	}
 	s.verdictReplays++
-	s.resolveNACK(t, r, op, v.nackers)
+	if !t.InTx() || t.escaped {
+		s.retryNonTx(t, r, op)
+		return true
+	}
+	// t.waitingOn still lists the NACKers' threads: it was filled by the
+	// NACK being replayed and is cleared only when the stall ends. The
+	// NACKer list itself only feeds a Sink, which a replay never has.
+	s.stall(t, r, op, nil, v.class)
 	return true
 }

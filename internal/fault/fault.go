@@ -179,9 +179,12 @@ func New(plan Plan, sys *core.System) *Injector {
 		}
 	}
 	// The injector is the engine's fault hook even without NACK delays
-	// (it then adds none and draws nothing): an attached hook tells the
-	// engine a fault plan is perturbing the run, so it stops replaying
-	// NACK retry verdicts.
+	// (it then adds none and draws nothing). NACK retry verdicts stay on
+	// unless the network perturbation above is installed: the walk a
+	// replay skips would draw from the injector's RNG once per message.
+	// Every other fault changes state through a path that ends the
+	// verdicts it affects (forced evictions, signature noise, aborts,
+	// deschedules, page relocations).
 	sys.Fault = i
 	return i
 }

@@ -135,6 +135,9 @@ func (g *Grid) RestoreRouterState(st []sim.Cycle) {
 // a nil perturbation reproduces the unperturbed grid exactly.
 func (g *Grid) SetPerturb(fn func(sim.Cycle) sim.Cycle) { g.perturb = fn }
 
+// Perturbed reports whether a latency perturbation is installed.
+func (g *Grid) Perturbed() bool { return g.perturb != nil }
+
 func (g *Grid) perturbed(lat sim.Cycle) sim.Cycle {
 	if g.perturb == nil {
 		return lat

@@ -171,6 +171,18 @@ func (e *Engine) Rand() *rand.Rand {
 	return e.rng
 }
 
+// Int63 draws one value from the engine's random source: the value and
+// the draw count Rand().Int63() would produce, without the rand.Rand
+// layer in between. Rand().Int63n(n) for a power-of-two n is exactly
+// Int63()&(n-1), so hot callers drawing a small power-of-two range use
+// this instead.
+func (e *Engine) Int63() int64 {
+	if e.src == nil {
+		e.Rand()
+	}
+	return e.src.Int63()
+}
+
 // RandDraws reports how many values the engine's random source has
 // produced (zero when Rand has never been called). Together with the
 // seed this fully determines the RNG state at a snapshot boundary.

@@ -108,6 +108,50 @@ func TestDeterministicRand(t *testing.T) {
 	}
 }
 
+// TestInt63MatchesRandInt63n pins the direct draw the NACK-retry jitter
+// uses: Int63()&7 yields exactly Rand().Int63n(8)'s values and advances
+// RandDraws by one per draw, from a cold engine, interleaved with Rand
+// draws, and after RestoreState fast-forwards the source with Skip.
+func TestInt63MatchesRandInt63n(t *testing.T) {
+	const n = 100_000
+	direct, ref := NewEngine(7), NewEngine(7)
+	for i := 0; i < n; i++ {
+		if i%1000 == 999 { // the other draws the engine serves
+			if a, b := direct.Rand().Int63n(100), ref.Rand().Int63n(100); a != b {
+				t.Fatalf("interleaved Rand draw %d: %d vs %d", i, a, b)
+			}
+		}
+		if got, want := direct.Int63()&7, ref.Rand().Int63n(8); got != want {
+			t.Fatalf("draw %d: Int63()&7 = %d, Rand().Int63n(8) = %d", i, got, want)
+		}
+	}
+	if direct.RandDraws() != ref.RandDraws() {
+		t.Fatalf("RandDraws %d, want %d", direct.RandDraws(), ref.RandDraws())
+	}
+
+	// Restore both from the reference's state: the direct draw continues
+	// the skipped-ahead stream, whether or not the engine had built its
+	// source before the restore.
+	st := ref.State()
+	for _, warm := range []bool{false, true} {
+		restored := NewEngine(99)
+		if warm {
+			restored.Int63()
+		}
+		restored.RestoreState(st)
+		cont := NewEngine(7)
+		cont.RestoreState(st)
+		for i := 0; i < n; i++ {
+			if got, want := restored.Int63()&7, cont.Rand().Int63n(8); got != want {
+				t.Fatalf("warm=%v: restored draw %d: %d vs %d", warm, i, got, want)
+			}
+		}
+		if got, want := restored.RandDraws(), st.RandDraws+n; got != want {
+			t.Errorf("warm=%v: restored RandDraws %d, want %d", warm, got, want)
+		}
+	}
+}
+
 func TestStepEmpty(t *testing.T) {
 	e := NewEngine(1)
 	if e.Step() {
