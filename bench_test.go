@@ -229,7 +229,6 @@ func BenchmarkMultiChip(b *testing.B) {
 			if chips > 1 {
 				p.Chips = chips
 				p.GridW, p.GridH = 2, 2
-				p.InterChipLat = 50
 			}
 			var last RunResult
 			for i := 0; i < b.N; i++ {

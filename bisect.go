@@ -113,9 +113,6 @@ func BisectFailure(rc RunConfig, seed int64, snapEvery Cycle) (*BisectResult, er
 	if rc.Fault.Active() {
 		return nil, fmt.Errorf("logtmse: the fault injector's schedule is hook state a snapshot cannot carry; bisect localizes sabotage- and engine-class defects")
 	}
-	if rc.WarmupCycles > 0 {
-		return nil, fmt.Errorf("logtmse: bisect needs the unwarmed timeline (WarmupCycles resets statistics mid-run)")
-	}
 	if rc.Params.CD != CDSignature || rc.Params.Chips > 1 {
 		return nil, fmt.Errorf("logtmse: bisect needs the single-chip signature-mode baseline")
 	}
@@ -422,9 +419,6 @@ func RunWithSnapshots(rc RunConfig, seed int64, every Cycle) (RunResult, SnapSel
 	}
 	if rc.Fault.Active() {
 		return RunResult{}, sc, fmt.Errorf("logtmse: the fault injector is not snapshot-capable")
-	}
-	if rc.WarmupCycles > 0 {
-		return RunResult{}, sc, fmt.Errorf("logtmse: snapshots need the unwarmed timeline")
 	}
 	if rc.Params.CD != CDSignature || rc.Params.Chips > 1 {
 		return RunResult{}, sc, fmt.Errorf("logtmse: snapshots need the single-chip signature-mode baseline")

@@ -95,7 +95,6 @@ func run() int {
 	if *chips > 1 {
 		params.Chips = *chips
 		params.GridW, params.GridH = 2, 2
-		params.InterChipLat = 50
 	}
 	if *printConfig {
 		fmt.Println("System Model Settings (Table 1)")

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -20,8 +19,8 @@ import (
 
 // The goldens under testdata/ are the standard output of the seven
 // separate commands reproduce replaced, captured before the fold at
-// -scale 0.02. The ablation golden (-seeds 1) stops after section 6:
-// Ablation 7's contended BerkeleyDB cell livelocks.
+// -scale 0.02. The ablation golden (-seeds 1) is the whole campaign,
+// its closing "Expected shapes" text included.
 var goldens = []struct {
 	file string
 	args []string
@@ -48,14 +47,9 @@ func readGolden(t *testing.T, file string) string {
 // -cache-dir across its campaigns, so a cell two campaigns share (the
 // Figure 4 grid, the seed-1 Perfect cells) simulates once per pass, as
 // it does within one campaign through the in-memory tier. Ablation is
-// rendered up to Ablation 7 through the same cache, and not under
-// -short.
+// rendered through the same cache, and not under -short.
 func TestGoldens(t *testing.T) {
 	ablation := logtmse.AblationExperiment(0.02, []int64{1})
-	n := 0
-	for n < len(ablation) && !strings.Contains(ablation[n].Head, "Ablation 7") {
-		n++
-	}
 	for _, j := range []int{1, 4} {
 		dir := t.TempDir()
 		for _, g := range goldens {
@@ -75,7 +69,7 @@ func TestGoldens(t *testing.T) {
 			continue
 		}
 		var out bytes.Buffer
-		if err := ablation[:n].Run(context.Background(), &out, j, logtmse.NewResultCache(dir, 0), nil); err != nil {
+		if err := ablation.Run(context.Background(), &out, j, logtmse.NewResultCache(dir, 0), nil); err != nil {
 			t.Fatal(err)
 		}
 		if want := readGolden(t, "ablation.txt"); out.String() != want {

@@ -42,7 +42,7 @@ func Cacheable(rc RunConfig) bool {
 // Fingerprint returns the canonical content address of one simulation
 // cell: a stable hash over everything that determines its result — the
 // schema version, workload, synchronization mode, signature config,
-// scale, thread count, warmup/bound, machine Params, oracle config and
+// scale, thread count, cycle bound, machine Params, oracle config and
 // fault plan, plus the seed. Two cells hash equal iff the determinism
 // guarantee makes their results byte-identical.
 //
@@ -71,7 +71,7 @@ func Fingerprint(rc RunConfig, seed int64) (string, error) {
 	if err := canonical(h, "scale", reflect.ValueOf(rc.Scale)); err != nil {
 		return "", err
 	}
-	fmt.Fprintf(h, "threads=%d;warmup=%d;max=%d;", rc.Threads, rc.WarmupCycles, rc.MaxCycles)
+	fmt.Fprintf(h, "threads=%d;max=%d;", rc.Threads, rc.MaxCycles)
 	if err := canonical(h, "params", reflect.ValueOf(p)); err != nil {
 		return "", err
 	}

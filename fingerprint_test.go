@@ -210,7 +210,6 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		"Workload":     func(rc *RunConfig) { rc.Workload = "Mp3d" },
 		"Scale":        func(rc *RunConfig) { rc.Scale = rc.Scale + 0.5 },
 		"Threads":      func(rc *RunConfig) { rc.Threads = 4 },
-		"WarmupCycles": func(rc *RunConfig) { rc.WarmupCycles = 1000 },
 		"MaxCycles":    func(rc *RunConfig) { rc.MaxCycles = 1 << 30 },
 		"Variant.Mode": func(rc *RunConfig) { rc.Variant.Mode = workload.Lock },
 	}
@@ -229,7 +228,7 @@ func FuzzFingerprint(f *testing.F) {
 	f.Add(int64(1), 0.25, 4, uint8(0), 2048, uint64(0))
 	f.Add(int64(-7), 1.0, 0, uint8(1), 64, uint64(50_000))
 	f.Add(int64(0), 0.0, 32, uint8(2), 1, uint64(1))
-	f.Fuzz(func(t *testing.T, seed int64, scale float64, threads int, kind uint8, bits int, warmup uint64) {
+	f.Fuzz(func(t *testing.T, seed int64, scale float64, threads int, kind uint8, bits int, maxCycles uint64) {
 		build := func() RunConfig {
 			p := DefaultParams()
 			return RunConfig{
@@ -239,10 +238,10 @@ func FuzzFingerprint(f *testing.F) {
 					Mode: workload.Mode(kind % 2),
 					Sig:  sig.Config{Kind: sig.KindBitSelect, Bits: 1 + (bits&0xFFFF)%8192},
 				},
-				Scale:        scale,
-				Threads:      threads,
-				WarmupCycles: Cycle(warmup),
-				Params:       &p,
+				Scale:     scale,
+				Threads:   threads,
+				MaxCycles: Cycle(maxCycles),
+				Params:    &p,
 			}
 		}
 		a, err := Fingerprint(build(), seed)

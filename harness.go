@@ -99,10 +99,6 @@ type RunConfig struct {
 	// cycles (0 = every 10k cycles).
 	Metrics         *CoreMetrics
 	MetricsInterval Cycle
-	// WarmupCycles, when nonzero, runs the first WarmupCycles cycles as
-	// cache/directory warm-up, resets every counter, and measures only
-	// the remainder — the paper's representative-sample methodology.
-	WarmupCycles Cycle
 	// MaxCycles, when nonzero, bounds the run; a run still incomplete at
 	// the bound fails with the engine's wait-for diagnosis (the chaos
 	// campaign's hang backstop). 0 runs to completion.
@@ -275,11 +271,6 @@ func RunOne(rc RunConfig, seed int64) (RunResult, error) {
 	if rc.Params.Sink != nil {
 		return RunResult{}, errParamsSink
 	}
-	if rc.MaxCycles > 0 && rc.WarmupCycles >= rc.MaxCycles {
-		// The warm-up would consume the whole bounded run, leaving
-		// nothing to measure and every thread unfinished at the bound.
-		return RunResult{}, fmt.Errorf("logtmse: WarmupCycles (%d) must be below MaxCycles (%d)", rc.WarmupCycles, rc.MaxCycles)
-	}
 	if rc.Cache != nil && Cacheable(rc) {
 		if key, err := Fingerprint(rc, seed); err == nil {
 			return runCached(rc, seed, key)
@@ -390,18 +381,12 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 		inj = fault.New(plan, sys)
 		inj.Arm()
 	}
-	measured := Cycle(0)
-	if rc.WarmupCycles > 0 {
-		measured = sys.RunUntil(rc.WarmupCycles)
-		sys.ResetStats()
-	}
 	var end Cycle
 	if rc.MaxCycles > 0 {
 		end = sys.RunUntil(rc.MaxCycles)
 	} else {
 		end = sys.Run()
 	}
-	cycles := end - measured
 	if rc.Metrics != nil {
 		// Close the time series with the end-of-run state, stamped at
 		// the run's true final cycle (a trailing snapshot event may
@@ -440,9 +425,9 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 	if st.WorkUnits == 0 {
 		return res, fmt.Errorf("logtmse: %s produced no work units", rc.Workload)
 	}
-	res.Cycles = cycles
+	res.Cycles = end
 	res.WorkUnits = st.WorkUnits
-	res.CyclesPerUnit = float64(cycles) / float64(st.WorkUnits)
+	res.CyclesPerUnit = float64(end) / float64(st.WorkUnits)
 	res.Stats = st
 	if poolable {
 		// Only a cleanly finished machine returns to the pool: every

@@ -61,19 +61,10 @@ type Params struct {
 	CheckLat sim.Cycle // remote signature-check latency
 	Protocol Protocol
 	Grid     *network.Grid
-	// Clock, when set together with contention modeling, supplies the
-	// current cycle so request paths can queue at routers and at the
-	// home bank. Nil keeps the uncontended Table 1 latencies.
-	Clock func() sim.Cycle
-	// BankOccupancy is the home bank's service time per request when
-	// contention is modeled (0 disables bank queueing).
-	BankOccupancy sim.Cycle
 	// Sink, if set, receives protocol lifecycle events (sticky
 	// forwards); nil disables emission.
 	Sink obs.Sink
-	// Now supplies the cycle stamp for emitted events (nil stamps 0; it
-	// is separate from Clock, which additionally enables the contention
-	// model).
+	// Now supplies the cycle stamp for emitted events (nil stamps 0).
 	Now func() sim.Cycle
 }
 
@@ -184,13 +175,12 @@ type dirEntry struct {
 // per-block map hashing on the access path. Entry pointers stay valid
 // across growth because per-page block arrays are separately allocated.
 type System struct {
-	p        Params
-	l1       []*cache.Cache
-	l2       *cache.Cache
-	dir      ptable.Table[dirEntry]
-	hooks    Hooks
-	stats    Stats
-	bankFree []sim.Cycle // per-bank next-free cycle (contention model)
+	p     Params
+	l1    []*cache.Cache
+	l2    *cache.Cache
+	dir   ptable.Table[dirEntry]
+	hooks Hooks
+	stats Stats
 
 	// epoch, stamps and touches date the state a NACK outcome depends on
 	// (see Epoch, BlockStamp and Touches). They are host bookkeeping, not
@@ -236,31 +226,11 @@ func NewSystem(p Params, hooks Hooks) (*System, error) {
 		return nil, err
 	}
 	s.l2 = l2
-	s.bankFree = make([]sim.Cycle, p.L2Banks)
 	s.coresList = make([]int, p.Cores)
 	for c := range s.coresList {
 		s.coresList[c] = c
 	}
 	return s, nil
-}
-
-// reqPathLat is the request leg from a core to a home bank: uncontended
-// by default, or queued at routers and the bank when a clock is set.
-func (s *System) reqPathLat(core, bank int) sim.Cycle {
-	if s.p.Clock == nil {
-		return s.p.Grid.CoreToBank(core, bank)
-	}
-	now := s.p.Clock()
-	lat := s.p.Grid.TraverseAt(s.p.Grid.CoreNode(core), s.p.Grid.BankNode(bank), now)
-	if s.p.BankOccupancy > 0 {
-		arrive := now + lat
-		if s.bankFree[bank] > arrive {
-			lat += s.bankFree[bank] - arrive
-			arrive = s.bankFree[bank]
-		}
-		s.bankFree[bank] = arrive + s.p.BankOccupancy
-	}
-	return lat
 }
 
 // emitSticky reports a forward to a sticky owner: the directory still
@@ -378,13 +348,10 @@ func (s *System) ReplayNACK(req Request, broadcast, upgrade bool) {
 	s.stats.NACKs++
 }
 
-// ResetStats zeroes the counters (used between warmup and measurement).
-func (s *System) ResetStats() { s.stats = Stats{} }
-
 // Reset returns the memory system to its just-constructed state for
 // pooled reuse: caches and directory emptied (storage retained), stats
-// zeroed, bank queues idle, and the grid's mutable state cleared. The
-// configuration (geometry, latencies, protocol, hooks) survives.
+// zeroed, and the grid's latency perturbation removed. The configuration
+// (geometry, latencies, protocol, hooks) survives.
 func (s *System) Reset() {
 	for _, c := range s.l1 {
 		c.Reset()
@@ -393,9 +360,6 @@ func (s *System) Reset() {
 	s.dir.Reset()
 	s.stats = Stats{}
 	s.epoch++
-	for i := range s.bankFree {
-		s.bankFree[i] = 0
-	}
 	s.p.Grid.Reset()
 }
 
@@ -506,7 +470,7 @@ func (s *System) Access(req Request) AccessResult {
 func (s *System) accessDirectory(req Request) AccessResult {
 	a := req.Addr
 	bank := s.l2.Bank(a)
-	lat := s.p.L1HitLat + s.reqPathLat(req.Core, bank) + s.p.DirLat + s.p.L2Lat
+	lat := s.p.L1HitLat + s.p.Grid.CoreToBank(req.Core, bank) + s.p.DirLat + s.p.L2Lat
 
 	e := s.dir.Get(a)
 	if e == nil {

@@ -7,7 +7,6 @@ import (
 	"logtmse/internal/cache"
 	"logtmse/internal/network"
 	"logtmse/internal/sig"
-	"logtmse/internal/sim"
 )
 
 // stubHooks gives each (core, thread) an exact read/write set so tests can
@@ -438,12 +437,12 @@ func TestUpgradeFromSharedChecksOtherSharers(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
+func TestResetClearsStats(t *testing.T) {
 	s, _ := newTestSystem(t, Directory)
 	s.Access(rd(0, 0x100))
-	s.ResetStats()
+	s.Reset()
 	if s.Stats() != (Stats{}) {
-		t.Errorf("ResetStats left %+v", s.Stats())
+		t.Errorf("Reset left %+v", s.Stats())
 	}
 }
 
@@ -453,28 +452,8 @@ func TestProtocolString(t *testing.T) {
 	}
 }
 
-func TestReqPathLatContention(t *testing.T) {
-	h := newStubHooks(4, 2)
-	p := testParams(Directory)
-	now := sim.Cycle(0)
-	p.Clock = func() sim.Cycle { return now }
-	p.BankOccupancy = 8
-	p.Grid.EnableContention(2)
-	s, err := NewSystem(p, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := s.reqPathLat(0, 1)
-	// A burst to the same bank at the same instant queues.
-	second := s.reqPathLat(0, 1)
-	if second <= base {
-		t.Errorf("bank queueing absent: %d then %d", base, second)
-	}
-	// Much later, the bank has drained.
-	now = 100_000
-	if got := s.reqPathLat(0, 1); got != base {
-		t.Errorf("bank did not drain: %d vs %d", got, base)
-	}
+func TestFreshSystemAccessors(t *testing.T) {
+	s, _ := newTestSystem(t, Directory)
 	if s.L2() == nil {
 		t.Errorf("L2 accessor nil")
 	}

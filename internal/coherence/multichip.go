@@ -13,12 +13,10 @@ import (
 
 // Memory is the interface both memory-system implementations satisfy; the
 // transactional engine programs against it. Reset returns the whole
-// memory system to its just-constructed state (pooled reuse), unlike
-// ResetStats, which only zeroes counters between warmup and measurement.
+// memory system to its just-constructed state (pooled reuse).
 type Memory interface {
 	Access(req Request) AccessResult
 	Stats() Stats
-	ResetStats()
 	Reset()
 }
 
@@ -38,10 +36,11 @@ type MultiChipParams struct {
 	// Chips is the number of CMPs; Params.Cores is the total core count
 	// and must divide evenly.
 	Chips int
-	// InterChipLat is the one-way latency of the point-to-point network
-	// between a chip and the memory directory (or another chip).
-	InterChipLat sim.Cycle
 }
+
+// interChipLat is the one-way latency of the point-to-point network
+// between a chip and the memory directory (or another chip).
+const interChipLat sim.Cycle = 50
 
 // memDirState is the inter-chip directory state for one block.
 type memDirEntry struct {
@@ -74,9 +73,6 @@ func NewMultiChip(p MultiChipParams, hooks Hooks) (*MultiChip, error) {
 	}
 	if p.Cores%p.Chips != 0 {
 		return nil, fmt.Errorf("coherence: %d cores do not divide over %d chips", p.Cores, p.Chips)
-	}
-	if p.InterChipLat == 0 {
-		p.InterChipLat = 50
 	}
 	m := &MultiChip{
 		p:            p,
@@ -160,14 +156,6 @@ func (m *MultiChip) Stats() Stats {
 	return s
 }
 
-// ResetStats zeroes all counters.
-func (m *MultiChip) ResetStats() {
-	m.stats = Stats{}
-	for _, c := range m.chips {
-		c.ResetStats()
-	}
-}
-
 // Reset returns the multiple-CMP system to its just-constructed state
 // for pooled reuse: every chip's caches and directory, the memory
 // directory, and the aggregate counters. The chips share one grid, so
@@ -212,7 +200,7 @@ func (m *MultiChip) Access(req Request) AccessResult {
 
 	// Inter-chip transaction: consult the memory directory.
 	m.stats.InterChipMsgs++
-	lat := 2 * m.p.InterChipLat // chip <-> memory directory round trip
+	lat := 2 * interChipLat // chip <-> memory directory round trip
 	if e == nil {
 		e, _ = m.memDir.GetOrCreate(a)
 		*e = memDirEntry{ownerChip: -1}
@@ -242,7 +230,7 @@ func (m *MultiChip) Access(req Request) AccessResult {
 		}
 	}
 	if checked {
-		lat += 2 * m.p.InterChipLat // forward round trip (parallel chips)
+		lat += 2 * interChipLat // forward round trip (parallel chips)
 	}
 	if len(nackers) > 0 {
 		m.stats.NACKs++
@@ -266,7 +254,7 @@ func (m *MultiChip) Access(req Request) AccessResult {
 	} else {
 		if e.ownerChip != -1 && e.ownerChip != chip {
 			// Downgrade the owning chip; its L2 writes back so memory
-			// is current (timing already charged via InterChipLat).
+			// is current (timing already charged via interChipLat).
 			m.downgradeChip(e.ownerChip, a)
 			e.sharers |= uint64(1) << uint(e.ownerChip)
 			e.ownerChip = -1

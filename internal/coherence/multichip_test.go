@@ -23,8 +23,7 @@ func newMCSystem(t *testing.T) (*MultiChip, *stubHooks) {
 			Protocol: Directory,
 			Grid:     network.New(2, 1, 3, 2, 2),
 		},
-		Chips:        4,
-		InterChipLat: 50,
+		Chips: 4,
 	}
 	m, err := NewMultiChip(p, h)
 	if err != nil {
@@ -178,10 +177,10 @@ func TestMultiChipStatsAggregate(t *testing.T) {
 	if st.InterChipMsgs == 0 {
 		t.Errorf("no inter-chip messages counted")
 	}
-	m.ResetStats()
+	m.Reset()
 	st = m.Stats()
 	if st.Loads != 0 || st.InterChipMsgs != 0 {
-		t.Errorf("ResetStats incomplete: %+v", st)
+		t.Errorf("Reset left counters: %+v", st)
 	}
 }
 

@@ -3,22 +3,20 @@ package coherence
 import (
 	"logtmse/internal/cache"
 	"logtmse/internal/ptable"
-	"logtmse/internal/sim"
 )
 
 // Snapshot is a restorable capture of the memory system's dynamic state:
 // cache tag arrays, the directory (copy-on-write page sharing), protocol
-// statistics, and the bank/router contention queues. Configuration
+// and protocol statistics. The interconnect and banks model no queues,
+// so there is no timing state beyond these to capture. Configuration
 // (geometry, latencies, protocol, hooks) is not captured — a restore
 // target must be built with the same Params, which the fork path
 // guarantees by respawning the cell from its RunConfig.
 type Snapshot struct {
-	l1       []*cache.Snapshot
-	l2       *cache.Snapshot
-	dir      ptable.Table[dirEntry]
-	stats    Stats
-	bankFree []sim.Cycle
-	routers  []sim.Cycle
+	l1    []*cache.Snapshot
+	l2    *cache.Snapshot
+	dir   ptable.Table[dirEntry]
+	stats Stats
 }
 
 // Snapshot captures the memory system's dynamic state. The directory is
@@ -26,11 +24,9 @@ type Snapshot struct {
 // working set.
 func (s *System) Snapshot() *Snapshot {
 	snap := &Snapshot{
-		l2:       s.l2.Snapshot(),
-		dir:      s.dir.Snapshot(),
-		stats:    s.stats,
-		bankFree: append([]sim.Cycle(nil), s.bankFree...),
-		routers:  s.p.Grid.RouterState(),
+		l2:    s.l2.Snapshot(),
+		dir:   s.dir.Snapshot(),
+		stats: s.stats,
 	}
 	for _, c := range s.l1 {
 		snap.l1 = append(snap.l1, c.Snapshot())
@@ -53,7 +49,5 @@ func (s *System) RestoreFrom(snap *Snapshot) error {
 	s.dir.RestoreFrom(&snap.dir)
 	s.stats = snap.stats
 	s.epoch++
-	copy(s.bankFree, snap.bankFree)
-	s.p.Grid.RestoreRouterState(snap.routers)
 	return nil
 }

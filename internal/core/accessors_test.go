@@ -54,7 +54,7 @@ func TestThreadAccessorsAndEventSink(t *testing.T) {
 	}
 }
 
-func TestResetStatsClearsEverything(t *testing.T) {
+func TestResetClearsCounters(t *testing.T) {
 	s := newSys(t, smallParams())
 	pt := s.NewPageTable(1)
 	s.SpawnOn(0, 0, "t", 1, pt, func(a *API) {
@@ -64,10 +64,12 @@ func TestResetStatsClearsEverything(t *testing.T) {
 	if s.Stats().Commits == 0 {
 		t.Fatalf("setup: no commits")
 	}
-	s.ResetStats()
+	if err := s.Reset(1); err != nil {
+		t.Fatal(err)
+	}
 	st := s.Stats()
 	if st.Commits != 0 || st.Coh.Loads != 0 || st.Coh.Stores != 0 {
-		t.Errorf("ResetStats left counters: %+v", st)
+		t.Errorf("Reset left counters: %+v", st)
 	}
 }
 

@@ -12,7 +12,6 @@ func multiChipParams() Params {
 	p.Cores = 16
 	p.Chips = 4
 	p.GridW, p.GridH = 2, 2 // per-chip on-chip grid
-	p.InterChipLat = 50
 	return p
 }
 

@@ -66,9 +66,6 @@ type Params struct {
 	// directory; inter-chip coherence runs through a full-map directory
 	// at memory with sticky-M support.
 	Chips int
-	// InterChipLat is the one-way chip <-> memory-directory latency
-	// (0 = default 50 cycles).
-	InterChipLat sim.Cycle
 
 	// Log filter geometry (TLB-like array of recently logged blocks).
 	LogFilterSets, LogFilterWays int
@@ -109,11 +106,6 @@ type Params struct {
 	// which copies the signature to the log frame header every time.
 	SigBackupCopies int
 
-	// SigSaveLat is the latency of synchronously copying one signature
-	// to or from a log frame header when no backup copy is available
-	// (0 = derive from the signature size: one cycle per 256 bits).
-	SigSaveLat sim.Cycle
-
 	// Sink, if set, receives the structured lifecycle event stream (obs
 	// package) from the engine and the coherence protocol: transaction
 	// begins/commits/aborts, NACKs, stall episodes, log walks, summary
@@ -121,15 +113,6 @@ type Params struct {
 	// instrumentation entirely — runs are bit-identical to an
 	// un-instrumented simulator.
 	Sink obs.Sink
-
-	// ModelContention enables the network/bank queueing model: requests
-	// queue at grid routers and at the home L2 bank. Off by default —
-	// Table 1 reports uncontended latencies.
-	ModelContention bool
-	// RouterOccupancy and BankOccupancy are the per-message service
-	// times when contention is modeled (0 = defaults of 1 and 4).
-	RouterOccupancy sim.Cycle
-	BankOccupancy   sim.Cycle
 
 	// Seed drives all randomness (retry jitter, workload generators).
 	Seed int64

@@ -137,13 +137,7 @@ func TestSigBackupReducesNestedBeginCost(t *testing.T) {
 	}
 }
 
-func TestSigSaveLatOverride(t *testing.T) {
-	p := smallParams()
-	p.SigSaveLat = 100
-	s := newSys(t, p)
-	if got := s.sigCopyLat(1); got != 100 {
-		t.Errorf("explicit SigSaveLat ignored: %d", got)
-	}
+func TestSigCopyLat(t *testing.T) {
 	p2 := smallParams()
 	p2.Signature = sig.Config{Kind: sig.KindBitSelect, Bits: 512}
 	s2 := newSys(t, p2)

@@ -3,7 +3,7 @@ package core
 import "testing"
 
 // The derived ratios must be well-defined on a zero-value Stats (a run
-// with no transactions, or a warm-up window reset): 0, not NaN or Inf.
+// with no transactions): 0, not NaN or Inf.
 func TestStatsZeroDenominators(t *testing.T) {
 	var s Stats
 	for name, got := range map[string]float64{

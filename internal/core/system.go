@@ -291,43 +291,22 @@ func NewSystem(p Params) (*System, error) {
 		Sink:     p.Sink,
 		Now:      s.Engine.Now,
 	}
-	if p.ModelContention {
-		cohParams.Clock = s.Engine.Now
-		cohParams.BankOccupancy = p.BankOccupancy
-		if cohParams.BankOccupancy == 0 {
-			cohParams.BankOccupancy = 4
-		}
-	}
-	routerOcc := p.RouterOccupancy
-	if routerOcc == 0 {
-		routerOcc = 1
-	}
 	if p.Chips > 1 {
 		// Each chip gets its own on-chip grid sized for its cores.
 		cohParams.Grid = network.New(p.GridW, p.GridH, p.LinkLat, p.Cores/p.Chips, p.L2Banks)
-		if p.ModelContention {
-			cohParams.Grid.EnableContention(routerOcc)
-		}
-		mc, err := coherence.NewMultiChip(coherence.MultiChipParams{
-			Params:       cohParams,
-			Chips:        p.Chips,
-			InterChipLat: p.InterChipLat,
-		}, s)
+		mc, err := coherence.NewMultiChip(coherence.MultiChipParams{Params: cohParams, Chips: p.Chips}, s)
 		if err != nil {
 			return nil, err
 		}
 		s.Coh = mc
 	} else {
 		cohParams.Grid = network.New(p.GridW, p.GridH, p.LinkLat, p.Cores, p.L2Banks)
-		if p.ModelContention {
-			cohParams.Grid.EnableContention(routerOcc)
-		}
 		coh, err := coherence.NewSystem(cohParams, s)
 		if err != nil {
 			return nil, err
 		}
 		s.Coh = coh
-		if !p.ModelContention && p.CD != CDCacheBits {
+		if p.CD != CDCacheBits {
 			s.verdictCoh = coh
 		}
 	}
@@ -672,14 +651,6 @@ func (s *System) Stats() Stats {
 	return st
 }
 
-// ResetStats zeroes every counter (engine and memory system) without
-// touching architectural state — the warm-up/measure methodology the
-// paper uses ("representative execution samples").
-func (s *System) ResetStats() {
-	s.stats = Stats{}
-	s.Coh.ResetStats()
-}
-
 // --- request pump -----------------------------------------------------------
 
 // dispatch routes one thread request, honoring preemption points.
@@ -865,9 +836,6 @@ func (s *System) begin(t *Thread, open bool) {
 func (s *System) sigCopyLat(level int) sim.Cycle {
 	if level <= s.P.SigBackupCopies {
 		return 0
-	}
-	if s.P.SigSaveLat > 0 {
-		return s.P.SigSaveLat
 	}
 	bits := s.P.Signature.Bits
 	if bits <= 0 {

@@ -53,12 +53,12 @@ type retryVerdict struct {
 
 // verdictsOn reports whether NACK verdicts may be seeded and replayed.
 // verdictCoh is set at construction only for a single-chip memory
-// system without the contention model or CDCacheBits, whose walks have
-// side effects a replay would skip (router and bank queues, OverflowNACKs
-// and R/W-bit consumption). The dynamic hooks each observe the walk or
-// perturb it: a Sink sees every NACK, conflict edge and sticky forward,
-// and a network latency perturbation (a fault plan's net-delay) draws
-// from the injector's RNG once per message the walk sends.
+// system without CDCacheBits, whose walks have side effects a replay
+// would skip (OverflowNACKs and R/W-bit consumption). The dynamic hooks
+// each observe the walk or perturb it: a Sink sees every NACK, conflict
+// edge and sticky forward, and a network latency perturbation (a fault
+// plan's net-delay) draws from the injector's RNG once per message the
+// walk sends.
 func (s *System) verdictsOn() bool {
 	return s.verdictCoh != nil && s.Sink == nil && !s.verdictCoh.Grid().Perturbed()
 }

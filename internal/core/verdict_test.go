@@ -36,7 +36,7 @@ func runWithAndWithoutVerdicts(t *testing.T, p Params, build func(s *System)) (b
 	withSink.Sink = &obs.Recorder{}
 	ref = newSys(t, withSink)
 	build(ref)
-	finishBounded(t, ref)
+	mustRun(t, ref)
 	if ref.verdictReplays != 0 {
 		t.Fatalf("sink-attached run replayed %d retries", ref.verdictReplays)
 	}
@@ -48,21 +48,11 @@ func runWithAndWithoutVerdicts(t *testing.T, p Params, build func(s *System)) (b
 	return bare, ref
 }
 
-// finishBounded runs s to completion; a stale replay would keep a thread
-// stalled forever, so the run is bounded and fails instead of hanging.
-func finishBounded(t *testing.T, s *System) {
-	t.Helper()
-	s.RunUntil(5_000_000)
-	if !s.AllDone() {
-		t.Fatalf("threads stuck: %v", s.Stuck())
-	}
-}
-
 // requireSameRun finishes the bare run and compares it with the walked
 // reference.
 func requireSameRun(t *testing.T, bare, ref *System) {
 	t.Helper()
-	finishBounded(t, bare)
+	mustRun(t, bare)
 	if bare.Stats() != ref.Stats() {
 		t.Errorf("verdict replay changed Stats:\nbare %+v\nwalk %+v", bare.Stats(), ref.Stats())
 	}

@@ -13,20 +13,12 @@ import "logtmse/internal/sim"
 // round-robin, matching the paper's layout where 16 cores and 16 banks
 // share a 4x3 grid.
 //
-// By default latencies are uncontended (Table 1 reports uncontended
-// numbers). EnableContention switches on a per-router occupancy model:
-// messages traverse a dimension-order route and queue behind earlier
-// traffic at each router, so hot-spot traffic sees realistic queueing.
+// Latencies are uncontended, as Table 1 reports them: no message queues
+// behind another at a router.
 type Grid struct {
-	w, h    int
-	linkLat sim.Cycle
-	cores   int
-	banks   int
-
-	// contention state: the cycle each router's output becomes free.
-	contended  bool
-	routerFree []sim.Cycle
-	occupancy  sim.Cycle // router service time per message
+	w, h  int
+	cores int
+	banks int
 
 	// perturb, when set, post-processes every computed traversal latency
 	// (fault injection: extra hop latency and jitter). It must be
@@ -56,7 +48,7 @@ func New(w, h int, linkLat sim.Cycle, cores, banks int) *Grid {
 	if h < 1 {
 		h = 1
 	}
-	g := &Grid{w: w, h: h, linkLat: linkLat, cores: cores, banks: banks}
+	g := &Grid{w: w, h: h, cores: cores, banks: banks}
 	n := g.Nodes()
 	g.nodes = n
 	g.latTab = make([]sim.Cycle, n*n)
@@ -91,43 +83,9 @@ func New(w, h int, linkLat sim.Cycle, cores, banks int) *Grid {
 // Nodes reports the number of routers.
 func (g *Grid) Nodes() int { return g.w * g.h }
 
-// EnableContention turns on router-occupancy modeling: each message
-// holds a router's output for occupancy cycles; later messages queue.
-func (g *Grid) EnableContention(occupancy sim.Cycle) {
-	if occupancy <= 0 {
-		occupancy = 1
-	}
-	g.contended = true
-	g.occupancy = occupancy
-	g.routerFree = make([]sim.Cycle, g.Nodes())
-}
-
-// Contended reports whether the occupancy model is on.
-func (g *Grid) Contended() bool { return g.contended }
-
-// Reset clears the grid's mutable state — router queues and any installed
-// perturbation — for pooled reuse. The precomputed latency tables are
-// immutable and survive; whether contention modeling is enabled is part
-// of the grid's configuration and survives too (the queues restart
-// empty, as on a fresh EnableContention).
-func (g *Grid) Reset() {
-	for i := range g.routerFree {
-		g.routerFree[i] = 0
-	}
-	g.perturb = nil
-}
-
-// RouterState returns a copy of the per-router next-free cycles (empty
-// when contention modeling is off) for snapshot capture.
-func (g *Grid) RouterState() []sim.Cycle {
-	return append([]sim.Cycle(nil), g.routerFree...)
-}
-
-// RestoreRouterState overwrites the router queues from a capture taken
-// on a grid of identical configuration.
-func (g *Grid) RestoreRouterState(st []sim.Cycle) {
-	copy(g.routerFree, st)
-}
+// Reset removes any installed perturbation for pooled reuse. The
+// precomputed latency tables are immutable and survive.
+func (g *Grid) Reset() { g.perturb = nil }
 
 // SetPerturb installs (or, with nil, removes) a latency perturbation: fn
 // receives each computed message latency and returns the latency to
@@ -143,50 +101,6 @@ func (g *Grid) perturbed(lat sim.Cycle) sim.Cycle {
 		return lat
 	}
 	return g.perturb(lat)
-}
-
-// route returns the dimension-order (X then Y) router path from a to b,
-// excluding a itself.
-func (g *Grid) route(a, b int) []int {
-	var path []int
-	ax, ay := a%g.w, a/g.w
-	bx, by := b%g.w, b/g.w
-	for ax != bx {
-		if ax < bx {
-			ax++
-		} else {
-			ax--
-		}
-		path = append(path, ay*g.w+ax)
-	}
-	for ay != by {
-		if ay < by {
-			ay++
-		} else {
-			ay--
-		}
-		path = append(path, ay*g.w+ax)
-	}
-	return path
-}
-
-// TraverseAt sends one message from router a to router b starting at
-// cycle now, queueing at busy routers, and returns the total latency.
-// Without contention enabled it equals Latency(a, b).
-func (g *Grid) TraverseAt(a, b int, now sim.Cycle) sim.Cycle {
-	if !g.contended {
-		return g.Latency(a, b)
-	}
-	t := now
-	hops := append([]int{a}, g.route(a, b)...)
-	for _, r := range hops {
-		if g.routerFree[r] > t {
-			t = g.routerFree[r] // queue behind earlier traffic
-		}
-		g.routerFree[r] = t + g.occupancy
-		t += g.linkLat
-	}
-	return g.perturbed(t - now)
 }
 
 // CoreNode returns the router a core attaches to.

@@ -234,8 +234,8 @@ func VTableExperiment(seed int64) Experiment {
 
 // AblationExperiment runs the design-choice studies: directory vs
 // snooping, signature size sweeps (BS and H3), one vs four CMPs,
-// conflict-resolution policies, backup signatures, the original LogTM
-// vs LogTM-SE, and modeled network/bank contention.
+// conflict-resolution policies, backup signatures, and the original
+// LogTM vs LogTM-SE.
 func AblationExperiment(scale float64, seeds []int64) Experiment {
 	perfect, _ := VariantByName("Perfect")
 	cell := func(wl string, v Variant, set func(*Params)) RunConfig {
@@ -356,7 +356,6 @@ func AblationExperiment(scale float64, seeds []int64) Experiment {
 			Cells: pairs([]string{"BerkeleyDB", "Mp3d"}, func(p *Params) {
 				p.Chips = 4
 				p.GridW, p.GridH = 2, 2
-				p.InterChipLat = 50
 			}),
 			Write: writePairs("%-12s %16.0f %16.0f %11.2fx\n", slowdown),
 		},
@@ -389,12 +388,6 @@ func AblationExperiment(scale float64, seeds []int64) Experiment {
 			Write: writePairs("%-12s %16.0f %16.0f %11.2fx\n", func(se, orig Aggregate) (a, b, c float64) {
 				return orig.Mean(), se.Mean(), orig.Mean() / se.Mean()
 			}),
-		},
-		{
-			Head: fmt.Sprintf("\nAblation 7: uncontended vs. modeled network/bank contention, scale %.2f\n", scale) +
-				fmt.Sprintf("%-12s %18s %16s %10s\n", "Benchmark", "Uncontended c/u", "Contended c/u", "Slowdown"),
-			Cells: pairs([]string{"BerkeleyDB", "Raytrace"}, func(p *Params) { p.ModelContention = true }),
-			Write: writePairs("%-12s %18.0f %16.0f %9.2fx\n", slowdown),
 		},
 		{Head: `
 Expected shapes: snooping within ~10-20% of the directory (broadcasts
