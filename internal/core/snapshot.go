@@ -340,8 +340,11 @@ func (s *System) RestoreState(st *SystemState, barriers []*Barrier) error {
 	}
 
 	// Engine first: this drops the fresh spawn's start events, then the
-	// heap is rebuilt below from the captured descriptors.
+	// engine queue and the retry lane are rebuilt below from the captured
+	// descriptors.
 	s.Engine.RestoreState(st.engine)
+	s.lane.clear()
+	s.replayGen++
 	s.Mem.RestoreFrom(st.mem)
 	if err := coh.RestoreFrom(st.coh); err != nil {
 		return err
@@ -423,8 +426,8 @@ func (s *System) RestoreState(st *SystemState, barriers []*Barrier) error {
 			s.ensureFinishFn(t)
 			s.Engine.ScheduleRaw(ts.pendAt, ts.pendKey, t.finishFn)
 		case pendRetry:
-			s.ensureRetryFn(t)
-			s.Engine.ScheduleRaw(ts.pendAt, ts.pendKey, t.retryFn)
+			s.Engine.ReserveRaw(ts.pendAt, ts.pendKey)
+			s.lane.push(t, s.Engine.Now())
 		default:
 			return fmt.Errorf("core: unknown pending continuation kind %d for %s", ts.pendKind, t.Name)
 		}

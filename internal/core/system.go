@@ -48,8 +48,19 @@ type System struct {
 	// replayed on this machine (see verdictsOn); nil otherwise. It also
 	// carries the block stamps and the epoch a verdict depends on.
 	verdictCoh *coherence.System
-	// verdictReplays counts retries answered from a verdict.
+	// verdictReplays counts retries answered from a verdict, and
+	// replaySkips those of them that skipped re-validation.
 	verdictReplays uint64
+	replaySkips    uint64
+	// replayGen advances at every step that is not a clean replay, and
+	// wherever state changes outside a step (see retry).
+	replayGen uint64
+
+	// lane queues the stalled threads' NACK retries beside the engine's
+	// queue; laneStep runs one (retry; the lane-order oracle substitutes
+	// its own).
+	lane     retryLane
+	laneStep func(*Thread) bool
 	// coreStamps date each core's transactional state (see stampCore);
 	// allStamp is their sum, and allCores the mask of every core. Host
 	// bookkeeping that only ever grows.
@@ -330,6 +341,7 @@ func NewSystem(p Params) (*System, error) {
 	s.txLive = make([]int, p.Cores)
 	s.coreStamps = make([]uint64, p.Cores)
 	s.allCores = ^uint64(0) >> uint(64-p.Cores)
+	s.laneStep = s.retry
 	return s, nil
 }
 
@@ -371,7 +383,9 @@ func (s *System) Reset(seed int64) error {
 	for i := range s.txLive {
 		s.txLive[i] = 0
 	}
-	s.verdictReplays = 0
+	s.verdictReplays, s.replaySkips = 0, 0
+	s.replayGen++
+	s.lane.clear()
 	s.readied = nil
 	s.runLimit, s.runLast = 0, 0
 	s.nextPhysPage = 1
@@ -541,6 +555,7 @@ func (s *System) RunUntil(limit sim.Cycle) sim.Cycle {
 // goroutine.
 func (s *System) drive(limit sim.Cycle) sim.Cycle {
 	s.Engine.ClearHalt()
+	s.replayGen++ // the caller may have changed anything since the last drive
 	s.runLimit = limit
 	s.runLast = s.Engine.Now()
 	for {
@@ -561,21 +576,6 @@ func (s *System) drive(limit sim.Cycle) sim.Cycle {
 		panic(fmt.Sprintf("thread %s: %v\n%s", pi.thread, pi.val, pi.stack))
 	}
 	return s.runLast
-}
-
-// stepBounded executes one event within the active bound, tracking the
-// last strong cycle. Every engine owner (drive, pump, pumpExit) steps
-// through it so Run/RunUntil semantics hold regardless of which
-// goroutine drives.
-func (s *System) stepBounded() bool {
-	e := s.Engine
-	if e.Halted() || !e.StepWithin(s.runLimit) {
-		return false
-	}
-	if !e.LastWeak() {
-		s.runLast = e.Now()
-	}
-	return true
 }
 
 // pump drives the event loop on t's goroutine until t's response is
@@ -655,6 +655,7 @@ func (s *System) Stats() Stats {
 
 // dispatch routes one thread request, honoring preemption points.
 func (s *System) dispatch(t *Thread, r request) {
+	s.replayGen++
 	if r.kind == reqDone {
 		t.done = true
 		if s.OnThreadDone != nil {
@@ -972,9 +973,6 @@ func (s *System) access(t *Thread, r *request, op sig.Op) {
 	}
 	ctx := t.ctx
 	pa := t.PT.Translate(r.va)
-	if t.verdict.ok && s.replayRetry(t, r, op, pa) {
-		return
-	}
 
 	// The summary signature (§4.1) is checked when the response returns,
 	// below, not here: a summary entry lives from deschedule to outer
@@ -1340,12 +1338,12 @@ func nackFlags(falsePos, sticky, overflow bool, op sig.Op) uint64 {
 	return f
 }
 
-// scheduleRetry re-issues a NACKed request after the backoff delay. The
-// thread has exactly one continuation in flight, so the request is
-// parked on the thread and re-dispatched by a single reusable closure —
-// stall-heavy workloads retry millions of times, and allocating a fresh
-// closure per retry dominated the allocation profile. The request is
-// copied into t.retryReq once, on its first NACK; a retry that NACKs
+// scheduleRetry re-issues a NACKed request after the backoff delay, on
+// the retry lane. The thread has exactly one continuation in flight, so
+// the request is parked on the thread and the lane queues the thread
+// itself — stall-heavy workloads retry millions of times, and a fresh
+// closure per retry once dominated the allocation profile. The request
+// is copied into t.retryReq once, on its first NACK; a retry that NACKs
 // again already points there and is re-armed in place. Marking the
 // parked request retrying changes what r.retrying reads, so this must be
 // the NACK path's last use of r.
@@ -1355,23 +1353,7 @@ func (s *System) scheduleRetry(t *Thread, r *request, op sig.Op) {
 	}
 	t.retryReq.retrying = true
 	t.retryOp, t.retryEpoch = op, t.abortEpoch
-	s.ensureRetryFn(t)
-	t.pendAt, t.pendKey = s.Engine.Schedule(s.P.StallRetryLat+s.jitter()+s.faultRetryDelay(t), t.retryFn)
-	t.pendKind = pendRetry
-}
-
-// ensureRetryFn builds the thread's pooled NACK-retry continuation on
-// first use (snapshot restore also calls it, to re-queue a captured
-// retry on a freshly spawned thread).
-func (s *System) ensureRetryFn(t *Thread) {
-	if t.retryFn != nil {
-		return
-	}
-	t.retryFn = func() {
-		t.pendKind = pendNone
-		t.checkRetryEpoch(t.retryEpoch)
-		s.access(t, &t.retryReq, t.retryOp)
-	}
+	s.laneArm(t, s.P.StallRetryLat+s.jitter()+s.faultRetryDelay(t))
 }
 
 func (s *System) jitter() sim.Cycle {

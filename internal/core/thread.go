@@ -211,27 +211,25 @@ type Thread struct {
 	// never from another thread's event, so the single-continuation
 	// invariant the engine relies on is preserved.
 	pendingAbort bool
-	// abortEpoch counts aborts. Scheduled retry closures capture it and
-	// panic if it changed before they fire: a stale retry racing a new
+	// abortEpoch counts aborts. A scheduled retry records it and panics
+	// if it changed before the retry runs: a stale retry racing a new
 	// transaction would be an engine bug (aborts may only run from the
 	// aborting thread's own continuation, so no retry can be in flight).
 	abortEpoch uint64
 
-	// retryFn is the thread's reusable NACK-retry continuation. A thread
-	// has exactly one continuation in flight, so the retried request is
-	// parked in retryReq/retryOp/retryEpoch and one closure per thread
-	// re-issues it — instead of allocating a fresh closure per NACK,
-	// which dominated the allocation profile on stall-heavy workloads.
-	// The request is copied in once, on its first NACK; retries pass
-	// &retryReq down the access path, so a stall that NACKs again never
-	// copies it (see System.scheduleRetry).
-	retryFn    func()
+	// A thread has exactly one continuation in flight, so a NACKed
+	// request is parked in retryReq/retryOp/retryEpoch and the retry
+	// lane queues the thread's ID. The request is copied in once, on its
+	// first NACK; retries pass &retryReq down the access path, so a
+	// stall that NACKs again never copies it (see System.scheduleRetry).
 	retryReq   request
 	retryOp    sig.Op
 	retryEpoch uint64
 	// verdict memoizes the last NACK so an unchanged retry can replay it
-	// (see retryVerdict). Host bookkeeping only; snapshots skip it.
-	verdict retryVerdict
+	// (see retryVerdict); replayGen is System.replayGen at the thread's
+	// last clean replay. Host bookkeeping only; snapshots skip both.
+	verdict   retryVerdict
+	replayGen uint64
 
 	// finishFn is the pooled completion continuation (see System.finish);
 	// finishResp is the response it delivers. Valid because a thread has
@@ -257,12 +255,14 @@ type Thread struct {
 	NeedsSummaryUpdate bool
 
 	// Pending-continuation descriptor: while the thread's single
-	// scheduled continuation is in the event queue, pendKind records
-	// which closure it is and pendAt/pendKey its queue position. Snapshot
-	// capture serializes these three fields instead of the closure; a
-	// restore re-creates the closure and re-inserts it at the original
-	// ordering key (sim.Engine.ScheduleRaw), reproducing the queue
-	// bit-identically. Cleared at the top of each closure.
+	// scheduled continuation is queued — a closure in the engine, or a
+	// NACK retry on the retry lane — pendKind records which it is and
+	// pendAt/pendKey its queue position. Snapshot capture serializes
+	// these three fields instead of the closure; a restore re-creates
+	// the closure and re-inserts it at the original ordering key
+	// (sim.Engine.ScheduleRaw, or ReserveRaw and the lane), reproducing
+	// the queues bit-identically. Cleared at the top of each
+	// continuation.
 	pendKind uint8
 	pendAt   sim.Cycle
 	pendKey  uint64
@@ -299,7 +299,7 @@ const (
 	pendNone   uint8 = iota
 	pendStart        // Start's kickoff event (thread has not run yet)
 	pendFinish       // finish's completion continuation (finishFn)
-	pendRetry        // scheduleRetry's NACK-retry continuation (retryFn)
+	pendRetry        // scheduleRetry's NACK retry, queued on the retry lane
 )
 
 // InTx reports whether the thread has an active transaction.

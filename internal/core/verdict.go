@@ -139,28 +139,62 @@ func (s *System) verdictHolds(v *retryVerdict) bool {
 		v.stamp == s.verdictStamp(v.cores, v.grown)
 }
 
-// replayRetry replays t's verdict for an access of pa if it still holds,
-// reporting whether it did. The block check also catches a page
-// relocation of the requester's own page.
-func (s *System) replayRetry(t *Thread, r *request, op sig.Op, pa addr.PAddr) bool {
-	v := &t.verdict
-	if !s.verdictsOn() || v.block != pa.Block() || v.op != op || !s.verdictHolds(v) {
-		v.ok = false
+// retry runs t's NACK retry, the retry lane's event, and reports
+// whether it was a clean replay: the verdict still held, the retry
+// replayed it and re-armed on the lane. It is the one replay site; any
+// other retry walks the protocol through access.
+//
+// A clean replay changes none of the state a verdict depends on (block
+// stamps, core stamps, growth, the epoch, the bypass hooks, the page
+// tables) and queues nothing on the engine — it counts the stall, draws
+// the jitter and re-arms. So a thread whose verdict was found valid at
+// a clean replay stays valid until something else runs: every other
+// step advances replayGen (an engine event, a walked or aborting retry,
+// a dispatch from a thread goroutine, a drive entry, Reset, snapshot
+// restore), and a thread that replayed since then skips re-validation.
+func (s *System) retry(t *Thread) bool {
+	t.pendKind = pendNone
+	t.checkRetryEpoch(t.retryEpoch)
+	r, op := &t.retryReq, t.retryOp
+	if t.replayGen == s.replayGen {
+		s.replaySkips++
+	} else if t.pendingAbort || !s.verdictCurrent(t, r, op) {
+		s.replayGen++
+		s.access(t, r, op)
 		return false
 	}
+	v := &t.verdict
 	if v.smt {
 		s.stats.SMTConflicts++
 	} else {
-		s.verdictCoh.ReplayNACK(coherence.Request{Core: t.ctx.Core, Thread: t.ctx.Thread, Op: op, Addr: pa}, v.broadcast, v.upgrade)
+		s.verdictCoh.ReplayNACK(coherence.Request{Core: t.ctx.Core, Thread: t.ctx.Thread, Op: op, Addr: v.block}, v.broadcast, v.upgrade)
 	}
 	s.verdictReplays++
 	if !t.InTx() || t.escaped {
 		s.retryNonTx(t, r, op)
+	} else {
+		// t.waitingOn still lists the NACKers' threads: it was filled by
+		// the NACK being replayed and is cleared only when the stall
+		// ends. The NACKer list itself only feeds a Sink, which a replay
+		// never has.
+		s.stall(t, r, op, nil, v.class)
+	}
+	if t.pendKind != pendRetry { // the stall aborted
+		s.replayGen++
+		return false
+	}
+	t.replayGen = s.replayGen
+	return true
+}
+
+// verdictCurrent reports whether t's verdict still holds for its retry
+// of r. The block check also catches a page relocation of the
+// requester's own page.
+func (s *System) verdictCurrent(t *Thread, r *request, op sig.Op) bool {
+	v := &t.verdict
+	if v.ok && s.verdictsOn() && v.op == op && v.block == t.PT.Translate(r.va).Block() && s.verdictHolds(v) {
 		return true
 	}
-	// t.waitingOn still lists the NACKers' threads: it was filled by the
-	// NACK being replayed and is cleared only when the stall ends. The
-	// NACKer list itself only feeds a Sink, which a replay never has.
-	s.stall(t, r, op, nil, v.class)
-	return true
+	v.ok = false
+	return false
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"logtmse/internal/addr"
@@ -522,11 +523,12 @@ func TestPossibleCycleAbortOnReplayedRetry(t *testing.T) {
 	requireSameRun(t, bare, ref)
 }
 
-// TestNackRetryZeroAlloc: a waiter stalled on a hot block retries every
+// TestNackRetryZeroAlloc: waiters stalled on a hot block retry every
 // few dozen cycles, and in steady state a retry allocates nothing —
-// neither replayed from its verdict nor walked through the protocol (an
-// attached sink turns verdicts off). The retried request stays parked on
-// the thread; a copy that escaped to the heap would show here.
+// neither replayed from its verdict, re-armed on the retry lane with or
+// without re-validation, nor walked through the protocol (an attached
+// sink turns verdicts off). The retried request stays parked on the
+// thread; a copy that escaped to the heap would show here.
 func TestNackRetryZeroAlloc(t *testing.T) {
 	X := addr.VAddr(0xa000)
 	for _, tc := range []struct {
@@ -546,26 +548,130 @@ func TestNackRetryZeroAlloc(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			w, err := s.SpawnOn(1, 0, "waiter", 1, pt, func(a *API) {
-				a.Compute(1500)
-				a.Transaction(func() { a.Store(X, 2) })
-			})
-			if err != nil {
-				t.Fatal(err)
+			var waiters []*Thread
+			for core := 1; core < p.Cores; core++ {
+				w, err := s.SpawnOn(core, 0, fmt.Sprintf("waiter%d", core), 1, pt, func(a *API) {
+					a.Compute(1500)
+					a.Transaction(func() { a.Store(X, 2) })
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				waiters = append(waiters, w)
 			}
-			s.RunUntil(50_000) // the waiter is deep in its stall
-			stalls, replays := w.Stalls, s.verdictReplays
+			stalls := func() (n uint64) {
+				for _, w := range waiters {
+					n += w.Stalls
+				}
+				return n
+			}
+			s.RunUntil(50_000) // the waiters are deep in their stalls
+			before, replays, skips := stalls(), s.verdictReplays, s.replaySkips
 			if n := testing.AllocsPerRun(100, func() {
 				s.RunUntil(s.Engine.Now() + 1000)
 			}); n != 0 {
 				t.Errorf("stalled retries allocated %.1f times per 1,000 cycles, want 0", n)
 			}
-			if got := w.Stalls - stalls; got < 100*1000/40 {
-				t.Fatalf("waiter retried %d times in the measured window; the setup does not stall", got)
+			if got := stalls() - before; got < uint64(len(waiters))*100*1000/40 {
+				t.Fatalf("waiters retried %d times in the measured window; the setup does not stall", got)
 			}
 			if replayed := s.verdictReplays > replays; replayed != (tc.sink == nil) {
 				t.Errorf("verdict replays advanced = %v, want %v", replayed, tc.sink == nil)
 			}
+			if skipped := s.replaySkips > skips; skipped != (tc.sink == nil) {
+				t.Errorf("re-validation skips advanced = %v, want %v", skipped, tc.sink == nil)
+			}
 		})
+	}
+}
+
+// TestReplaySkipEndsAtNonReplayStep: two waiters replaying cleanly on the
+// retry lane skip re-validation, until anything else runs. Descheduling
+// their NACKer — from an engine event, or from the caller between two
+// drives — must end the skipping, so the next retries walk and are
+// granted exactly when the Sink-attached reference's walks are.
+func TestReplaySkipEndsAtNonReplayStep(t *testing.T) {
+	X := addr.VAddr(0xa000)
+	for _, between := range []bool{false, true} {
+		run := func(sink obs.Sink) *System {
+			p := smallParams()
+			p.Sink = sink
+			s := newSys(t, p)
+			pt := s.NewPageTable(1)
+			h := spawn(t, s, 0, 0, "holder", pt, func(a *API) {
+				a.Transaction(func() {
+					a.Store(X, 1)
+					a.Compute(1_000_000)
+				})
+			})
+			for core := 1; core <= 2; core++ {
+				spawn(t, s, core, 0, fmt.Sprintf("waiter%d", core), pt, func(a *API) {
+					a.Compute(1500)
+					a.Transaction(func() { a.Store(X, 2) })
+				})
+			}
+			desched := func() {
+				s.Deschedule(h)
+				s.Engine.Schedule(10_000, func() {
+					if err := s.ScheduleOn(h, 0, 0); err != nil {
+						panic(err)
+					}
+				})
+			}
+			if between {
+				s.RunUntil(20_000)
+				desched()
+			} else {
+				s.Engine.Schedule(20_000, desched)
+			}
+			mustRun(t, s)
+			return s
+		}
+		ref, bare := run(&obs.Recorder{}), run(nil)
+		if bare.Stats() != ref.Stats() || bare.Engine.Now() != ref.Engine.Now() {
+			t.Errorf("between drives %v: skipping replays drifted from the walks:\nbare %+v\nwalk %+v", between, bare.Stats(), ref.Stats())
+		}
+		if bare.replaySkips == 0 {
+			t.Errorf("between drives %v: no retry skipped re-validation", between)
+		}
+	}
+}
+
+// TestReplaySkipEndsAtAbortingReplay: a replayed retry whose stall
+// aborts (here a possible_cycle abort) releases isolation another
+// waiter's verdict depended on, so it must end that waiter's skipping as
+// a walk would. Whether the other waiter replays cleanly between its
+// NACK and the abort depends on the retry jitter, so the scenario runs
+// at a range of start offsets, each in one drive.
+func TestReplaySkipEndsAtAbortingReplay(t *testing.T) {
+	p := smallParams()
+	p.Resolution = ResolveStallAbort
+	A, B := addr.VAddr(0xa000), addr.VAddr(0xb000)
+	var aborts, skips uint64
+	for offset := 0; offset < 32; offset++ {
+		bare, ref := runWithAndWithoutVerdicts(t, p, func(s *System) {
+			pt := s.NewPageTable(1)
+			spawn(t, s, 0, 0, "old", pt, func(a *API) {
+				a.Transaction(func() {
+					a.Store(A, a.Load(A)+1)
+					a.Compute(3000)
+					a.Store(B, a.Load(B)+1)
+				})
+			})
+			spawn(t, s, 1, 0, "young", pt, func(a *API) {
+				a.Compute(sim.Cycle(100 + offset))
+				a.Transaction(func() {
+					a.Store(B, a.Load(B)+10)
+					a.Compute(500)
+					a.Store(A, a.Load(A)+10)
+				})
+			})
+		})
+		requireSameRun(t, bare, ref)
+		aborts += bare.Stats().PossibleCycleAborts
+		skips += bare.replaySkips
+	}
+	if aborts == 0 || skips == 0 {
+		t.Errorf("setup: %d possible_cycle aborts, %d skipped re-validations; want both", aborts, skips)
 	}
 }

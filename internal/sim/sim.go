@@ -18,6 +18,13 @@
 // (cycle, sequence), never on which tier holds an event, so the queue
 // layout cannot change simulated behavior. The clock never moves
 // backwards — the wheel's window relies on it.
+//
+// A model may hold some of its strong events in a queue of its own (the
+// core engine's NACK-retry lane): Reserve gives such an event its key
+// from the same sequence counter, Head reports the engine's next event,
+// and Advance runs an external event whose (cycle, key) comes first. The
+// two queues then execute in the one (cycle, sequence) order, and
+// Pending and PendingStrong count the external events too.
 package sim
 
 import (
@@ -133,7 +140,8 @@ type Engine struct {
 	rng      *rand.Rand      // lazily seeded from seed on first Rand call
 	src      *CountingSource // the source behind rng; draw count = RNG state
 	halted   bool
-	strong   int  // queued non-weak events
+	strong   int  // queued non-weak events, external ones included
+	external int  // strong events an external queue holds (see Reserve)
 	lastWeak bool // the most recently executed event was weak
 }
 
@@ -149,7 +157,7 @@ func NewEngine(seed int64) *Engine {
 // cold construction. Reset allocates nothing.
 func (e *Engine) Reset(seed int64) {
 	e.clearQueue()
-	e.now, e.seq, e.strong = 0, 0, 0
+	e.now, e.seq, e.strong, e.external = 0, 0, 0, 0
 	e.halted, e.lastWeak = false, false
 	e.seed = seed
 	if e.rng != nil {
@@ -259,6 +267,28 @@ func (e *Engine) wheelAfter(s int) int {
 		}
 	}
 	panic("sim: wheel bitmap empty")
+}
+
+// head returns the next event and its wheel slot (-1 for the heap root),
+// or nil when the queue is empty. The next event is the wheel head — the
+// first event of the first non-empty slot at or after the clock's —
+// unless the heap root is earlier.
+func (e *Engine) head() (*event, int) {
+	var next *event
+	slot := -1
+	if e.nwheel != 0 {
+		i := int(e.now & wheelMask)
+		if x := e.occ[i>>6] >> (i & 63); x != 0 {
+			i += bits.TrailingZeros64(x)
+		} else {
+			i = e.wheelAfter(i)
+		}
+		next, slot = &e.nodes[e.slots[i].head-1].ev, i
+	}
+	if len(e.heap) != 0 && (next == nil || e.heap[0].before(next)) {
+		next, slot = &e.heap[0], -1
+	}
+	return next, slot
 }
 
 // wheelPop removes and returns the first event of slot i.
@@ -414,8 +444,60 @@ func (e *Engine) ScheduleRaw(at Cycle, key uint64, fn func()) {
 	e.insert(event{at: at, key: key, fn: fn})
 }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) + e.nwheel }
+// Reserve takes the ordering key of a strong event that an external
+// queue holds instead of the engine, due delay cycles from now: the
+// key Schedule would have given it, from the same sequence counter, so
+// the external queue's events and the engine's share one (cycle, key)
+// order. The event counts in Pending and PendingStrong until Advance
+// runs it. The owner of the external queue merges the two on that
+// order: it runs its own head when Head reports nothing earlier.
+func (e *Engine) Reserve(delay Cycle) (Cycle, uint64) {
+	e.seq++
+	e.strong++
+	e.external++
+	return e.now + delay, e.seq << 1
+}
+
+// ReserveRaw re-counts an external event with a recorded cycle and key,
+// as ScheduleRaw re-queues an engine event on snapshot restore, and
+// panics on the same out-of-range keys and past cycles.
+func (e *Engine) ReserveRaw(at Cycle, key uint64) {
+	if key&1 != 0 || key > e.seq<<1 {
+		panic("sim: ReserveRaw key out of range")
+	}
+	if at < e.now {
+		panic("sim: ReserveRaw cycle before the clock")
+	}
+	e.strong++
+	e.external++
+}
+
+// Advance moves the clock to at to run an external event in place of
+// the engine's next one: the event leaves Pending, and LastWeak reads
+// false. The caller guarantees its event orders before every queued
+// one; a cycle before the clock panics.
+func (e *Engine) Advance(at Cycle) {
+	if at < e.now {
+		panic("sim: Advance to a cycle before the clock")
+	}
+	e.now = at
+	e.lastWeak = false
+	e.strong--
+	e.external--
+}
+
+// Head reports the cycle and key of the next queued engine event; ok is
+// false when the queue is empty. External events are not considered.
+func (e *Engine) Head() (at Cycle, key uint64, ok bool) {
+	next, _ := e.head()
+	if next == nil {
+		return 0, 0, false
+	}
+	return next.at, next.key, true
+}
+
+// Pending reports the number of queued events, external ones included.
+func (e *Engine) Pending() int { return len(e.heap) + e.nwheel + e.external }
 
 // PendingStrong reports the number of queued non-weak events — the
 // simulation's real outstanding work.
@@ -433,23 +515,7 @@ func (e *Engine) Step() bool { return e.StepWithin(^Cycle(0)) }
 // beyond the bound. Together with Halted and LastWeak it lets an external
 // driver reproduce Run/RunUntil semantics one event at a time.
 func (e *Engine) StepWithin(limit Cycle) bool {
-	// The next event is the wheel head — the first event of the first
-	// non-empty slot at or after the clock's — unless the heap root is
-	// earlier.
-	var next *event
-	slot := -1
-	if e.nwheel != 0 {
-		i := int(e.now & wheelMask)
-		if x := e.occ[i>>6] >> (i & 63); x != 0 {
-			i += bits.TrailingZeros64(x)
-		} else {
-			i = e.wheelAfter(i)
-		}
-		next, slot = &e.nodes[e.slots[i].head-1].ev, i
-	}
-	if len(e.heap) != 0 && (next == nil || e.heap[0].before(next)) {
-		next, slot = &e.heap[0], -1
-	}
+	next, slot := e.head()
 	if next == nil || next.at > limit {
 		return false
 	}
@@ -538,7 +604,7 @@ func (e *Engine) State() EngineState {
 // the queue with ScheduleRaw.
 func (e *Engine) RestoreState(st EngineState) {
 	e.clearQueue()
-	e.now, e.seq, e.strong = st.Now, st.Seq, 0
+	e.now, e.seq, e.strong, e.external = st.Now, st.Seq, 0, 0
 	e.halted, e.lastWeak = false, false
 	e.seed = st.Seed
 	if !st.RandBuilt {

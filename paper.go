@@ -394,8 +394,8 @@ Expected shapes: snooping within ~10-20% of the directory (broadcasts
 cost latency but avoid indirection); BS speedup vs Perfect approaches
 1.0 as the signature grows (Raytrace/Radiosity hurt most at 64 bits);
 four chips pay inter-chip latency on shared data; stall-abort beats
-abort-always under contention; backup signatures matter only for
-nesting-heavy code.
+requester-aborts and younger-aborts under contention; backup
+signatures matter only for nesting-heavy code.
 `},
 	}
 }
