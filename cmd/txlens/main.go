@@ -168,7 +168,7 @@ func run() int {
 			order = append(order, k)
 		}
 		merged[k].Merge(o.prof)
-		addStats(stats[k], o.res.Stats)
+		stats[k].Add(o.res.Stats)
 	}
 
 	var sb strings.Builder
@@ -248,16 +248,6 @@ func abortCauses(p *logtmse.Profiler) map[logtmse.AbortCause]uint64 {
 		}
 	}
 	return out
-}
-
-// addStats sums the reconciliation-relevant counters.
-func addStats(dst *logtmse.Stats, s logtmse.Stats) {
-	dst.Commits += s.Commits
-	dst.Aborts += s.Aborts
-	dst.Stalls += s.Stalls
-	dst.FalsePositiveStalls += s.FalsePositiveStalls
-	dst.SummaryConflicts += s.SummaryConflicts
-	dst.PossibleCycleAborts += s.PossibleCycleAborts
 }
 
 // reconcile cross-checks the attribution against the engine's own

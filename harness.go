@@ -210,51 +210,11 @@ func (a Aggregate) Mean() float64 { return a.CPU.Mean() }
 func (a Aggregate) CI95() float64 { return a.CPU.CI95() }
 
 // TotalStats sums the counters across runs (for rate metrics use the
-// per-run values).
+// per-run values); see Stats.Add.
 func (a Aggregate) TotalStats() Stats {
 	var t Stats
 	for _, r := range a.Runs {
-		s := r.Stats
-		t.Begins += s.Begins
-		t.NestedBegins += s.NestedBegins
-		t.Commits += s.Commits
-		t.NestedCommits += s.NestedCommits
-		t.OpenCommits += s.OpenCommits
-		t.Aborts += s.Aborts
-		t.Stalls += s.Stalls
-		t.FalsePositiveStalls += s.FalsePositiveStalls
-		t.NonTxRetries += s.NonTxRetries
-		t.PossibleCycleAborts += s.PossibleCycleAborts
-		t.SummaryConflicts += s.SummaryConflicts
-		t.SMTConflicts += s.SMTConflicts
-		t.WorkUnits += s.WorkUnits
-		t.LogRecords += s.LogRecords
-		t.LogFilterHits += s.LogFilterHits
-		t.ReadSetSum += s.ReadSetSum
-		t.WriteSetSum += s.WriteSetSum
-		if s.ReadSetMax > t.ReadSetMax {
-			t.ReadSetMax = s.ReadSetMax
-		}
-		if s.WriteSetMax > t.WriteSetMax {
-			t.WriteSetMax = s.WriteSetMax
-		}
-		if s.MaxLogBytes > t.MaxLogBytes {
-			t.MaxLogBytes = s.MaxLogBytes
-		}
-		t.Cycles += s.Cycles
-		t.Coh.Loads += s.Coh.Loads
-		t.Coh.Stores += s.Coh.Stores
-		t.Coh.L1Hits += s.Coh.L1Hits
-		t.Coh.L1Misses += s.Coh.L1Misses
-		t.Coh.L2Misses += s.Coh.L2Misses
-		t.Coh.Upgrades += s.Coh.Upgrades
-		t.Coh.Forwards += s.Coh.Forwards
-		t.Coh.Broadcasts += s.Coh.Broadcasts
-		t.Coh.NACKs += s.Coh.NACKs
-		t.Coh.StickyEvicts += s.Coh.StickyEvicts
-		t.Coh.L1TxVictims += s.Coh.L1TxVictims
-		t.Coh.L2TxVictims += s.Coh.L2TxVictims
-		t.Coh.WritebacksToMem += s.Coh.WritebacksToMem
+		t.Add(r.Stats)
 	}
 	return t
 }

@@ -3,6 +3,7 @@ package logtmse
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -137,6 +138,67 @@ func TestRunAggregatesSeeds(t *testing.T) {
 	if tot.Commits != sum {
 		t.Errorf("TotalStats commits = %d, want %d", tot.Commits, sum)
 	}
+}
+
+// TestTotalStatsCoversEveryField sets every Stats field, the embedded
+// coherence counters included, to a distinct value in each of two runs
+// and checks TotalStats field by field: a sum, except the high-water
+// marks, which keep the larger value. A field TotalStats forgets reads
+// 0 in a multi-seed table.
+func TestTotalStatsCoversEveryField(t *testing.T) {
+	highWater := map[string]bool{"ReadSetMax": true, "WriteSetMax": true, "MaxLogBytes": true}
+	var runs [2]Stats
+	var leaves func(a, b, tot reflect.Value, path string, fill bool)
+	n := uint64(0)
+	leaves = func(a, b, tot reflect.Value, path string, fill bool) {
+		for i := 0; i < a.NumField(); i++ {
+			name := path + a.Type().Field(i).Name
+			fa, fb, ft := a.Field(i), b.Field(i), tot.Field(i)
+			switch fa.Kind() {
+			case reflect.Struct:
+				leaves(fa, fb, ft, name+".", fill)
+			case reflect.Uint64, reflect.Int:
+				if fill {
+					// Distinct per field; the second run's is the larger
+					// for every other field, so a max that keeps the
+					// first value or a sum in place of a max shows.
+					n++
+					x, y := 3*n, 1000+5*n
+					if n%2 == 0 {
+						x, y = y, x
+					}
+					if fa.Kind() == reflect.Int {
+						fa.SetInt(int64(x))
+						fb.SetInt(int64(y))
+					} else {
+						fa.SetUint(x)
+						fb.SetUint(y)
+					}
+					continue
+				}
+				var x, y, got uint64
+				if fa.Kind() == reflect.Int {
+					x, y, got = uint64(fa.Int()), uint64(fb.Int()), uint64(ft.Int())
+				} else {
+					x, y, got = fa.Uint(), fb.Uint(), ft.Uint()
+				}
+				want := x + y
+				if highWater[name] {
+					want = max(x, y)
+				}
+				if got != want {
+					t.Errorf("TotalStats.%s = %d, want %d (runs %d and %d)", name, got, want, x, y)
+				}
+			default:
+				t.Fatalf("Stats.%s has kind %s; teach this test and Stats.Add about it", name, fa.Kind())
+			}
+		}
+	}
+	va, vb := reflect.ValueOf(&runs[0]).Elem(), reflect.ValueOf(&runs[1]).Elem()
+	leaves(va, vb, reflect.ValueOf(&Stats{}).Elem(), "", true)
+	agg := Aggregate{Runs: []RunResult{{Stats: runs[0]}, {Stats: runs[1]}}}
+	tot := agg.TotalStats()
+	leaves(va, vb, reflect.ValueOf(&tot).Elem(), "", false)
 }
 
 func TestRunDefaultsApplied(t *testing.T) {

@@ -149,6 +149,25 @@ type Stats struct {
 	MemStickyM    uint64 // sticky-M transitions at the memory directory
 }
 
+// Add adds o's counters to s.
+func (s *Stats) Add(o Stats) {
+	s.Loads += o.Loads
+	s.Stores += o.Stores
+	s.L1Hits += o.L1Hits
+	s.L1Misses += o.L1Misses
+	s.L2Misses += o.L2Misses
+	s.Upgrades += o.Upgrades
+	s.Forwards += o.Forwards
+	s.Broadcasts += o.Broadcasts
+	s.NACKs += o.NACKs
+	s.StickyEvicts += o.StickyEvicts
+	s.L1TxVictims += o.L1TxVictims
+	s.L2TxVictims += o.L2TxVictims
+	s.WritebacksToMem += o.WritebacksToMem
+	s.InterChipMsgs += o.InterChipMsgs
+	s.MemStickyM += o.MemStickyM
+}
+
 // AccessResult reports the outcome of one coherence transaction.
 type AccessResult struct {
 	Latency sim.Cycle

@@ -138,20 +138,7 @@ func (m *MultiChip) ChipOf(core int) int { return core / m.coresPerChip }
 func (m *MultiChip) Stats() Stats {
 	s := m.stats
 	for _, c := range m.chips {
-		cs := c.Stats()
-		s.Loads += cs.Loads
-		s.Stores += cs.Stores
-		s.L1Hits += cs.L1Hits
-		s.L1Misses += cs.L1Misses
-		s.L2Misses += cs.L2Misses
-		s.Upgrades += cs.Upgrades
-		s.Forwards += cs.Forwards
-		s.Broadcasts += cs.Broadcasts
-		s.NACKs += cs.NACKs
-		s.StickyEvicts += cs.StickyEvicts
-		s.L1TxVictims += cs.L1TxVictims
-		s.L2TxVictims += cs.L2TxVictims
-		s.WritebacksToMem += cs.WritebacksToMem
+		s.Add(c.Stats())
 	}
 	return s
 }

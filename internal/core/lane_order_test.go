@@ -7,38 +7,41 @@ import (
 	"logtmse/internal/sim"
 )
 
-// The merged-order oracle. A lane program is a byte string that drives a
-// System's two queues — retries armed on the lane by stand-in threads,
-// strong, weak and ScheduleAt events on the engine, events of either
-// queue that queue more as they run, engine events that Halt, RunUntil
-// bounds, Run, and a snapshot-style rebuild that re-queues both in
-// shuffled order — while a reference keeps every queued event as
-// (cycle, key). Each executed event must be the reference's minimum, and
-// the counts, the returned cycles and the clock must agree with it.
+// The merged-order oracle. A lane program is a byte string that drives
+// a System's two queues — start, completion, retry and backoff
+// continuations armed on the lane by stand-in threads, strong and weak
+// events on the engine, continuations and events that queue more as
+// they run, near and far delays, RunUntil bounds, Run, and a
+// snapshot-style restore that re-queues the lane in shuffled order —
+// while a reference keeps every queued event as (cycle, key). Each
+// executed event must be the reference's minimum, a continuation must
+// run as the kind it was armed as, and the counts, the returned cycles
+// and the clock must agree with the reference.
 // TestLaneMatchesReferenceOrder runs long random programs and
 // FuzzLaneOrder runs the fuzzer's.
 
-// laneRef is one queued event as the reference sees it: a lane retry of
-// thread tid, or engine event id.
+// laneRef is one queued event as the reference sees it: thread tid's
+// continuation of the given kind, or engine event id.
 type laneRef struct {
 	at   sim.Cycle
 	key  uint64
 	tid  int // -1 for an engine event
 	id   int
-	halt bool
+	kind uint8
 }
 
 type laneOracle struct {
-	t     testing.TB
-	s     *System
-	prog  []byte
-	pc    int
-	q     []laneRef
-	ids   int
-	fired int       // id of the last engine event, or -1-tid of the last retry
-	last  sim.Cycle // last strong cycle executed since the bound began
-	ran   [2]int    // retries and engine events executed
-	far   int       // retries armed past the lane's wheel
+	t    testing.TB
+	s    *System
+	prog []byte
+	pc   int
+	q    []laneRef
+	ids  int
+	last sim.Cycle // last strong cycle executed since the bound began
+	// ran counts executed continuations by kind, and engine events at
+	// index pendNone; far counts continuations armed past the wheel.
+	ran [pendBackoff + 1]int
+	far int
 }
 
 const laneOracleThreads = 12
@@ -53,7 +56,7 @@ func newLaneOracle(t testing.TB, prog []byte) *laneOracle {
 	for i := 0; i < laneOracleThreads; i++ {
 		s.threads = append(s.threads, &Thread{ID: i, Name: "stand-in"})
 	}
-	s.laneStep = o.retry
+	s.laneStep = o.step
 	return o
 }
 
@@ -67,7 +70,7 @@ func (o *laneOracle) next() byte {
 }
 
 // delay draws a delay: within a few cycles, straddling the lane's
-// wheel, the retry band, straddling the engine's wheel, or far out.
+// wheel, the retry band, the summary backoff band, or far out.
 func (o *laneOracle) delay() sim.Cycle {
 	b := o.next()
 	switch b % 5 {
@@ -78,10 +81,18 @@ func (o *laneOracle) delay() sim.Cycle {
 	case 2:
 		return 20 + sim.Cycle(b>>3&7)
 	case 3:
-		return 120 + sim.Cycle(b>>3&15)
+		return 160 + sim.Cycle(b>>3&7)
 	default:
 		return sim.Cycle(uint16(o.next())<<8|uint16(o.next())) % 5_001
 	}
+}
+
+// kind draws a continuation kind, retries the likeliest.
+func (o *laneOracle) kind() uint8 {
+	if k := o.next() % 6; k < pendBackoff {
+		return k + 1
+	}
+	return pendRetry
 }
 
 // pop checks that the event just run is the reference's minimum and
@@ -107,80 +118,73 @@ func (o *laneOracle) pop(tid, id int) laneRef {
 	if want.key&1 == 0 {
 		o.last = want.at
 	}
-	if tid >= 0 {
-		o.ran[0]++
-	} else {
-		o.ran[1]++
-	}
+	o.ran[want.kind]++
 	return want
 }
 
-// idle returns a stand-in thread with no retry queued, or nil.
+// idle returns a stand-in thread with no continuation queued, or nil.
 func (o *laneOracle) idle() *Thread {
 	start := int(o.next())
 	for k := 0; k < laneOracleThreads; k++ {
-		if t := o.s.threads[(start+k)%laneOracleThreads]; t.pendKind != pendRetry {
+		if t := o.s.threads[(start+k)%laneOracleThreads]; t.pendKind == pendNone {
 			return t
 		}
 	}
 	return nil
 }
 
-func (o *laneOracle) arm(t *Thread, d sim.Cycle) {
+func (o *laneOracle) arm(t *Thread, kind uint8, d sim.Cycle) {
 	if d >= laneSpan {
 		o.far++
 	}
-	o.s.laneArm(t, d)
-	o.q = append(o.q, laneRef{at: t.pendAt, key: t.pendKey, tid: t.ID})
+	o.s.laneArm(t, d, kind)
+	o.q = append(o.q, laneRef{at: t.pendAt, key: t.pendKey, tid: t.ID, kind: kind})
 }
 
-// retry stands in for System.retry. It re-arms its own thread on the
-// lane, or queues an engine event or another thread's retry and
-// reports the step unclean, as a walk would.
-func (o *laneOracle) retry(t *Thread) bool {
+// step stands in for System.runCont. It re-arms its own thread, queues
+// an engine event or another thread's continuation, or finishes. Like
+// runCont it reports a clean step only for a retry that queued nothing
+// on the engine.
+func (o *laneOracle) step(t *Thread) bool {
+	kind := t.pendKind
 	t.pendKind = pendNone
-	o.pop(t.ID, 0)
-	o.fired = -1 - t.ID
+	if r := o.pop(t.ID, 0); r.kind != kind {
+		o.t.Fatalf("thread %d's continuation ran as kind %d, armed as %d", t.ID, kind, r.kind)
+	}
 	switch o.next() % 4 {
 	case 0:
-		o.arm(t, o.delay())
-		return true
-	case 1:
-		return true // finished: nothing queued
+		o.arm(t, o.kind(), o.delay())
+	case 1: // finished: nothing queued
 	case 2:
-		o.schedule(o.delay(), false)
+		o.schedule(o.delay())
+		return false
 	default:
 		if u := o.idle(); u != nil {
-			o.arm(u, o.delay())
+			o.arm(u, o.kind(), o.delay())
 		}
 	}
-	return false
+	return kind == pendRetry
 }
 
 // event builds engine event id's closure.
 func (o *laneOracle) event(id int) func() {
 	return func() {
-		r := o.pop(-1, id)
-		o.fired = id
-		if r.halt {
-			o.s.Engine.Halt()
-		}
+		o.pop(-1, id)
 		switch o.next() % 4 {
 		case 0:
-			o.schedule(o.delay(), false)
+			o.schedule(o.delay())
 		case 1:
 			if t := o.idle(); t != nil {
-				o.arm(t, o.delay())
+				o.arm(t, o.kind(), o.delay())
 			}
 		}
 	}
 }
 
-func (o *laneOracle) schedule(d sim.Cycle, halt bool) int {
+func (o *laneOracle) schedule(d sim.Cycle) {
 	o.ids++
-	at, key := o.s.Engine.Schedule(d, o.event(o.ids))
-	o.q = append(o.q, laneRef{at: at, key: key, tid: -1, id: o.ids, halt: halt})
-	return o.ids
+	o.s.Engine.Schedule(d, o.event(o.ids))
+	o.q = append(o.q, laneRef{at: o.s.Engine.Now() + d, key: o.s.Engine.State().Seq << 1, tid: -1, id: o.ids})
 }
 
 func (o *laneOracle) check(op string) {
@@ -197,8 +201,8 @@ func (o *laneOracle) check(op string) {
 	if e.Pending() != len(o.q) || e.PendingStrong() != strong {
 		o.t.Fatalf("after %s: Pending=%d PendingStrong=%d, reference has %d (%d strong)", op, e.Pending(), e.PendingStrong(), len(o.q), strong)
 	}
-	if wheel, far, retrying := LaneState(o.s); wheel+far != lane || retrying != lane {
-		o.t.Fatalf("after %s: lane holds %d+%d, %d threads retrying; reference has %d", op, wheel, far, retrying, lane)
+	if wheel, far, pending, _ := LaneState(o.s); wheel+far != lane || pending != lane {
+		o.t.Fatalf("after %s: lane holds %d+%d, %d threads pending; reference has %d", op, wheel, far, pending, lane)
 	}
 }
 
@@ -211,14 +215,15 @@ func (o *laneOracle) due(limit sim.Cycle) bool {
 	return false
 }
 
-// rebuild restores the engine's scalar state over both queues and
-// re-queues the strong events and lane retries in shuffled order, as
-// snapshot restore does; weak events are dropped.
-func (o *laneOracle) rebuild() {
+// restore restores the engine's scalar state, which empties its queue,
+// and re-queues the lane's continuations in shuffled order from their
+// recorded descriptors, as snapshot restore does. Engine events are
+// lost, as they would be to a snapshot (which refuses to capture them).
+func (o *laneOracle) restore() {
 	s, e := o.s, o.s.Engine
 	var keep []laneRef
 	for _, r := range o.q {
-		if r.key&1 == 0 {
+		if r.tid >= 0 {
 			keep = append(keep, r)
 		}
 	}
@@ -228,39 +233,35 @@ func (o *laneOracle) rebuild() {
 	}
 	e.RestoreState(e.State())
 	s.lane.clear()
-	o.q = o.q[:0]
-	for _, r := range keep {
-		if r.tid < 0 {
-			e.ScheduleRaw(r.at, r.key, o.event(r.id))
-		} else {
-			e.ReserveRaw(r.at, r.key)
-			s.lane.push(s.threads[r.tid], e.Now())
-		}
-		o.q = append(o.q, r)
+	for _, t := range s.threads {
+		t.pendKind, t.pendAt, t.pendKey = pendNone, 0, 0
 	}
+	for _, r := range keep {
+		t := s.threads[r.tid]
+		t.pendKind, t.pendAt, t.pendKey = r.kind, r.at, r.key
+		e.ReserveRaw(r.at, r.key)
+		s.lane.push(t, e.Now())
+	}
+	o.q = keep
 }
 
 func runLaneProgram(t testing.TB, prog []byte) *laneOracle {
 	o := newLaneOracle(t, prog)
 	s, e := o.s, o.s.Engine
 	for o.pc < len(o.prog) {
-		switch op := o.next() % 9; op {
+		switch op := o.next() % 8; op {
 		case 0, 1:
 			if t := o.idle(); t != nil {
-				o.arm(t, o.delay())
+				o.arm(t, o.kind(), o.delay())
 			}
 		case 2:
-			o.schedule(o.delay(), false)
+			o.schedule(o.delay())
 		case 3:
 			d := o.delay()
 			o.ids++
 			e.ScheduleWeak(d, o.event(o.ids))
 			o.q = append(o.q, laneRef{at: e.Now() + d, key: e.State().Seq<<1 | 1, tid: -1, id: o.ids})
-		case 4:
-			o.ids++
-			at, key := e.ScheduleAt(e.Now()+o.delay(), o.event(o.ids))
-			o.q = append(o.q, laneRef{at: at, key: key, tid: -1, id: o.ids})
-		case 5, 6: // RunUntil, sometimes with a bound behind the clock
+		case 4, 5: // RunUntil, sometimes with a bound behind the clock
 			now := e.Now()
 			limit := now + o.delay()
 			if b := o.next(); b&3 == 0 && now >= sim.Cycle(b) {
@@ -274,18 +275,16 @@ func runLaneProgram(t testing.TB, prog []byte) *laneOracle {
 			if got != o.last {
 				t.Fatalf("RunUntil(%d) returned %d, want last strong cycle %d", limit, got, o.last)
 			}
-			if !e.Halted() && o.due(limit) {
+			if o.due(limit) {
 				t.Fatalf("RunUntil(%d) left events due by the bound", limit)
 			}
-		case 7: // an engine event that halts stops Run right after it
-			id := o.schedule(o.delay(), true)
+		case 6: // a bound at the clock runs what is due in this cycle
 			o.last = e.Now()
-			s.Run()
-			if !e.Halted() || o.fired != id {
-				t.Fatalf("Run stopped after %d, want the halting event %d", o.fired, id)
+			if got := s.RunUntil(e.Now()); got != o.last || o.due(e.Now()) {
+				t.Fatalf("RunUntil(now) returned %d, want %d, or left events due", got, o.last)
 			}
-		case 8:
-			o.rebuild()
+		case 7:
+			o.restore()
 		}
 		o.check("op")
 	}
@@ -306,9 +305,14 @@ func TestLaneMatchesReferenceOrder(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		prog := make([]byte, 20_000)
 		rng.Read(prog)
-		if o := runLaneProgram(t, prog); o.ran[0] < 1000 || o.ran[1] < 1000 || o.far < 100 {
-			t.Fatalf("seed %d ran %d retries (%d armed far) and %d engine events; the programs do not interleave",
-				seed, o.ran[0], o.far, o.ran[1])
+		o := runLaneProgram(t, prog)
+		for k, n := range o.ran {
+			if n < 300 {
+				t.Fatalf("seed %d ran %v (engine events, then by continuation kind); kind %d ran %d times: the programs do not interleave", seed, o.ran, k, n)
+			}
+		}
+		if o.far < 100 {
+			t.Fatalf("seed %d armed %d continuations past the lane's wheel", seed, o.far)
 		}
 	}
 }
@@ -323,4 +327,41 @@ func FuzzLaneOrder(f *testing.F) {
 		}
 		runLaneProgram(t, prog)
 	})
+}
+
+// BenchmarkLaneRetryShape is the queue shape of a NACK-retry storm: 32
+// threads (one per hardware thread context), each with one continuation
+// on the lane. A thread re-arms 20-27 cycles out (the retry latency plus
+// jitter), and one re-arm in four goes 1,024-2,047 cycles out (a compute
+// or memory delay). One op is one executed and re-armed continuation.
+func BenchmarkLaneRetryShape(b *testing.B) {
+	p := DefaultParams()
+	s, err := NewSystem(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		s.threads = append(s.threads, &Thread{ID: i})
+	}
+	x := uint64(0x9E3779B97F4A7C15)
+	s.laneStep = func(t *Thread) bool {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		d := 20 + sim.Cycle(x&7)
+		if x>>3&3 == 0 {
+			d = 1024 + sim.Cycle(x>>5&1023)
+		}
+		s.laneArm(t, d, pendRetry)
+		return false
+	}
+	for _, t := range s.threads {
+		s.laneArm(t, sim.Cycle(t.ID), pendRetry)
+	}
+	s.runLimit = ^sim.Cycle(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.stepBounded()
+	}
 }

@@ -11,13 +11,13 @@ import (
 	"logtmse/internal/workload"
 )
 
-// The retry lane merges with the engine queue on (cycle, key), so a run
-// must be bit-identical to the single-queue engine it replaced. The
-// golden fingerprints and the campaign goldens pin default runs; these
-// tests pin the shapes they do not reach — retries queued past the
-// lane's wheel, many small run bounds, a snapshot taken with the lane
-// full, weak ticks while every thread waits in the lane — against
-// values recorded with the single-queue engine (Raytrace and BerkeleyDB,
+// The continuation lane merges with the engine queue on (cycle, key),
+// so a run must be bit-identical to the single-queue engine it
+// replaced. The golden fingerprints and the campaign goldens pin default
+// runs; these tests pin the shapes they do not reach — retries queued
+// past the lane's wheel, many small run bounds, a snapshot taken with
+// the lane full, weak ticks while every thread waits in the lane —
+// against values recorded with the single-queue engine (Raytrace and BerkeleyDB,
 // scale 0.02, seed 1, Perfect signatures, 32 contexts).
 
 // lanePin is a run's headline outcome: Stats counters, the end cycle and
@@ -64,20 +64,22 @@ func laneFinish(t *testing.T, sys *core.System, inst *workload.Instance) {
 	}
 }
 
-// requireLaneHoldsRetries checks that every pending NACK retry is a lane
-// entry: no retry forks back to an engine closure.
-func requireLaneHoldsRetries(t *testing.T, sys *core.System) (wheel, far int) {
+// requireLaneHoldsContinuations checks that every pending thread
+// continuation — start, completion, retry or backoff — is a lane entry:
+// none forks back to an engine closure. It returns the lane's far
+// entries and the number of threads waiting on a NACK retry.
+func requireLaneHoldsContinuations(t *testing.T, sys *core.System) (far, retrying int) {
 	t.Helper()
-	wheel, far, retrying := core.LaneState(sys)
-	if wheel+far != retrying {
-		t.Fatalf("cycle %d: the lane holds %d+%d retries, %d threads are retrying", sys.Engine.Now(), wheel, far, retrying)
+	wheel, far, pending, retrying := core.LaneState(sys)
+	if wheel+far != pending {
+		t.Fatalf("cycle %d: the lane holds %d+%d continuations, %d threads have one pending", sys.Engine.Now(), wheel, far, pending)
 	}
-	return wheel, far
+	return far, retrying
 }
 
 // TestLaneFarRetries: retries re-armed further out than the lane's wheel
 // reaches — a 200-cycle base delay, and fault-injected NACK delays of up
-// to 500 cycles on half the retries — queue in the lane's far list and
+// to 500 cycles on half the retries — queue in the lane's far heap and
 // run in the same order as before.
 func TestLaneFarRetries(t *testing.T) {
 	for _, tc := range []struct {
@@ -102,7 +104,7 @@ func TestLaneFarRetries(t *testing.T) {
 			maxFar := 0
 			for c := sim.Cycle(1000); !sys.AllDone() && c < 2*tc.want.cycles; c += 1000 {
 				sys.RunUntil(c)
-				if _, far := requireLaneHoldsRetries(t, sys); far > maxFar {
+				if far, _ := requireLaneHoldsContinuations(t, sys); far > maxFar {
 					maxFar = far
 				}
 			}
@@ -148,18 +150,19 @@ func TestLaneRunUntilMatchesRun(t *testing.T) {
 }
 
 // TestLaneSnapshotRestore: a snapshot taken while at least 8 threads
-// wait in the lane restores them at their recorded (cycle, key) and the
-// fork finishes exactly as the uninterrupted run.
+// wait on a NACK retry, and every other live thread on another
+// continuation, restores them all on the lane at their recorded
+// (cycle, key), and the fork finishes exactly as the uninterrupted run.
 func TestLaneSnapshotRestore(t *testing.T) {
 	p := core.DefaultParams()
 	sys, inst := laneSpawn(t, p, "Raytrace")
 	var s *snap.Snapshot
 	for c := sim.Cycle(500); s == nil; c += 500 {
 		if sys.AllDone() {
-			t.Fatal("the run ended before 8 threads waited in the lane")
+			t.Fatal("the run ended before 8 threads waited on a retry")
 		}
 		sys.RunUntil(c)
-		if wheel, far := requireLaneHoldsRetries(t, sys); wheel+far >= 8 {
+		if _, retrying := requireLaneHoldsContinuations(t, sys); retrying >= 8 {
 			var err error
 			if s, err = snap.Capture(sys, inst); err != nil {
 				t.Fatal(err)
@@ -170,8 +173,8 @@ func TestLaneSnapshotRestore(t *testing.T) {
 	if err := snap.Restore(fork, finst, s); err != nil {
 		t.Fatal(err)
 	}
-	if wheel, far := requireLaneHoldsRetries(t, fork); wheel+far < 8 {
-		t.Fatalf("the restored lane holds %d retries, want at least 8", wheel+far)
+	if _, retrying := requireLaneHoldsContinuations(t, fork); retrying < 8 {
+		t.Fatalf("the restored lane holds %d retries, want at least 8", retrying)
 	}
 	laneFinish(t, sys, inst)
 	laneFinish(t, fork, finst)
@@ -216,7 +219,7 @@ func tickScenario(t *testing.T, p core.Params) *core.System {
 }
 
 // TestLaneWeakTicks: Pending and PendingStrong count the lane's
-// retries, so a self-rearming weak tick keeps firing while all the
+// continuations, so a self-rearming weak tick keeps firing while all the
 // strong work queued is retries in the lane, and fires as often as it
 // did when retries were engine events: on Raytrace, and every cycle
 // through tickScenario's mutual stall.
@@ -241,7 +244,7 @@ func TestLaneWeakTicks(t *testing.T) {
 			ticks, allInLane := 0, 0
 			sys.Engine.ScheduleWeakEvery(tc.every, func() bool {
 				ticks++
-				if wheel, far, _ := core.LaneState(sys); wheel+far == sys.Engine.PendingStrong() {
+				if _, _, _, retrying := core.LaneState(sys); retrying == sys.Engine.PendingStrong() {
 					allInLane++
 				}
 				return true
@@ -254,7 +257,7 @@ func TestLaneWeakTicks(t *testing.T) {
 				t.Errorf("%d ticks, want %d", ticks, tc.ticks)
 			}
 			if tc.needAllLane && allInLane == 0 {
-				t.Errorf("no tick fired while all strong work was in the lane")
+				t.Errorf("no tick fired while all strong work was retries in the lane")
 			}
 			if got := pinOf(sys); got != tc.want {
 				t.Errorf("run drifted:\n got %+v\nwant %+v", got, tc.want)

@@ -14,10 +14,10 @@ import (
 
 // ErrNotCapturable marks a System whose state cannot be captured at the
 // current boundary: an instrumentation hook is attached, an interpreted
-// thread is mid-run (its position lives on a goroutine stack), or some
-// event in the queue is not one of the per-thread continuations the
-// snapshot layer knows how to rebuild. Callers fall back to re-running
-// from scratch.
+// thread is mid-run (its position lives on a goroutine stack), or the
+// engine's queue holds an event (only the per-thread continuations on
+// the lane can be rebuilt). Callers fall back to re-running from
+// scratch.
 var ErrNotCapturable = errors.New("core: state not capturable at this boundary")
 
 func notCapturable(format string, args ...any) error {
@@ -134,8 +134,9 @@ func (st *SystemState) InTx() bool {
 //   - an interpreted thread has started running — its position lives on a
 //     goroutine stack; only stepped (compiled-tape) threads are
 //     capturable mid-run;
-//   - the event queue holds anything besides the per-thread continuations
-//     (one per live thread) this layer knows how to rebuild;
+//   - the engine's queue holds any event: the per-thread continuations
+//     (one per live thread, all on the lane) are all this layer knows
+//     how to rebuild;
 //   - no strong work remains — the run is over, snapshot it not.
 func (s *System) CaptureState(barriers []*Barrier) (*SystemState, error) {
 	if s.OnOuterCommit != nil || s.PreemptCheck != nil || s.OnPreempt != nil || s.OnThreadDone != nil ||
@@ -269,12 +270,10 @@ func (s *System) CaptureState(barriers []*Barrier) (*SystemState, error) {
 		st.threads = append(st.threads, ts)
 	}
 
-	// The event queue must hold exactly the tracked continuations —
-	// anything else (a summary-conflict backoff, a weak tick) means some
-	// event's closure would be lost on restore.
-	if s.Engine.Pending() != pendTracked {
-		return nil, notCapturable("event queue holds %d events but only %d tracked continuations",
-			s.Engine.Pending(), pendTracked)
+	// Every tracked continuation is on the lane; an engine event (an OS
+	// quantum, a weak tick) holds a closure a restore would lose.
+	if n := s.Engine.Pending() - pendTracked; n != 0 {
+		return nil, notCapturable("engine queue holds %d events besides the %d thread continuations", n, pendTracked)
 	}
 
 	for _, b := range barriers {
@@ -339,9 +338,8 @@ func (s *System) RestoreState(st *SystemState, barriers []*Barrier) error {
 		return fmt.Errorf("core: restore target has %d page tables, capture has %d", len(ptIdx), len(st.pageTables))
 	}
 
-	// Engine first: this drops the fresh spawn's start events, then the
-	// engine queue and the retry lane are rebuilt below from the captured
-	// descriptors.
+	// Engine first: this drops the fresh spawn's starts, then the lane
+	// is rebuilt below from the captured descriptors.
 	s.Engine.RestoreState(st.engine)
 	s.lane.clear()
 	s.replayGen++
@@ -414,22 +412,16 @@ func (s *System) RestoreState(st *SystemState, barriers []*Barrier) error {
 		}
 		t.Commits, t.Aborts, t.Stalls, t.WorkUnits = ts.commits, ts.aborts, ts.stalls, ts.workUnits
 
-		// Re-queue the thread's continuation at its original heap key so
-		// execution order is bit-identical to the captured run.
+		// Re-queue the thread's continuation at its original key so
+		// execution order is bit-identical to the captured run. Done
+		// threads and barrier waiters have nothing queued.
 		t.pendKind, t.pendAt, t.pendKey = ts.pendKind, ts.pendAt, ts.pendKey
-		switch ts.pendKind {
-		case pendNone:
-			// Done or waiting at a barrier: nothing queued.
-		case pendStart:
-			s.Engine.ScheduleRaw(ts.pendAt, ts.pendKey, s.startFn(t))
-		case pendFinish:
-			s.ensureFinishFn(t)
-			s.Engine.ScheduleRaw(ts.pendAt, ts.pendKey, t.finishFn)
-		case pendRetry:
+		if ts.pendKind > pendBackoff {
+			return fmt.Errorf("core: unknown pending continuation kind %d for %s", ts.pendKind, t.Name)
+		}
+		if ts.pendKind != pendNone {
 			s.Engine.ReserveRaw(ts.pendAt, ts.pendKey)
 			s.lane.push(t, s.Engine.Now())
-		default:
-			return fmt.Errorf("core: unknown pending continuation kind %d for %s", ts.pendKind, t.Name)
 		}
 	}
 

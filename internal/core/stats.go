@@ -68,6 +68,38 @@ type Stats struct {
 	Coh coherence.Stats
 }
 
+// Add accumulates o into s: the counters and Cycles sum, and the
+// high-water marks (ReadSetMax, WriteSetMax, MaxLogBytes) keep the
+// larger value.
+func (s *Stats) Add(o Stats) {
+	s.Begins += o.Begins
+	s.NestedBegins += o.NestedBegins
+	s.Commits += o.Commits
+	s.NestedCommits += o.NestedCommits
+	s.OpenCommits += o.OpenCommits
+	s.Aborts += o.Aborts
+	s.Stalls += o.Stalls
+	s.FalsePositiveStalls += o.FalsePositiveStalls
+	s.StallEpisodes += o.StallEpisodes
+	s.FPEpisodes += o.FPEpisodes
+	s.NonTxRetries += o.NonTxRetries
+	s.PossibleCycleAborts += o.PossibleCycleAborts
+	s.SummaryConflicts += o.SummaryConflicts
+	s.SMTConflicts += o.SMTConflicts
+	s.FlashClears += o.FlashClears
+	s.OverflowNACKs += o.OverflowNACKs
+	s.WorkUnits += o.WorkUnits
+	s.LogRecords += o.LogRecords
+	s.LogFilterHits += o.LogFilterHits
+	s.MaxLogBytes = max(s.MaxLogBytes, o.MaxLogBytes)
+	s.ReadSetSum += o.ReadSetSum
+	s.WriteSetSum += o.WriteSetSum
+	s.ReadSetMax = max(s.ReadSetMax, o.ReadSetMax)
+	s.WriteSetMax = max(s.WriteSetMax, o.WriteSetMax)
+	s.Cycles += o.Cycles
+	s.Coh.Add(o.Coh)
+}
+
 // ReadSetAvg returns the average committed read-set size in blocks.
 func (s Stats) ReadSetAvg() float64 {
 	if s.Commits == 0 {

@@ -56,10 +56,10 @@ type System struct {
 	// wherever state changes outside a step (see retry).
 	replayGen uint64
 
-	// lane queues the stalled threads' NACK retries beside the engine's
-	// queue; laneStep runs one (retry; the lane-order oracle substitutes
-	// its own).
-	lane     retryLane
+	// lane queues every thread's continuation beside the engine's
+	// queue; laneStep runs one (runCont; the lane-order oracle
+	// substitutes its own).
+	lane     contLane
 	laneStep func(*Thread) bool
 	// coreStamps date each core's transactional state (see stampCore);
 	// allStamp is their sum, and allCores the mask of every core. Host
@@ -341,7 +341,8 @@ func NewSystem(p Params) (*System, error) {
 	s.txLive = make([]int, p.Cores)
 	s.coreStamps = make([]uint64, p.Cores)
 	s.allCores = ^uint64(0) >> uint(64-p.Cores)
-	s.laneStep = s.retry
+	s.lane.grow(laneAnchors + p.Contexts())
+	s.laneStep = s.runCont
 	return s, nil
 }
 
@@ -494,29 +495,21 @@ func (s *System) Start(t *Thread) {
 	if t.stepped && t.stepFn == nil {
 		panic("core: Start of stepped thread without a step function: " + t.Name)
 	}
-	t.pendAt, t.pendKey = s.Engine.Schedule(0, s.startFn(t))
-	t.pendKind = pendStart
+	s.laneArm(t, 0, pendStart)
 }
 
-// startFn builds a thread's kickoff continuation. Stepped threads run the
-// tape up to its first request inline from the start event — the same
-// slot where an interpreted thread, handed the engine by its start event,
-// dispatches its first request. Snapshot restore re-creates the same
-// closure when a captured thread had not yet run.
-func (s *System) startFn(t *Thread) func() {
-	if t.stepped {
-		return func() {
-			t.pendKind = pendNone
-			t.nowCache = s.Engine.Now()
-			t.stepFn(OpResult{})
-		}
-	}
-	return func() {
+// start is a thread's kickoff continuation. Stepped threads run the tape
+// up to its first request inline — the same slot where an interpreted
+// thread, handed the engine by its start, dispatches its first request.
+func (s *System) start(t *Thread) {
+	if !t.stepped {
 		// Hand the engine to the thread: it runs its function up to the
 		// first request, dispatches it inline, and keeps driving events.
-		t.pendKind = pendNone
 		s.readied = t
+		return
 	}
+	t.nowCache = s.Engine.Now()
+	t.stepFn(OpResult{})
 }
 
 // SpawnOn is Spawn+Place+Start on context (core, thread).
@@ -547,14 +540,13 @@ func (s *System) RunUntil(limit sim.Cycle) sim.Cycle {
 }
 
 // drive runs the engine up to limit, reproducing Engine.Run/RunUntil
-// semantics (last strong cycle, Halt, a clock that never moves
-// backwards) while handing engine ownership to thread goroutines as
-// their responses become ready. Event execution order is exactly the
+// semantics (last strong cycle, a clock that never moves backwards)
+// while handing engine ownership to thread goroutines as their
+// responses become ready. Event execution order is exactly the
 // engine's queue order — only the goroutine executing each event
 // differs — so results are bit-identical to a dedicated simulation
 // goroutine.
 func (s *System) drive(limit sim.Cycle) sim.Cycle {
-	s.Engine.ClearHalt()
 	s.replayGen++ // the caller may have changed anything since the last drive
 	s.runLimit = limit
 	s.runLast = s.Engine.Now()
@@ -721,50 +713,37 @@ func (s *System) handle(t *Thread, r request) {
 
 // finish delivers a response to t after lat cycles and pumps its next
 // request. A thread has at most one continuation in flight (its request
-// loop is strictly sequential), so the completion closure is created once
-// per thread and the response is parked on the thread — the hot path
-// allocates nothing.
+// loop is strictly sequential), so the response is parked on the thread
+// and the lane queues the thread itself — the hot path allocates
+// nothing.
 func (s *System) finish(t *Thread, resp response, lat sim.Cycle) {
 	t.finishResp = resp
-	s.ensureFinishFn(t)
-	t.pendAt, t.pendKey = s.Engine.Schedule(lat, t.finishFn)
-	t.pendKind = pendFinish
+	s.laneArm(t, lat, pendFinish)
 }
 
-// ensureFinishFn builds the thread's pooled completion continuation on
-// first use (snapshot restore also calls it, to re-queue a captured
-// completion on a freshly spawned thread).
-func (s *System) ensureFinishFn(t *Thread) {
-	if t.finishFn != nil {
+// complete is a thread's completion continuation: it delivers
+// t.finishResp.
+func (s *System) complete(t *Thread) {
+	t.nowCache = s.Engine.Now()
+	if !t.stepped {
+		t.respReady = true
+		s.readied = t
 		return
 	}
-	if t.stepped {
-		// Stepped thread: the completion event runs the tape's step
-		// continuation inline — no wake channel, no goroutine switch.
-		// Its next dispatch lands inside this event, the same slot in
-		// the Schedule sequence where an interpreted thread's next
-		// dispatch lands after being readied, so event order (and
-		// every engine RNG draw) is identical across the two paths.
-		t.finishFn = func() {
-			t.pendKind = pendNone
-			t.nowCache = s.Engine.Now()
-			if t.escapedOp {
-				// The escaped access's response is delivered: the
-				// escape action is over (interpreted Escape clears the
-				// flag via defer at this same point, abort included).
-				t.escaped, t.escapedOp = false, false
-			}
-			r := t.finishResp
-			t.stepFn(OpResult{Val: r.val, Abort: r.abort, ToDepth: r.toDepth, Depth: r.depth})
-		}
-	} else {
-		t.finishFn = func() {
-			t.pendKind = pendNone
-			t.nowCache = s.Engine.Now()
-			t.respReady = true
-			s.readied = t
-		}
+	// Stepped thread: the completion runs the tape's step continuation
+	// inline — no wake channel, no goroutine switch. Its next dispatch
+	// lands inside this step, the same slot in the key sequence where an
+	// interpreted thread's next dispatch lands after being readied, so
+	// event order (and every engine RNG draw) is identical across the
+	// two paths.
+	if t.escapedOp {
+		// The escaped access's response is delivered: the escape action
+		// is over (interpreted Escape clears the flag via defer at this
+		// same point, abort included).
+		t.escaped, t.escapedOp = false, false
 	}
+	r := t.finishResp
+	t.stepFn(OpResult{Val: r.val, Abort: r.abort, ToDepth: r.toDepth, Depth: r.depth})
 }
 
 func (s *System) barrier(t *Thread, b *Barrier) {
@@ -959,9 +938,9 @@ func (s *System) commit(t *Thread) {
 // --- memory access -----------------------------------------------------------
 
 // access issues t's memory request r: the caller's request on first
-// issue, or the request parked in t.retryReq on a NACK retry. The NACK
-// path only reads r through the pointer until scheduleRetry parks it, so
-// a retry never copies the request.
+// issue, or the request parked in t.retryReq on a NACK retry or a
+// backoff. The NACK path only reads r through the pointer until
+// scheduleRetry parks it, so a retry never copies the request.
 func (s *System) access(t *Thread, r *request, op sig.Op) {
 	// Asynchronous (fault-injected) aborts are honored only here, at the
 	// thread's own continuation — first issue or NACK retry — so abort
@@ -1158,7 +1137,8 @@ func (s *System) smtConflict(t *Thread, op sig.Op, pa addr.PAddr) (coherence.Nac
 // conflict with a descheduled transaction. Stalling cannot resolve it,
 // so a transactional requester traps and aborts; a non-transactional
 // (or escaped) one backs off until the OS reschedules and commits the
-// blocker.
+// blocker. The backoff parks the request as a NACK retry does and
+// walks it again when it runs.
 func (s *System) summaryConflict(t *Thread, r *request, op sig.Op, pa addr.PAddr) {
 	s.stats.SummaryConflicts++
 	s.emit(obs.KindSummaryConflict, t, obs.CauseNone, t.depth, pa.Block(), 0, 0)
@@ -1166,11 +1146,8 @@ func (s *System) summaryConflict(t *Thread, r *request, op sig.Op, pa addr.PAddr
 		s.abort(t, obs.CauseSummary)
 		return
 	}
-	epoch, retry := t.abortEpoch, *r
-	s.Engine.Schedule(8*s.P.StallRetryLat+s.jitter()+s.faultRetryDelay(t), func() {
-		t.checkRetryEpoch(epoch)
-		s.access(t, &retry, op)
-	})
+	s.park(t, r, op)
+	s.laneArm(t, 8*s.P.StallRetryLat+s.jitter()+s.faultRetryDelay(t), pendBackoff)
 }
 
 // resolveNACK applies LogTM conflict resolution: stall and retry, but
@@ -1339,21 +1316,25 @@ func nackFlags(falsePos, sticky, overflow bool, op sig.Op) uint64 {
 }
 
 // scheduleRetry re-issues a NACKed request after the backoff delay, on
-// the retry lane. The thread has exactly one continuation in flight, so
-// the request is parked on the thread and the lane queues the thread
-// itself — stall-heavy workloads retry millions of times, and a fresh
-// closure per retry once dominated the allocation profile. The request
-// is copied into t.retryReq once, on its first NACK; a retry that NACKs
-// again already points there and is re-armed in place. Marking the
-// parked request retrying changes what r.retrying reads, so this must be
-// the NACK path's last use of r.
+// the lane. Marking the parked request retrying changes what r.retrying
+// reads, so this must be the NACK path's last use of r.
 func (s *System) scheduleRetry(t *Thread, r *request, op sig.Op) {
+	s.park(t, r, op)
+	t.retryReq.retrying = true
+	s.laneArm(t, s.P.StallRetryLat+s.jitter()+s.faultRetryDelay(t), pendRetry)
+}
+
+// park holds t's request for a retry or backoff. The thread has exactly
+// one continuation in flight, so the request is parked on the thread
+// and the lane queues the thread itself — stall-heavy workloads retry
+// millions of times, and a fresh closure per retry once dominated the
+// allocation profile. The request is copied into t.retryReq once; a
+// retry that comes back already points there and is re-armed in place.
+func (s *System) park(t *Thread, r *request, op sig.Op) {
 	if r != &t.retryReq {
 		t.retryReq = *r
 	}
-	t.retryReq.retrying = true
 	t.retryOp, t.retryEpoch = op, t.abortEpoch
-	s.laneArm(t, s.P.StallRetryLat+s.jitter()+s.faultRetryDelay(t))
 }
 
 func (s *System) jitter() sim.Cycle {

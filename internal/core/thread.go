@@ -217,11 +217,11 @@ type Thread struct {
 	// aborting thread's own continuation, so no retry can be in flight).
 	abortEpoch uint64
 
-	// A thread has exactly one continuation in flight, so a NACKed
-	// request is parked in retryReq/retryOp/retryEpoch and the retry
-	// lane queues the thread's ID. The request is copied in once, on its
-	// first NACK; retries pass &retryReq down the access path, so a
-	// stall that NACKs again never copies it (see System.scheduleRetry).
+	// A thread has exactly one continuation in flight, so a NACKed or
+	// summary-blocked request is parked in retryReq/retryOp/retryEpoch
+	// and the lane queues the thread's ID. The request is copied in
+	// once; retries pass &retryReq down the access path, so a stall that
+	// NACKs again never copies it (see System.park).
 	retryReq   request
 	retryOp    sig.Op
 	retryEpoch uint64
@@ -231,10 +231,9 @@ type Thread struct {
 	verdict   retryVerdict
 	replayGen uint64
 
-	// finishFn is the pooled completion continuation (see System.finish);
-	// finishResp is the response it delivers. Valid because a thread has
-	// at most one continuation in flight.
-	finishFn   func()
+	// finishResp is the response the completion continuation delivers
+	// (see System.finish). Valid because a thread has at most one
+	// continuation in flight.
 	finishResp response
 
 	// escaped marks an active escape action: accesses execute
@@ -255,14 +254,12 @@ type Thread struct {
 	NeedsSummaryUpdate bool
 
 	// Pending-continuation descriptor: while the thread's single
-	// scheduled continuation is queued — a closure in the engine, or a
-	// NACK retry on the retry lane — pendKind records which it is and
-	// pendAt/pendKey its queue position. Snapshot capture serializes
-	// these three fields instead of the closure; a restore re-creates
-	// the closure and re-inserts it at the original ordering key
-	// (sim.Engine.ScheduleRaw, or ReserveRaw and the lane), reproducing
-	// the queues bit-identically. Cleared at the top of each
-	// continuation.
+	// continuation is queued on the lane, pendKind records which it is
+	// and pendAt/pendKey its queue position. Snapshot capture records
+	// these three fields; a restore re-counts the continuation at its
+	// original ordering key (sim.Engine.ReserveRaw) and pushes it back
+	// on the lane, reproducing the queues bit-identically. Cleared at
+	// the top of each continuation (System.runCont).
 	pendKind uint8
 	pendAt   sim.Cycle
 	pendKey  uint64
@@ -296,10 +293,11 @@ type Thread struct {
 
 // Continuation kinds recorded in Thread.pendKind.
 const (
-	pendNone   uint8 = iota
-	pendStart        // Start's kickoff event (thread has not run yet)
-	pendFinish       // finish's completion continuation (finishFn)
-	pendRetry        // scheduleRetry's NACK retry, queued on the retry lane
+	pendNone    uint8 = iota
+	pendStart         // Start's kickoff (thread has not run yet)
+	pendFinish        // finish's completion continuation
+	pendRetry         // scheduleRetry's NACK retry
+	pendBackoff       // summaryConflict's backoff: re-walks the parked request
 )
 
 // InTx reports whether the thread has an active transaction.

@@ -139,21 +139,21 @@ func (s *System) verdictHolds(v *retryVerdict) bool {
 		v.stamp == s.verdictStamp(v.cores, v.grown)
 }
 
-// retry runs t's NACK retry, the retry lane's event, and reports
-// whether it was a clean replay: the verdict still held, the retry
-// replayed it and re-armed on the lane. It is the one replay site; any
-// other retry walks the protocol through access.
+// retry runs t's NACK retry, a lane step, and reports whether it was a
+// clean replay: the verdict still held, the retry replayed it and
+// re-armed on the lane. It is the one replay site; any other retry
+// walks the protocol through access.
 //
 // A clean replay changes none of the state a verdict depends on (block
 // stamps, core stamps, growth, the epoch, the bypass hooks, the page
-// tables) and queues nothing on the engine — it counts the stall, draws
-// the jitter and re-arms. So a thread whose verdict was found valid at
-// a clean replay stays valid until something else runs: every other
-// step advances replayGen (an engine event, a walked or aborting retry,
-// a dispatch from a thread goroutine, a drive entry, Reset, snapshot
-// restore), and a thread that replayed since then skips re-validation.
+// tables) and queues nothing but its own retry — it counts the stall,
+// draws the jitter and re-arms. So a thread whose verdict was found
+// valid at a clean replay stays valid until something else runs: every
+// other step advances replayGen (an engine event, any other lane
+// continuation, a walked or aborting retry, a dispatch from a thread
+// goroutine, a drive entry, Reset, snapshot restore), and a thread that
+// replayed since then skips re-validation.
 func (s *System) retry(t *Thread) bool {
-	t.pendKind = pendNone
 	t.checkRetryEpoch(t.retryEpoch)
 	r, op := &t.retryReq, t.retryOp
 	if t.replayGen == s.replayGen {

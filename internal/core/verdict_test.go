@@ -525,7 +525,7 @@ func TestPossibleCycleAbortOnReplayedRetry(t *testing.T) {
 
 // TestNackRetryZeroAlloc: waiters stalled on a hot block retry every
 // few dozen cycles, and in steady state a retry allocates nothing —
-// neither replayed from its verdict, re-armed on the retry lane with or
+// neither replayed from its verdict, re-armed on the lane with or
 // without re-validation, nor walked through the protocol (an attached
 // sink turns verdicts off). The retried request stays parked on the
 // thread; a copy that escaped to the heap would show here.
@@ -585,8 +585,69 @@ func TestNackRetryZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSummaryBackoffZeroAlloc: a non-transactional store that hits its
+// context's summary signature backs off and walks again, for as long as
+// the summary stays installed. The backoff parks the request on the
+// thread and queues the thread on the lane, so a steady-state backoff
+// allocates nothing.
+func TestSummaryBackoffZeroAlloc(t *testing.T) {
+	X := addr.VAddr(0xa000)
+	p := smallParams()
+	s := newSys(t, p)
+	pt := s.NewPageTable(1)
+	sum := sig.MustSignature(p.Signature)
+	sum.Insert(sig.Write, pt.Translate(X))
+	s.InstallSummary(0, 0, sum)
+	spawn(t, s, 0, 0, "blocked", pt, func(a *API) { a.Store(X, 7) })
+	s.RunUntil(10_000)
+	before := s.Stats().SummaryConflicts
+	if n := testing.AllocsPerRun(100, func() {
+		s.RunUntil(s.Engine.Now() + 1000)
+	}); n != 0 {
+		t.Errorf("summary backoffs allocated %.1f times per 1,000 cycles, want 0", n)
+	}
+	if got := s.Stats().SummaryConflicts - before; got < 100*1000/200 {
+		t.Fatalf("%d summary backoffs in the measured window; the setup does not back off", got)
+	}
+	s.InstallSummary(0, 0, nil)
+	mustRun(t, s)
+	if v := s.Mem.ReadWord(pt.Translate(X)); v != 7 {
+		t.Errorf("the store landed %d after the summary cleared, want 7", v)
+	}
+}
+
+// TestBackoffStepAdvancesReplayGen: a lane step that is not a retry —
+// here a summary backoff, whose walk can change what a waiter's verdict
+// depends on — advances replayGen as an engine event does, so no waiter
+// skips re-validation across it. (A start or a completion always leads
+// to a dispatch, which advances it too.)
+func TestBackoffStepAdvancesReplayGen(t *testing.T) {
+	X := addr.VAddr(0xa000)
+	p := smallParams()
+	s := newSys(t, p)
+	pt := s.NewPageTable(1)
+	sum := sig.MustSignature(p.Signature)
+	sum.Insert(sig.Write, pt.Translate(X))
+	s.InstallSummary(0, 0, sum)
+	b := spawn(t, s, 0, 0, "blocked", pt, func(a *API) { a.Store(X, 7) })
+	s.RunUntil(1_000)
+	if b.pendKind != pendBackoff {
+		t.Fatalf("the blocked store's continuation is kind %d, want a backoff", b.pendKind)
+	}
+	gen, hits := s.replayGen, s.stats.SummaryConflicts
+	s.runLimit = b.pendAt
+	if !s.stepBounded() || s.stats.SummaryConflicts != hits+1 {
+		t.Fatal("the step did not run the backoff")
+	}
+	if s.replayGen == gen {
+		t.Errorf("a backoff step left replayGen at %d", gen)
+	}
+	s.InstallSummary(0, 0, nil)
+	mustRun(t, s)
+}
+
 // TestReplaySkipEndsAtNonReplayStep: two waiters replaying cleanly on the
-// retry lane skip re-validation, until anything else runs. Descheduling
+// lane skip re-validation, until anything else runs. Descheduling
 // their NACKer — from an engine event, or from the caller between two
 // drives — must end the skipping, so the next retries walk and are
 // granted exactly when the Sink-attached reference's walks are.

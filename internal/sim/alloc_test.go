@@ -83,13 +83,15 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	}
 	used.Run()
 	used.Rand().Int63() // advance the RNG past its fresh state
-	used.Halt()
+	used.Schedule(5, func() {})
+	used.ScheduleWeak(5, func() {})
+	used.Reserve(3) // an external event still pending
 	used.Reset(42)
 
 	fresh := NewEngine(42)
-	if used.Now() != 0 || used.Pending() != 0 || used.Halted() {
-		t.Fatalf("Reset left state behind: now=%d pending=%d halted=%v",
-			used.Now(), used.Pending(), used.Halted())
+	if used.Now() != 0 || used.Pending() != 0 || used.PendingStrong() != 0 {
+		t.Fatalf("Reset left state behind: now=%d pending=%d strong=%d",
+			used.Now(), used.Pending(), used.PendingStrong())
 	}
 	for i := 0; i < 100; i++ {
 		if a, b := used.Rand().Int63(), fresh.Rand().Int63(); a != b {
@@ -121,35 +123,6 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 		e.Schedule(Cycle(i%13), fn)
 		e.Schedule(Cycle(i%7), fn)
 		e.Step()
-		e.Step()
-	}
-}
-
-// BenchmarkEngineRetryShape is the queue shape of a NACK-retry storm: 32
-// actors (one per hardware thread context), each with one pending event.
-// An actor re-arms 20-27 cycles out (the retry latency plus jitter), and
-// one re-arm in four goes 1,024-2,047 cycles out (a compute or memory
-// delay). One op is one executed and re-armed event.
-func BenchmarkEngineRetryShape(b *testing.B) {
-	e := NewEngine(1)
-	x := uint64(0x9E3779B97F4A7C15)
-	var fns [32]func()
-	for i := range fns {
-		fns[i] = func() {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			d := 20 + Cycle(x&7)
-			if x>>3&3 == 0 {
-				d = 1024 + Cycle(x>>5&1023)
-			}
-			e.Schedule(d, fns[i])
-		}
-		e.Schedule(Cycle(i), fns[i])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
 }

@@ -7,10 +7,9 @@ import (
 
 // The queue-order oracle. An order program is a byte string that drives
 // an Engine through every way an event enters or leaves the queue —
-// near, horizon-straddling and far delays, weak events, ScheduleAt in
-// the past and future, events that schedule more events as they run,
-// Step, StepWithin, Halt, RunUntil (bounds ahead of and behind the
-// clock) and a RestoreState + ScheduleRaw rebuild with shuffled keys —
+// near and far delays, weak events, events that schedule more events as
+// they run, Step, StepWithin, RunUntil (bounds ahead of and behind the
+// clock) and external events merged through Reserve, Head and Advance —
 // while a reference keeps every queued event as (cycle, key). Each
 // executed event must be the reference's minimum, and the clock must
 // never move backwards. TestHeapMatchesReferenceOrder runs long random
@@ -30,10 +29,8 @@ type orderOracle struct {
 	pc    int
 	q     []refEvent // queued events, unordered
 	ids   int
-	halt  map[int]bool // ids whose event calls Halt
-	fired int          // id of the last executed event
-	last  Cycle        // last strong cycle executed since the run began
-	limit Cycle        // no event may run after this cycle
+	last  Cycle // last strong cycle executed since the run began
+	limit Cycle // no event may run after this cycle
 }
 
 // next consumes one program byte; an exhausted program reads as 1, so
@@ -47,20 +44,44 @@ func (o *orderOracle) next() byte {
 	return b
 }
 
-// delay draws a delay from one of four classes: within a few cycles,
-// straddling the wheel's horizon, the retry band, or far out (up to
-// 30,000 cycles, the lock-mode compute and memory delays).
+// delay draws a delay from one of three classes: within a few cycles,
+// the retry band, or far out (up to 30,000 cycles, the lock-mode
+// compute and memory delays).
 func (o *orderOracle) delay() Cycle {
 	b := o.next()
-	switch b & 3 {
+	switch b % 3 {
 	case 0:
 		return Cycle(b >> 2 & 7)
 	case 1:
-		return wheelSpan - 8 + Cycle(b>>2&15)
-	case 2:
 		return 20 + Cycle(b>>2&7)
 	default:
 		return Cycle(uint16(o.next())<<8|uint16(o.next())) % 30_001
+	}
+}
+
+// pop checks that event id is the reference's minimum, due now, and
+// removes it.
+func (o *orderOracle) pop(id int) {
+	e := o.e
+	if len(o.q) == 0 {
+		o.t.Fatalf("event %d ran at cycle %d with the reference queue empty", id, e.Now())
+	}
+	m := 0
+	for i := range o.q {
+		if r := o.q[i]; r.at < o.q[m].at || r.at == o.q[m].at && r.key < o.q[m].key {
+			m = i
+		}
+	}
+	want := o.q[m]
+	if want.id != id {
+		o.t.Fatalf("event %d ran at cycle %d; the reference's next is %+v (of %d queued)", id, e.Now(), want, len(o.q))
+	}
+	o.q = append(o.q[:m], o.q[m+1:]...)
+	if e.Now() != want.at || e.Now() > o.limit {
+		o.t.Fatalf("event %d ran at cycle %d, want %d (bound %d)", id, e.Now(), want.at, o.limit)
+	}
+	if want.key&1 == 0 {
+		o.last = want.at
 	}
 }
 
@@ -68,31 +89,7 @@ func (o *orderOracle) delay() Cycle {
 // reference minimum, and may schedule a child as it runs.
 func (o *orderOracle) fn(id int) func() {
 	return func() {
-		e := o.e
-		if len(o.q) == 0 {
-			o.t.Fatalf("event %d ran at cycle %d with the reference queue empty", id, e.Now())
-		}
-		m := 0
-		for i := range o.q {
-			if r := o.q[i]; r.at < o.q[m].at || r.at == o.q[m].at && r.key < o.q[m].key {
-				m = i
-			}
-		}
-		if o.q[m].id != id {
-			o.t.Fatalf("event %d ran at cycle %d; the reference's next is %+v (of %d queued)", id, e.Now(), o.q[m], len(o.q))
-		}
-		want := o.q[m]
-		o.q = append(o.q[:m], o.q[m+1:]...)
-		if e.Now() != want.at || e.Now() > o.limit {
-			o.t.Fatalf("event %d ran at cycle %d, want %d (bound %d)", id, e.Now(), want.at, o.limit)
-		}
-		if want.key&1 == 0 {
-			o.last = want.at
-		}
-		o.fired = id
-		if o.halt[id] {
-			e.Halt()
-		}
+		o.pop(id)
 		if o.next()&3 == 0 {
 			o.schedule(o.delay())
 		}
@@ -103,8 +100,8 @@ func (o *orderOracle) newID() int { o.ids++; return o.ids }
 
 func (o *orderOracle) schedule(d Cycle) int {
 	id := o.newID()
-	at, key := o.e.Schedule(d, o.fn(id))
-	o.q = append(o.q, refEvent{at, key, id})
+	o.e.Schedule(d, o.fn(id))
+	o.q = append(o.q, refEvent{o.e.Now() + d, o.e.seq << 1, id})
 	return id
 }
 
@@ -132,35 +129,34 @@ func (o *orderOracle) due(limit Cycle) bool {
 	return false
 }
 
-// rebuild restores the engine's scalar state over its own queue and
-// re-queues the strong events through ScheduleRaw in an order the
-// program shuffles, as snapshot restore does; weak events are dropped.
-func (o *orderOracle) rebuild() {
+// external queues an external event the way the core's lane does:
+// Reserve takes its key, the engine runs every event Head reports
+// before it, and Advance runs it.
+func (o *orderOracle) external(d Cycle) {
 	e := o.e
-	var keep []refEvent
-	for _, r := range o.q {
-		if r.key&1 == 0 {
-			keep = append(keep, r)
+	at, key := e.Reserve(d)
+	o.q = append(o.q, refEvent{at, key, 0})
+	o.check("Reserve")
+	for {
+		hat, hkey, ok := e.Head()
+		if !ok || hat > at || hat == at && hkey > key {
+			break
 		}
+		e.Step()
 	}
-	for i := len(keep) - 1; i > 0; i-- {
-		j := int(o.next()) % (i + 1)
-		keep[i], keep[j] = keep[j], keep[i]
+	e.Advance(at)
+	if e.LastWeak() {
+		o.t.Fatalf("LastWeak after Advance")
 	}
-	e.RestoreState(e.State())
-	o.q = o.q[:0]
-	for _, r := range keep {
-		e.ScheduleRaw(r.at, r.key, o.fn(r.id))
-		o.q = append(o.q, r)
-	}
+	o.pop(0)
 }
 
 // runOrderProgram executes prog against a fresh engine and the reference.
 func runOrderProgram(t testing.TB, prog []byte) {
 	e := NewEngine(1)
-	o := &orderOracle{t: t, e: e, prog: prog, halt: map[int]bool{}, limit: ^Cycle(0)}
+	o := &orderOracle{t: t, e: e, prog: prog, limit: ^Cycle(0)}
 	for o.pc < len(o.prog) {
-		switch op := o.next() % 11; op {
+		switch op := o.next() % 8; op {
 		case 0, 1, 2:
 			o.schedule(o.delay())
 		case 3:
@@ -168,29 +164,13 @@ func runOrderProgram(t testing.TB, prog []byte) {
 			id := o.newID()
 			e.ScheduleWeak(d, o.fn(id))
 			o.q = append(o.q, refEvent{e.Now() + d, e.seq<<1 | 1, id})
-		case 4: // ScheduleAt in the past (or now): fires at the clock
-			back := Cycle(o.next())
-			at := Cycle(0)
-			if e.Now() > back {
-				at = e.Now() - back
-			}
-			id := o.newID()
-			gotAt, key := e.ScheduleAt(at, o.fn(id))
-			if gotAt != e.Now() {
-				t.Fatalf("ScheduleAt(%d) at clock %d queued for %d", at, e.Now(), gotAt)
-			}
-			o.q = append(o.q, refEvent{gotAt, key, id})
-		case 5: // ScheduleAt in the future
-			id := o.newID()
-			at, key := e.ScheduleAt(e.Now()+o.delay(), o.fn(id))
-			o.q = append(o.q, refEvent{at, key, id})
-		case 6:
+		case 4:
 			for k := o.next() & 7; k > 0; k-- {
 				if want := len(o.q) > 0; e.Step() != want {
 					t.Fatalf("Step disagrees with the reference (%d queued)", len(o.q))
 				}
 			}
-		case 7:
+		case 5:
 			limit := e.Now() + o.delay()
 			o.limit = limit
 			want := o.due(limit)
@@ -198,7 +178,7 @@ func runOrderProgram(t testing.TB, prog []byte) {
 				t.Fatalf("StepWithin(%d) disagrees with the reference", limit)
 			}
 			o.limit = ^Cycle(0)
-		case 8: // RunUntil, sometimes with a bound behind the clock
+		case 6: // RunUntil, sometimes with a bound behind the clock
 			now := e.Now()
 			limit := now + o.delay()
 			if b := o.next(); b&3 == 0 && now >= Cycle(b) {
@@ -213,19 +193,11 @@ func runOrderProgram(t testing.TB, prog []byte) {
 			if got != o.last {
 				t.Fatalf("RunUntil(%d) returned %d, want last strong cycle %d", limit, got, o.last)
 			}
-			if !e.Halted() && o.due(limit) {
+			if o.due(limit) {
 				t.Fatalf("RunUntil(%d) left events due by the bound", limit)
 			}
-		case 9: // Halt from inside an event stops Run right after it
-			id := o.schedule(o.delay())
-			o.halt[id] = true
-			e.Run()
-			if !e.Halted() || o.fired != id {
-				t.Fatalf("Run halted after event %d, want the halting event %d", o.fired, id)
-			}
-			delete(o.halt, id)
-		case 10:
-			o.rebuild()
+		case 7:
+			o.external(o.delay())
 		}
 		o.check("op")
 	}
@@ -238,9 +210,9 @@ func runOrderProgram(t testing.TB, prog []byte) {
 	}
 }
 
-// TestHeapMatchesReferenceOrder drives the two-tier queue (wheel and
-// heap) against the sorted reference on long random order programs —
-// the determinism gate for the queue layout.
+// TestHeapMatchesReferenceOrder drives the engine's heap, merged with
+// external events, against the sorted reference on long random order
+// programs — the determinism gate for the queue.
 func TestHeapMatchesReferenceOrder(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -253,8 +225,8 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 // FuzzEngineOrder runs fuzzer-built order programs against the
 // reference.
 func FuzzEngineOrder(f *testing.F) {
-	f.Add([]byte{0, 5, 1, 9, 2, 3, 0, 200, 6, 7, 8, 0, 10, 3, 8, 255, 4, 17, 9, 1, 6, 7})
-	f.Add([]byte{2, 3, 1, 2, 3, 3, 40, 0, 10, 7, 1, 8, 4, 9, 0})
+	f.Add([]byte{0, 5, 1, 9, 2, 3, 0, 200, 6, 7, 8, 0, 7, 3, 6, 255, 4, 17, 7, 1, 6, 7})
+	f.Add([]byte{2, 3, 1, 2, 3, 3, 40, 0, 7, 7, 1, 6, 4, 9, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 4096 {
 			prog = prog[:4096]

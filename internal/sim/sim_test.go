@@ -68,34 +68,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	e.Schedule(1, func() { count++; e.Halt() })
-	e.Schedule(2, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Errorf("Halt did not stop the engine: count = %d", count)
-	}
-	// Run again resumes.
-	e.Run()
-	if count != 2 {
-		t.Errorf("resume after Halt failed: count = %d", count)
-	}
-}
-
-func TestScheduleAtPastClamps(t *testing.T) {
-	e := NewEngine(1)
-	fired := Cycle(0)
-	e.Schedule(100, func() {
-		e.ScheduleAt(10, func() { fired = e.Now() })
-	})
-	e.Run()
-	if fired != 100 {
-		t.Errorf("past ScheduleAt fired at %d, want clamped to 100", fired)
-	}
-}
-
 func TestDeterministicRand(t *testing.T) {
 	a := NewEngine(42).Rand().Uint64()
 	b := NewEngine(42).Rand().Uint64()
