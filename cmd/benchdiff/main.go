@@ -4,11 +4,15 @@
 // at zero allocations per operation, and the Figure-4 geomean speedup
 // versus the base snapshot is reported.
 //
+// Both snapshots must come from the same host: ns/op measures the
+// machine as much as the code. CI's bench-smoke job benchmarks the base
+// revision beside the change on one runner and compares the two.
+//
 // Usage:
 //
-//	go run ./cmd/benchdiff -base BENCH_baseline.json -new BENCH_abc1234.json
-//	go run ./cmd/benchdiff -base BENCH_baseline.json -new BENCH_ci.json -max-regress 0.10
-//	go run ./cmd/benchdiff -base BENCH_baseline.json -new BENCH_ci.json -max-geomean 0.02
+//	go run ./cmd/benchdiff -base BENCH_base.json -new BENCH_abc1234.json
+//	go run ./cmd/benchdiff -base BENCH_base.json -new BENCH_ci.json -max-regress 0.10
+//	go run ./cmd/benchdiff -base BENCH_base.json -new BENCH_ci.json -max-geomean 0.02
 package main
 
 import (

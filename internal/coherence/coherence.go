@@ -174,7 +174,7 @@ type AccessResult struct {
 	NACK    bool
 	// Broadcast is set on a NACK whose signature checks went to every
 	// core (check-all or snooping) rather than being forwarded to the
-	// directory's owner or sharers; ReplayNACK needs it to charge the
+	// directory's owner or sharers; ReplayCharge needs it to charge the
 	// same counter.
 	Broadcast bool
 	Nackers   []Nacker
@@ -302,7 +302,7 @@ func (s *System) Touches() uint64 { return s.touches }
 // signature stamps it decides whether a NACK still holds: a NACK whose
 // own walk left the stamp unchanged repeats, with the same NACKers, while
 // the stamp, the epoch and the checked cores' signature state hold still,
-// so its retries may be charged with ReplayNACK instead of re-walking.
+// so its retries may be charged with ReplayCharge instead of re-walking.
 func (s *System) BlockStamp(a addr.PAddr) uint64 { return s.stamps[stampSlot(a)] }
 
 // Epoch advances when all protocol state may have changed at once:
@@ -337,34 +337,52 @@ func (s *System) NACKShape(req Request, broadcast bool) (checked uint64, upgrade
 	return targetMask(e, req.Core), upgrade
 }
 
-// ReplayNACK charges the counters of an Access that NACKs exactly as a
-// previous one did: same requester, operation and block, with the NACK
-// still holding (see BlockStamp) and no hook observing the walk (sink,
-// contention clock, latency perturbation). A read NACK is always an L1
-// miss; a NACKed upgrade repeats the requester's L1 Lookup, which
-// refreshes the Shared line's LRU position as the walk would (a Lookup
-// that misses changes nothing). It then counts the broadcast or forward
-// and the NACK. The walk's only other effect, the NACKers'
-// possible_cycle flags, was already set by the NACK being replayed and
-// is cleared only by their commit or abort, which ends the verdict.
-func (s *System) ReplayNACK(req Request, broadcast, upgrade bool) {
-	if req.Op == sig.Read {
-		s.stats.Loads++
-	} else {
-		s.stats.Stores++
+// NACKCharge is the charge of an Access that NACKs exactly as a previous
+// one did: same requester, operation and block, with the NACK still
+// holding (see BlockStamp) and no hook observing the walk (sink,
+// latency perturbation). ReplayCharge resolves it once, so a retry that
+// replays the same NACK many times charges the counters directly.
+//
+// A read NACK is always an L1 miss; a NACKed upgrade repeats the
+// requester's L1 Lookup, which refreshes the Shared line's LRU position
+// as the walk would (a Lookup that misses changes nothing). The charge
+// then counts the broadcast or forward and the NACK. The walk's only
+// other effect, the NACKers' possible_cycle flags, was already set by
+// the NACK being replayed and is cleared only by their commit or abort,
+// which ends the verdict.
+type NACKCharge struct {
+	access, miss, route, nacks *uint64
+	lru                        *cache.Cache // the requester's L1 on an upgrade
+	block                      addr.PAddr
+}
+
+// ReplayCharge resolves the charge of replaying req's NACK, which was
+// broadcast or forwarded and an upgrade or an L1 miss. The counters and
+// caches it points at live as long as the System, across Reset and
+// RestoreFrom.
+func (s *System) ReplayCharge(req Request, broadcast, upgrade bool) NACKCharge {
+	c := NACKCharge{access: &s.stats.Loads, miss: &s.stats.L1Misses, route: &s.stats.Forwards, nacks: &s.stats.NACKs, block: req.Addr.Block()}
+	if req.Op != sig.Read {
+		c.access = &s.stats.Stores
 	}
 	if upgrade {
-		s.l1[req.Core].Lookup(req.Addr.Block())
-		s.stats.Upgrades++
-	} else {
-		s.stats.L1Misses++
+		c.miss, c.lru = &s.stats.Upgrades, s.l1[req.Core]
 	}
 	if broadcast {
-		s.stats.Broadcasts++
-	} else {
-		s.stats.Forwards++
+		c.route = &s.stats.Broadcasts
 	}
-	s.stats.NACKs++
+	return c
+}
+
+// Apply charges c once, as the walk it replays would.
+func (c *NACKCharge) Apply() {
+	*c.access++
+	*c.miss++
+	*c.route++
+	*c.nacks++
+	if c.lru != nil {
+		c.lru.Lookup(c.block)
+	}
 }
 
 // Reset returns the memory system to its just-constructed state for
@@ -806,14 +824,52 @@ func (s *System) allCores(int) []int {
 func (s *System) checkCores(cores []int, req Request) []Nacker {
 	nackers := s.nackBuf[:0]
 	for _, c := range cores {
-		ns := s.hooks.SignatureCheck(c, req)
-		if len(ns) > 0 && s.l1[c].Peek(req.Addr) == cache.Invalid {
-			// The core's signature NACKed a block it no longer caches:
-			// sticky/victimized carryover. Peek is side-effect-free, so
-			// the classification never perturbs protocol state.
-			markSticky(ns)
+		nackers = s.checkCore(nackers, c, req)
+	}
+	s.nackBuf = nackers
+	return nackers
+}
+
+// checkCore appends core c's NACKers of req to nackers.
+func (s *System) checkCore(nackers []Nacker, c int, req Request) []Nacker {
+	ns := s.hooks.SignatureCheck(c, req)
+	if len(ns) > 0 && s.l1[c].Peek(req.Addr) == cache.Invalid {
+		// The core's signature NACKed a block it no longer caches:
+		// sticky/victimized carryover. Peek is side-effect-free, so
+		// the classification never perturbs protocol state.
+		markSticky(ns)
+	}
+	return append(nackers, ns...)
+}
+
+// Recheck recomputes the NACKer list of a forwarded request (a GETS to
+// its owner or a GETM to its owner and sharers) that Access NACKed with
+// prev, when only some target cores' transactional state changed since:
+// targets is the mask NACKShape gave, moved the cores among them that
+// changed. It re-runs the signature checks, sticky marks included, on
+// the moved cores only, keeps prev's NACKers on the others, and composes
+// both in the walk's ascending core order. The caller guarantees that
+// the block's stamp and the Epoch held since prev's walk, so the walk
+// would route to the same targets, and that an unchanged core's checks
+// would repeat prev's (see the engine's retry verdicts). The returned
+// slice aliases a reusable scratch buffer: read it before the next
+// Access. Recheck counts nothing; a retry that still NACKs charges its
+// walk with its ReplayCharge.
+func (s *System) Recheck(req Request, targets, moved uint64, prev []Nacker) []Nacker {
+	nackers := s.nackBuf[:0]
+	i := 0
+	for m := targets; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
+		j := i
+		for j < len(prev) && prev[j].Core == c {
+			j++
 		}
-		nackers = append(nackers, ns...)
+		if moved&(1<<uint(c)) != 0 {
+			nackers = s.checkCore(nackers, c, req)
+		} else {
+			nackers = append(nackers, prev[i:j]...)
+		}
+		i = j
 	}
 	s.nackBuf = nackers
 	return nackers

@@ -9,7 +9,7 @@ import (
 	"logtmse/internal/sig"
 )
 
-// requireReplayMatchesWalk checks the contract ReplayNACK relies on for
+// requireReplayMatchesWalk checks the contract ReplayCharge relies on for
 // one NACK path. req must NACK with no stamp advanced across its walk,
 // and NACKShape must name the cores the walk checked — covering every
 // NACKer's — and whether it counted an upgrade; the system is then
@@ -52,7 +52,8 @@ func requireReplayMatchesWalk(t *testing.T, s *System, req Request, wantBroadcas
 	if err := s.RestoreFrom(fork); err != nil {
 		t.Fatal(err)
 	}
-	s.ReplayNACK(req, first.Broadcast, upgrade)
+	charge := s.ReplayCharge(req, first.Broadcast, upgrade)
+	charge.Apply()
 	if got := s.Stats(); got != walkStats {
 		t.Errorf("replay counters differ from the walk:\nreplay %+v\nwalk   %+v", got, walkStats)
 	}
@@ -194,7 +195,10 @@ func TestStateChangesBumpVersion(t *testing.T) {
 func TestReplayNACKZeroAlloc(t *testing.T) {
 	s, _ := newTestSystem(t, Directory)
 	req := rd(1, 0x1000)
-	if n := testing.AllocsPerRun(100, func() { s.ReplayNACK(req, false, false) }); n != 0 {
-		t.Errorf("ReplayNACK allocates %.1f per call", n)
+	if n := testing.AllocsPerRun(100, func() {
+		c := s.ReplayCharge(req, false, false)
+		c.Apply()
+	}); n != 0 {
+		t.Errorf("a replayed NACK's charge allocates %.1f per call", n)
 	}
 }

@@ -149,11 +149,18 @@ func (s *System) laneArm(t *Thread, delay sim.Cycle, kind uint8) {
 
 // runCont runs t's queued continuation, the lane's event, and reports
 // whether it was a clean replay of a NACK retry (see retry). Every other
-// step advances replayGen, as an engine event does.
+// step advances replayGen, as an engine event does. A retry whose thread
+// replayed cleanly since the last such step replays again without
+// re-validating its verdict.
 func (s *System) runCont(t *Thread) bool {
 	kind := t.pendKind
 	t.pendKind = pendNone
 	if kind == pendRetry {
+		t.checkRetryEpoch(t.retryEpoch)
+		if t.replayGen == s.replayGen {
+			s.replaySkips++
+			return s.replay(t)
+		}
 		return s.retry(t)
 	}
 	s.replayGen++

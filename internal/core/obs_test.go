@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"testing"
 
+	"logtmse/internal/addr"
 	"logtmse/internal/obs"
 )
 
@@ -203,5 +205,41 @@ func TestMetricsHistogramsFed(t *testing.T) {
 		if got := col(c.name); got != float64(c.want) {
 			t.Errorf("%s = %v, want %d", c.name, got, c.want)
 		}
+	}
+}
+
+// TestMetricsSnapshotZeroAlloc: interval sampling at every = 10 cycles,
+// beside stalled waiters retrying on the lane, allocates nothing in
+// steady state. One weak tick re-arms itself (sim ScheduleWeakEvery),
+// and the samples share one growing value store, so only its amortized
+// growth allocates.
+func TestMetricsSnapshotZeroAlloc(t *testing.T) {
+	X := addr.VAddr(0xa000)
+	p := smallParams()
+	s := newSys(t, p)
+	m := obs.NewCoreMetrics(obs.NewRegistry())
+	s.AttachMetrics(m, 10)
+	pt := s.NewPageTable(1)
+	spawn(t, s, 0, 0, "holder", pt, func(a *API) {
+		a.Transaction(func() {
+			a.Store(X, 1)
+			a.Compute(10_000_000)
+		})
+	})
+	for core := 1; core < p.Cores; core++ {
+		spawn(t, s, core, 0, fmt.Sprintf("waiter%d", core), pt, func(a *API) {
+			a.Compute(1500)
+			a.Transaction(func() { a.Store(X, 2) })
+		})
+	}
+	s.RunUntil(50_000)
+	before := len(m.Reg.Snapshots())
+	if n := testing.AllocsPerRun(100, func() {
+		s.RunUntil(s.Engine.Now() + 1000)
+	}); n != 0 {
+		t.Errorf("sampling every 10 cycles allocated %.1f times per 1,000 cycles, want 0", n)
+	}
+	if got := len(m.Reg.Snapshots()) - before; got < 100*1000/10 {
+		t.Errorf("%d interval samples in the measured window, want at least %d", got, 100*1000/10)
 	}
 }

@@ -49,9 +49,12 @@ type System struct {
 	// carries the block stamps and the epoch a verdict depends on.
 	verdictCoh *coherence.System
 	// verdictReplays counts retries answered from a verdict, and
-	// replaySkips those of them that skipped re-validation.
-	verdictReplays uint64
-	replaySkips    uint64
+	// replaySkips those of them that skipped re-validation;
+	// verdictRechecks counts retries that re-checked only the moved
+	// cores and still NACKed.
+	verdictReplays  uint64
+	replaySkips     uint64
+	verdictRechecks uint64
 	// replayGen advances at every step that is not a clean replay, and
 	// wherever state changes outside a step (see retry).
 	replayGen uint64
@@ -67,6 +70,9 @@ type System struct {
 	coreStamps []uint64
 	allStamp   uint64
 	allCores   uint64
+	// dates is recheck's scratch for the current dates of a verdict's
+	// cores (see dateCores).
+	dates []uint64
 
 	// Engine-ownership handoff state (see pump): the event loop runs on
 	// whichever goroutine currently owns the engine — Run's caller or a
@@ -256,26 +262,15 @@ func (s *System) AttachMetrics(m *obs.CoreMetrics, every sim.Cycle) {
 		}
 		return float64(total)
 	})
-	if every > 0 {
-		s.scheduleSnapshot(reg, every)
-	}
-}
-
-// scheduleSnapshot records one interval sample and re-arms itself while
-// the simulation still has model work queued. Snapshot events are weak:
-// they cannot keep the run alive, and one firing after the last model
-// event does not extend the measured cycle count (see sim.ScheduleWeak) —
-// that is what keeps Stats bit-identical with metrics attached.
-func (s *System) scheduleSnapshot(reg *obs.Registry, every sim.Cycle) {
-	s.Engine.ScheduleWeak(every, func() {
-		if s.Engine.PendingStrong() == 0 {
-			// The model already finished: the harness records the
-			// end-of-run state, so this trailing sample would only
-			// duplicate it with an overshot timestamp.
-			return
-		}
+	// The samples ride a weak tick: it cannot keep the run alive, and
+	// one firing after the last model event does not extend the measured
+	// cycle count (see sim.ScheduleWeak) — that is what keeps Stats
+	// bit-identical with metrics attached. The tick stops once the model
+	// finished: the harness records the end-of-run state, so a trailing
+	// sample would only duplicate it with an overshot timestamp.
+	s.Engine.ScheduleWeakEvery(every, func() bool {
 		reg.Snapshot(s.Engine.Now())
-		s.scheduleSnapshot(reg, every)
+		return true
 	})
 }
 
@@ -384,7 +379,7 @@ func (s *System) Reset(seed int64) error {
 	for i := range s.txLive {
 		s.txLive[i] = 0
 	}
-	s.verdictReplays, s.replaySkips = 0, 0
+	s.verdictReplays, s.replaySkips, s.verdictRechecks = 0, 0, 0
 	s.replayGen++
 	s.lane.clear()
 	s.readied = nil
@@ -1205,27 +1200,39 @@ func classifyNACK(nackers []coherence.Nacker, ts uint64) nackClass {
 // conflicting transaction ends.
 func (s *System) retryNonTx(t *Thread, r *request, op sig.Op) {
 	s.stats.NonTxRetries++
-	// One exception for liveness: an escaped access issued inside a
-	// transaction blocks while holding the enclosing transaction's
-	// isolation. Two transactions escaped into blocks aliased into
-	// each other's signatures then deadlock, with no timestamps to
-	// arbitrate (escaped requests carry none). Under the opt-in
-	// starvation escalation the enclosing transaction aborts and
-	// the whole escape re-executes on retry — escape actions are
-	// already documented to run once per attempt, not once per
-	// transaction.
-	if t.escaped && t.InTx() && s.P.StarvationRetryLimit > 0 {
-		t.stallRetries++
-		if t.stallRetries >= s.P.StarvationRetryLimit {
-			s.abort(t, obs.CauseStarvation)
-			return
-		}
+	if s.nonTxStarved(t) {
+		s.abort(t, obs.CauseStarvation)
+		return
 	}
 	s.scheduleRetry(t, r, op)
 }
 
-// stall resolves a transactional NACK classified as c: count the stall,
-// then abort or retry per the resolution policy. nackers only feeds the
+// nonTxStarved counts a non-transactional retry against the starvation
+// limit where one applies. One exception for liveness: an escaped access
+// issued inside a transaction blocks while holding the enclosing
+// transaction's isolation. Two transactions escaped into blocks aliased
+// into each other's signatures then deadlock, with no timestamps to
+// arbitrate (escaped requests carry none). Under the opt-in starvation
+// escalation the enclosing transaction aborts and the whole escape
+// re-executes on retry — escape actions are already documented to run
+// once per attempt, not once per transaction.
+func (s *System) nonTxStarved(t *Thread) bool {
+	return t.escaped && t.InTx() && s.starved(t)
+}
+
+// starved counts one more retry of t's stall episode against the opt-in
+// starvation limit and reports whether the limit is reached.
+func (s *System) starved(t *Thread) bool {
+	if s.P.StarvationRetryLimit <= 0 {
+		return false
+	}
+	t.stallRetries++
+	return t.stallRetries >= s.P.StarvationRetryLimit
+}
+
+// stall resolves a walked or re-checked transactional NACK classified as
+// c (a held replay is charged by replay instead): count the stall, then
+// abort or retry per the resolution policy. nackers only feeds the
 // Sink's NACK and conflict-edge events.
 func (s *System) stall(t *Thread, r *request, op sig.Op, nackers []coherence.Nacker, c nackClass) {
 	s.stats.Stalls++
@@ -1263,37 +1270,38 @@ func (s *System) stall(t *Thread, r *request, op sig.Op, nackers []coherence.Nac
 		t.stalling = true
 		t.stallSince = s.Engine.Now()
 	}
+	if cause, abort := s.resolve(t, c); abort {
+		s.abort(t, cause)
+		return
+	}
+	s.scheduleRetry(t, r, op)
+}
+
+// resolve applies the resolution policy to a counted stall of t on a
+// NACK classified as c, and reports whether t must abort and why. It
+// runs LogTM's possible_cycle rule (or the policy's own), then the
+// bounded-retry starvation escalation (opt-in): a stalled access that
+// keeps losing eventually aborts its transaction so the system sheds
+// the livelock instead of spinning on NACKs forever.
+func (s *System) resolve(t *Thread, c nackClass) (obs.AbortCause, bool) {
 	cause := obs.CauseConflict
 	if c.allOverflow {
 		cause = obs.CauseOverflow
 	}
 	switch s.P.Resolution {
 	case ResolveRequesterAborts:
-		s.abort(t, cause)
-		return
+		return cause, true
 	case ResolveYoungerAborts:
 		if c.olderNacker {
-			s.abort(t, cause)
-			return
+			return cause, true
 		}
 	default: // ResolveStallAbort, LogTM's possible_cycle rule
 		if c.olderNacker && t.possibleCycle {
 			s.stats.PossibleCycleAborts++
-			s.abort(t, cause)
-			return
+			return cause, true
 		}
 	}
-	// Bounded-retry starvation escalation (opt-in): a stalled access that
-	// keeps losing eventually aborts its transaction so the system sheds
-	// the livelock instead of spinning on NACKs forever.
-	if s.P.StarvationRetryLimit > 0 {
-		t.stallRetries++
-		if t.stallRetries >= s.P.StarvationRetryLimit {
-			s.abort(t, obs.CauseStarvation)
-			return
-		}
-	}
-	s.scheduleRetry(t, r, op)
+	return obs.CauseStarvation, s.starved(t)
 }
 
 // nackFlags packs the attribution classification bits of a NACK (or of

@@ -18,6 +18,12 @@ func verdictLive(s *System, t *Thread) bool {
 	return s.verdictHolds(&t.verdict)
 }
 
+// verdictHolds reports whether nothing v's NACK depended on has changed,
+// as retry's re-validation decides it.
+func (s *System) verdictHolds(v *retryVerdict) bool {
+	return s.blockHolds(v) && v.stamp == s.verdictStamp(v.cores, v.grown)
+}
+
 // cloneVerdict copies v deep enough to be checked later: a re-seed
 // rewrites the thread's verdict and its slices in place.
 func cloneVerdict(v *retryVerdict) retryVerdict {
@@ -474,6 +480,226 @@ func TestRebuildNACKSeedsNoVerdict(t *testing.T) {
 	requireSameRun(t, bare, ref)
 }
 
+// recheckCase is one scenario for requireRecheck. build spawns the
+// waiter and everything else, and returns the predicate that marks the
+// change under test; the waiter must hold a live recheck verdict just
+// before it. after, if set, inspects the bare run right after the
+// waiter's first retry that follows the change.
+type recheckCase struct {
+	name    string
+	p       Params
+	build   func(t *testing.T, s *System, pt *mem.PageTable) (waiter *Thread, done func() bool)
+	recheck bool // that retry re-checks and still NACKs (else it walks)
+	after   func(t *testing.T, s *System, waiter *Thread)
+	// cycleAborts: the finished run must count possible_cycle aborts.
+	cycleAborts bool
+}
+
+// requireRecheck steps the bare run of tc cycle by cycle up to the
+// change, then up to the waiter's next retry, and requires that retry
+// to re-check or to walk as tc says. The run must then finish with the
+// walked reference's Stats and end cycle.
+func requireRecheck(t *testing.T, tc recheckCase) {
+	t.Helper()
+	var waiter *Thread
+	var done func() bool
+	bare, ref := runWithAndWithoutVerdicts(t, tc.p, func(s *System) {
+		waiter, done = tc.build(t, s, s.NewPageTable(1))
+	})
+	live, before := stepUntil(t, bare, waiter, done)
+	if !live || !before.recheck {
+		t.Fatalf("setup: waiter held no live recheck verdict before the change (live %v)", live)
+	}
+	if bare.verdictHolds(&before) {
+		t.Fatalf("setup: the change left the waiter's verdict holding")
+	}
+	stalls, rechecks := waiter.Stalls, bare.verdictRechecks
+	for c := bare.Engine.Now() + 1; waiter.Stalls == stalls && waiter.stalling; c++ {
+		if bare.verdictRechecks != rechecks {
+			t.Fatalf("setup: another thread re-checked before the waiter's retry")
+		}
+		bare.RunUntil(c)
+	}
+	if got := bare.verdictRechecks - rechecks; got != map[bool]uint64{false: 0, true: 1}[tc.recheck] {
+		t.Errorf("the waiter's retry after the change re-checked %d times, want re-check %v", got, tc.recheck)
+	}
+	if tc.after != nil {
+		tc.after(t, bare, waiter)
+	}
+	requireSameRun(t, bare, ref)
+	if tc.cycleAborts && bare.Stats().PossibleCycleAborts == 0 {
+		t.Errorf("no possible_cycle abort")
+	}
+}
+
+// TestRecheckMovedCores: a retry whose verdict failed only because the
+// checked cores' transactional state moved re-checks the moved cores'
+// signatures alone and composes them with the unchanged cores' NACKers.
+// Each case fails when the rule it names is removed, and each run must
+// match its Sink-attached walk.
+func TestRecheckMovedCores(t *testing.T) {
+	p := smallParams()
+	p.Resolution = ResolveStallAbort
+	l1Set := addr.VAddr(p.L1Bytes / p.L1Ways)
+	// storeX spawns the waiter on core 1: a transaction that stores X
+	// from cycle 1500 on, after storing first (if not 0).
+	storeX := func(t *testing.T, s *System, pt *mem.PageTable, first addr.VAddr) *Thread {
+		return spawn(t, s, 1, 0, "waiter", pt, func(a *API) {
+			a.Compute(1500)
+			a.Transaction(func() {
+				if first != 0 {
+					a.Store(first, 2)
+				}
+				a.Store(ruleX, 2)
+			})
+		})
+	}
+	// nackersOn reports the cores of the waiter's recorded NACKers.
+	nackersOn := func(w *Thread) (cores []int) {
+		for _, n := range w.verdict.nackers {
+			cores = append(cores, n.Core)
+		}
+		return cores
+	}
+	for _, tc := range []recheckCase{{
+		// Rule: a retry whose checked core moved re-checks instead of
+		// walking.
+		name: "another context on the checked core begins", p: p, recheck: true,
+		build: func(t *testing.T, s *System, pt *mem.PageTable) (*Thread, func() bool) {
+			trueHolder(t, s, pt, func(a *API) { a.Compute(3000) })
+			sib := spawn(t, s, 0, 1, "sibling", pt, func(a *API) {
+				a.Compute(4000)
+				a.Transaction(func() { a.Compute(1000) })
+			})
+			return storeX(t, s, pt, 0), sib.InTx
+		},
+		after: func(t *testing.T, s *System, w *Thread) {
+			if got := nackersOn(w); fmt.Sprint(got) != "[0]" || !w.verdict.ok {
+				t.Errorf("re-checked NACKers on cores %v (verdict ok %v), want [0]", got, w.verdict.ok)
+			}
+		},
+	}, {
+		// Rule: a re-check that finds no NACKer walks (and is granted).
+		name: "the only NACKer commits", p: p, recheck: false,
+		build: func(t *testing.T, s *System, pt *mem.PageTable) (*Thread, func() bool) {
+			h := trueHolder(t, s, pt, func(*API) {})
+			return storeX(t, s, pt, 0), func() bool { return h.Commits > 0 }
+		},
+		after: func(t *testing.T, s *System, w *Thread) {
+			if w.stalling {
+				t.Errorf("the waiter's walk after the commit was not granted")
+			}
+		},
+	}, {
+		// Rule: a moved core's signatures are checked again, so a new
+		// true NACKer there joins the unchanged core's, in core order.
+		name: "a new true NACKer joins", p: p, recheck: true,
+		build: func(t *testing.T, s *System, pt *mem.PageTable) (*Thread, func() bool) {
+			// X is Shared by cores 0 and 2; the holder on core 0 has it
+			// in its read set, and the waiter's GETM checks both.
+			spawn(t, s, 0, 0, "holder", pt, func(a *API) {
+				a.Compute(100)
+				a.Transaction(func() {
+					a.Load(ruleX)
+					a.Compute(6000)
+				})
+			})
+			j := spawn(t, s, 2, 0, "joiner", pt, func(a *API) {
+				a.Load(ruleX)
+				a.Compute(4000)
+				a.Transaction(func() {
+					a.Compute(500)
+					a.Load(ruleX) // an L1 hit
+					a.Compute(4000)
+				})
+			})
+			return storeX(t, s, pt, 0), func() bool { return j.ReadSetSize() > 0 }
+		},
+		after: func(t *testing.T, s *System, w *Thread) {
+			if got := nackersOn(w); fmt.Sprint(got) != "[0 2]" || len(w.verdict.grown) != 2 || len(w.waitingOn) != 2 {
+				t.Errorf("re-checked NACKers on cores %v, %d true, waiting on %v; want cores [0 2], both true", got, len(w.verdict.grown), w.waitingOn)
+			}
+		},
+	}, {
+		// Rule: a moved core's NACKers are marked sticky when its L1 no
+		// longer holds the block.
+		name: "a sticky NACKer on a moved core", p: p, recheck: true,
+		build: func(t *testing.T, s *System, pt *mem.PageTable) (*Thread, func() bool) {
+			trueHolder(t, s, pt, func(a *API) {
+				for i := 1; i <= p.L1Ways; i++ {
+					a.Load(ruleX + addr.VAddr(i)*l1Set)
+				}
+				a.Compute(6000)
+			})
+			sib := spawn(t, s, 0, 1, "sibling", pt, func(a *API) {
+				a.Compute(9000)
+				a.Transaction(func() { a.Compute(1000) })
+			})
+			return storeX(t, s, pt, 0), sib.InTx
+		},
+		after: func(t *testing.T, s *System, w *Thread) {
+			if v := &w.verdict; len(v.nackers) != 1 || !v.nackers[0].Sticky || !v.class.anySticky {
+				t.Errorf("re-checked NACKers %+v, want one sticky NACKer", v.nackers)
+			}
+		},
+	}, {
+		// Rule: the requester's own core moving walks. Here its sibling's
+		// signature grows to alias X, so the walk's SMT scan NACKs.
+		name: "the requester's own core moves", p: withSig(p, sig.Config{Kind: sig.KindBitSelect, Bits: 64}), recheck: false,
+		build: func(t *testing.T, s *System, pt *mem.PageTable) (*Thread, func() bool) {
+			trueHolder(t, s, pt, func(a *API) { a.Compute(3000) })
+			spawn(t, s, 1, 1, "sibling", pt, func(a *API) {
+				a.Transaction(func() { a.Compute(12_000) })
+			})
+			noised := false
+			s.Engine.Schedule(4000, func() {
+				if s.InjectSigNoise(1, 1, 256, 1) == 0 {
+					panic("no noise injected")
+				}
+				noised = true
+			})
+			return storeX(t, s, pt, 0), func() bool { return noised }
+		},
+		after: func(t *testing.T, s *System, w *Thread) {
+			if v := &w.verdict; !v.ok || !v.smt {
+				t.Errorf("the waiter's walk after its core moved seeded no SMT verdict (ok %v, smt %v)", v.ok, v.smt)
+			}
+		},
+	}, {
+		// Rule: the re-check sets possible_cycle on a younger NACKer, as
+		// the walk's check does. Without it the joiner, NACKed by the
+		// older waiter on Y, stalls instead of aborting, and the two
+		// wait on each other forever.
+		name: "possible_cycle on a younger NACKer", p: p, recheck: true, cycleAborts: true,
+		build: func(t *testing.T, s *System, pt *mem.PageTable) (*Thread, func() bool) {
+			spawn(t, s, 0, 0, "holder", pt, func(a *API) {
+				a.Transaction(func() {
+					a.Load(ruleX)
+					a.Compute(8000)
+				})
+			})
+			j := spawn(t, s, 0, 1, "joiner", pt, func(a *API) {
+				a.Compute(3000)
+				a.Transaction(func() {
+					a.Compute(500)
+					a.Load(ruleX) // an L1 hit, beside the holder's read
+					a.Compute(500)
+					a.Store(ruleY, 1)
+				})
+			})
+			return storeX(t, s, pt, ruleY), func() bool { return j.ReadSetSize() > 0 }
+		},
+		after: func(t *testing.T, s *System, w *Thread) {
+			j := s.ctxs[0][1].Cur
+			if got := nackersOn(w); fmt.Sprint(got) != "[0 0]" || !j.possibleCycle {
+				t.Errorf("re-checked NACKers on cores %v, joiner possible_cycle %v; want [0 0] and set", got, j.possibleCycle)
+			}
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) { requireRecheck(t, tc) })
+	}
+}
+
 // TestPossibleCycleAbortOnReplayedRetry: a NACKer's possible_cycle flag
 // is set by another thread's walk, which stamps nothing, so the abort it
 // licenses must still fire when the stalled thread's retry is replayed.
@@ -526,15 +752,18 @@ func TestPossibleCycleAbortOnReplayedRetry(t *testing.T) {
 // TestNackRetryZeroAlloc: waiters stalled on a hot block retry every
 // few dozen cycles, and in steady state a retry allocates nothing —
 // neither replayed from its verdict, re-armed on the lane with or
-// without re-validation, nor walked through the protocol (an attached
-// sink turns verdicts off). The retried request stays parked on the
-// thread; a copy that escaped to the heap would show here.
+// without re-validation, re-checked on the cores that moved (a
+// transaction on the NACKer's core keeps beginning and committing), nor
+// walked through the protocol (an attached sink turns verdicts off).
+// The retried request stays parked on the thread; a copy that escaped
+// to the heap would show here.
 func TestNackRetryZeroAlloc(t *testing.T) {
 	X := addr.VAddr(0xa000)
 	for _, tc := range []struct {
-		name string
-		sink obs.Sink
-	}{{"replayed", nil}, {"walked", obs.Discard{}}} {
+		name  string
+		sink  obs.Sink
+		churn bool
+	}{{"replayed", nil, false}, {"rechecked", nil, true}, {"walked", obs.Discard{}, false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := smallParams()
 			p.Sink = tc.sink
@@ -547,6 +776,14 @@ func TestNackRetryZeroAlloc(t *testing.T) {
 				})
 			}); err != nil {
 				t.Fatal(err)
+			}
+			if tc.churn {
+				spawn(t, s, 0, 1, "churner", pt, func(a *API) {
+					for {
+						a.Transaction(func() { a.Load(ruleY) })
+						a.Compute(200)
+					}
+				})
 			}
 			var waiters []*Thread
 			for core := 1; core < p.Cores; core++ {
@@ -566,7 +803,7 @@ func TestNackRetryZeroAlloc(t *testing.T) {
 				return n
 			}
 			s.RunUntil(50_000) // the waiters are deep in their stalls
-			before, replays, skips := stalls(), s.verdictReplays, s.replaySkips
+			before, replays, skips, rechecks := stalls(), s.verdictReplays, s.replaySkips, s.verdictRechecks
 			if n := testing.AllocsPerRun(100, func() {
 				s.RunUntil(s.Engine.Now() + 1000)
 			}); n != 0 {
@@ -580,6 +817,9 @@ func TestNackRetryZeroAlloc(t *testing.T) {
 			}
 			if skipped := s.replaySkips > skips; skipped != (tc.sink == nil) {
 				t.Errorf("re-validation skips advanced = %v, want %v", skipped, tc.sink == nil)
+			}
+			if rechecked := s.verdictRechecks > rechecks; rechecked != tc.churn {
+				t.Errorf("re-checks advanced = %v, want %v", rechecked, tc.churn)
 			}
 		})
 	}

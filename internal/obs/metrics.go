@@ -142,6 +142,10 @@ type Registry struct {
 	gauges   []*Gauge
 	hists    []*Histogram
 	snaps    []Snapshot
+	// vals backs the snapshots' Values: each is a full-capacity window
+	// of it, so a periodic sample allocates only when vals or snaps
+	// grows.
+	vals []float64
 }
 
 // NewRegistry returns an empty registry.
@@ -210,7 +214,8 @@ func (r *Registry) Header() []string {
 
 // Snapshot appends one interval sample of every metric.
 func (r *Registry) Snapshot(cycle sim.Cycle) {
-	vals := make([]float64, 0, len(r.counters)+len(r.gauges)+5*len(r.hists))
+	vals := r.vals
+	start := len(vals)
 	for _, c := range r.counters {
 		vals = append(vals, float64(c.Read()))
 	}
@@ -221,7 +226,8 @@ func (r *Registry) Snapshot(cycle sim.Cycle) {
 		vals = append(vals,
 			float64(h.count), h.Mean(), h.Quantile(0.50), h.Quantile(0.99), float64(h.max))
 	}
-	r.snaps = append(r.snaps, Snapshot{Cycle: cycle, Values: vals})
+	r.vals = vals
+	r.snaps = append(r.snaps, Snapshot{Cycle: cycle, Values: vals[start:len(vals):len(vals)]})
 }
 
 // Snapshots returns the recorded time series.

@@ -10,8 +10,12 @@
 #   scripts/bench.sh -short          # CI smoke: fewer iterations
 #   scripts/bench.sh -out FILE       # explicit output path
 #
-# Compare two snapshots with:
-#   go run ./cmd/benchdiff -base BENCH_baseline.json -new BENCH_<rev>.json
+# Compare two snapshots taken on the same host with:
+#   go run ./cmd/benchdiff -base BENCH_<base>.json -new BENCH_<rev>.json
+# ns/op depends on the host, so a snapshot only gates another one from
+# the same machine: CI's bench-smoke job benchmarks the base revision
+# beside the change, in the same job. BENCH_baseline.json is a full
+# pass recorded on a development host, kept as a local reference.
 set -eu
 cd "$(dirname "$0")/.."
 
