@@ -376,10 +376,23 @@ func (s *System) ReplayCharge(req Request, broadcast, upgrade bool) NACKCharge {
 
 // Apply charges c once, as the walk it replays would.
 func (c *NACKCharge) Apply() {
-	*c.access++
-	*c.miss++
-	*c.route++
-	*c.nacks++
+	c.Add(1)
+	c.Touch()
+}
+
+// Add charges c's counters k times. It leaves out the LRU touches, which
+// a caller that defers the counters of k replays applies one replay at a
+// time (Touch), in order with every other L1 access.
+func (c *NACKCharge) Add(k uint64) {
+	*c.access += k
+	*c.miss += k
+	*c.route += k
+	*c.nacks += k
+}
+
+// Touch applies one replay's LRU touch: an upgrade looks the block up in
+// the requester's L1, as the walk does. An L1 miss touches nothing.
+func (c *NACKCharge) Touch() {
 	if c.lru != nil {
 		c.lru.Lookup(c.block)
 	}

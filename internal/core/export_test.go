@@ -20,3 +20,18 @@ func LaneState(s *System) (wheel, far, pending, retrying int) {
 	}
 	return wheel, s.lane.far.Len(), pending, retrying
 }
+
+// PerRetry makes every lane step run through runCont, so each NACK
+// retry re-validates its verdict and no retry runs as a storm step.
+func PerRetry(s *System) { s.laneStep = s.runCont }
+
+// StormMarked reports how many threads wait on a retry whose lane cell
+// is marked for a storm step.
+func StormMarked(s *System) (n int) {
+	for _, t := range s.threads {
+		if t.pendKind == pendRetry && s.lane.cells[laneAnchors+t.ID].gen == s.replayGen+1 {
+			n++
+		}
+	}
+	return n
+}

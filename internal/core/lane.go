@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"logtmse/internal/coherence"
 	"logtmse/internal/sim"
 )
 
@@ -34,10 +35,13 @@ const (
 // laneCell is a link in a slot's FIFO. Cell 0 is unused (a next of 0
 // ends a FIFO), cell 1+i anchors slot i (its next is the slot's first
 // entry, its key 0 orders before every real key), and cell
-// laneAnchors+id is thread id's entry.
+// laneAnchors+id is thread id's entry. gen marks an entry that is the
+// retry of a clean replay: System.replayGen+1 as of the replay, 0 on
+// every other entry (see System.stormStep).
 type laneCell struct {
 	at   sim.Cycle
 	key  uint64
+	gen  uint64
 	next int32
 }
 
@@ -57,29 +61,25 @@ type contLane struct {
 // thread returns the ID of the thread whose entry is cell c.
 func (l *contLane) thread(c int32) int { return int(c) - laneAnchors }
 
-// push queues t's continuation at (t.pendAt, t.pendKey); now is the
-// clock. Reserve's keys only grow, so an append keeps a slot in key
-// order; a snapshot restore queues recorded keys in any order and walks
-// the slot to the entry's place.
-func (l *contLane) push(t *Thread, now sim.Cycle) {
-	c := int32(laneAnchors + t.ID)
-	if int(c) >= len(l.cells) {
-		l.grow(int(c) + 1)
-	}
-	l.cells[c] = laneCell{at: t.pendAt, key: t.pendKey}
-	if t.pendAt-now >= laneSpan {
-		l.far.Push(t.pendAt, t.pendKey, c)
+// push queues cell c at (at, key), marked gen; now is the clock.
+// Reserve's keys only grow, so an append keeps a slot in key order; a
+// snapshot restore queues recorded keys in any order and walks the slot
+// to the entry's place.
+func (l *contLane) push(c int32, at sim.Cycle, key, gen uint64, now sim.Cycle) {
+	l.cells[c] = laneCell{at: at, key: key, gen: gen}
+	if at-now >= laneSpan {
+		l.far.Push(at, key, c)
 		return
 	}
-	i := t.pendAt & laneMask
+	i := at & laneMask
 	l.occ |= 1 << i
-	if tail := l.tail[i]; l.cells[tail].key < t.pendKey {
+	if tail := l.tail[i]; l.cells[tail].key < key {
 		l.cells[tail].next = c
 		l.tail[i] = c
 		return
 	}
 	link := &l.cells[i+1].next
-	for l.cells[*link].key < t.pendKey {
+	for l.cells[*link].key < key {
 		link = &l.cells[*link].next
 	}
 	l.cells[c].next = *link
@@ -92,7 +92,9 @@ func (l *contLane) grow(n int) {
 		l.cells = make([]laneCell, laneAnchors, n)
 		l.clear()
 	}
-	l.cells = append(l.cells, make([]laneCell, n-len(l.cells))...)
+	if n > len(l.cells) {
+		l.cells = append(l.cells, make([]laneCell, n-len(l.cells))...)
+	}
 }
 
 // first returns the earliest queued entry's cell, or 0. Every wheel
@@ -144,23 +146,17 @@ func (l *contLane) clear() {
 func (s *System) laneArm(t *Thread, delay sim.Cycle, kind uint8) {
 	t.pendAt, t.pendKey = s.Engine.Reserve(delay)
 	t.pendKind = kind
-	s.lane.push(t, s.Engine.Now())
+	s.lane.push(int32(laneAnchors+t.ID), t.pendAt, t.pendKey, 0, s.Engine.Now())
 }
 
 // runCont runs t's queued continuation, the lane's event, and reports
 // whether it was a clean replay of a NACK retry (see retry). Every other
-// step advances replayGen, as an engine event does. A retry whose thread
-// replayed cleanly since the last such step replays again without
-// re-validating its verdict.
+// step advances replayGen, as an engine event does.
 func (s *System) runCont(t *Thread) bool {
 	kind := t.pendKind
 	t.pendKind = pendNone
 	if kind == pendRetry {
 		t.checkRetryEpoch(t.retryEpoch)
-		if t.replayGen == s.replayGen {
-			s.replaySkips++
-			return s.replay(t)
-		}
 		return s.retry(t)
 	}
 	s.replayGen++
@@ -176,6 +172,83 @@ func (s *System) runCont(t *Thread) bool {
 	return false
 }
 
+// stormSlot holds a thread's deferred storm-step charges: k storm steps
+// since the last flush, the storm steps its starvation budget has left,
+// and its verdict's coherence charge, whose LRU touch each step applies
+// at once.
+type stormSlot struct {
+	k, left uint64
+	charge  coherence.NACKCharge
+}
+
+// stormStep runs the retry in lane cell c, marked gen by a clean
+// replay whose verdict nothing has moved since (see mark), and reports
+// whether it did; it counts the skipped re-validation either way, and
+// declines, changing nothing else, once the thread's starvation budget
+// is spent. A storm step is replay without the thread: it applies the
+// charge's LRU touch on the spot, counts the step in the thread's storm
+// slot, draws the jitter (and the fault injector's delay) and re-queues
+// the cell, still marked. The rest of the charge is deferred to
+// flushStorm.
+func (s *System) stormStep(c int32, gen uint64) bool {
+	s.replaySkips++
+	id := s.lane.thread(c)
+	st := &s.storm[id]
+	if st.k == st.left {
+		return false
+	}
+	if st.k == 0 {
+		s.stormDirty = append(s.stormDirty, int32(id))
+	}
+	st.k++
+	st.charge.Touch()
+	d := s.P.StallRetryLat + s.jitter()
+	if s.Fault != nil {
+		d += s.Fault.NackRetryDelay(id)
+	}
+	at, key := s.Engine.Reserve(d)
+	s.lane.push(c, at, key, gen, s.Engine.Now())
+	return true
+}
+
+// flushStorm applies the charges storm steps deferred: for a thread's k
+// storm steps, k times what replay counts for its verdict — the
+// coherence charge or the SMT conflict; the stall or the
+// non-transactional retry; the starvation count — and the thread's
+// queue position. Nothing reads any of it between the steps and the
+// flush, which runs before any other step and before stepBounded
+// returns.
+func (s *System) flushStorm() {
+	for _, id := range s.stormDirty {
+		st, t := &s.storm[id], s.threads[id]
+		k := st.k
+		st.k, st.left = 0, st.left-k
+		v := &t.verdict
+		if v.smt {
+			s.stats.SMTConflicts += k
+		} else {
+			st.charge.Add(k)
+		}
+		if t.InTx() && !t.escaped {
+			s.stats.Stalls += k
+			t.Stalls += k
+			if v.class.allFalse {
+				s.stats.FalsePositiveStalls += k
+			}
+		} else {
+			s.stats.NonTxRetries += k
+		}
+		if s.P.StarvationRetryLimit > 0 && t.InTx() {
+			t.stallRetries += int(k)
+		}
+		s.verdictReplays += k
+		s.stormSteps += k
+		cell := &s.lane.cells[laneAnchors+id]
+		t.pendAt, t.pendKey = cell.at, cell.key
+	}
+	s.stormDirty = s.stormDirty[:0]
+}
+
 // stepBounded executes the next event within the active bound — the
 // lane's first continuation or the engine's next event, whichever comes
 // first in (cycle, key) order — tracking the last strong cycle. Every
@@ -185,7 +258,9 @@ func (s *System) runCont(t *Thread) bool {
 // A retry that replays cleanly (see retry) queues nothing on the
 // engine and readies no thread, so one call runs the lane on against
 // the engine head it read first, until a step does something else or
-// the engine's next event (or the bound) comes first.
+// the engine's next event (or the bound) comes first. A retry whose
+// cell still carries the current mark runs as a storm step; any other
+// lane step first flushes the storms' deferred charges.
 func (s *System) stepBounded() bool {
 	e := s.Engine
 	if c := s.lane.first(e.Now()); c != 0 && s.lane.cells[c].at <= s.runLimit {
@@ -195,6 +270,7 @@ func (s *System) stepBounded() bool {
 		if hat, hkey, ok := e.Head(); ok && (hat < at || hat == at && hkey < key) {
 			at, key = hat, hkey
 		}
+		gen := s.replayGen + 1
 		for {
 			next := &s.lane.cells[c]
 			if next.at > at || next.at == at && next.key > key {
@@ -203,18 +279,35 @@ func (s *System) stepBounded() bool {
 			s.lane.pop(c)
 			e.Advance(next.at)
 			s.runLast = next.at
-			if !s.laneStep(s.threads[s.lane.thread(c)]) {
-				return true
+			if next.gen != gen || !s.stormStep(c, gen) {
+				if len(s.stormDirty) != 0 {
+					s.flushStorm()
+				}
+				var clean bool
+				if t := s.threads[s.lane.thread(c)]; s.laneStep != nil {
+					clean = s.laneStep(t)
+				} else {
+					clean = s.runCont(t)
+				}
+				if !clean {
+					return true
+				}
 			}
 			if c = s.lane.first(e.Now()); c == 0 {
-				return true
+				break
 			}
 		}
+		if len(s.stormDirty) != 0 {
+			s.flushStorm()
+		}
+		if c == 0 {
+			return true
+		}
 	}
-	s.replayGen++
 	if !e.StepWithin(s.runLimit) {
 		return false
 	}
+	s.replayGen++ // before the next lane step: the event may have changed anything
 	if !e.LastWeak() {
 		s.runLast = e.Now()
 	}

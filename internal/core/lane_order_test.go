@@ -56,6 +56,7 @@ func newLaneOracle(t testing.TB, prog []byte) *laneOracle {
 	for i := 0; i < laneOracleThreads; i++ {
 		s.threads = append(s.threads, &Thread{ID: i, Name: "stand-in"})
 	}
+	s.reserveThreads(laneOracleThreads)
 	s.laneStep = o.step
 	return o
 }
@@ -240,7 +241,7 @@ func (o *laneOracle) restore() {
 		t := s.threads[r.tid]
 		t.pendKind, t.pendAt, t.pendKey = r.kind, r.at, r.key
 		e.ReserveRaw(r.at, r.key)
-		s.lane.push(t, e.Now())
+		s.lane.push(int32(laneAnchors+t.ID), r.at, r.key, 0, e.Now())
 	}
 	o.q = keep
 }

@@ -149,20 +149,22 @@ func TestLaneRunUntilMatchesRun(t *testing.T) {
 	}
 }
 
-// TestLaneSnapshotRestore: a snapshot taken while at least 8 threads
-// wait on a NACK retry, and every other live thread on another
-// continuation, restores them all on the lane at their recorded
-// (cycle, key), and the fork finishes exactly as the uninterrupted run.
+// TestLaneSnapshotRestore: a snapshot taken mid-storm — at least 8
+// threads wait on a NACK retry, as many of them marked for a storm step,
+// and every other live thread on another continuation — restores them
+// all on the lane at their recorded (cycle, key), unmarked, so each
+// first retry re-validates; the fork finishes exactly as the
+// uninterrupted run.
 func TestLaneSnapshotRestore(t *testing.T) {
 	p := core.DefaultParams()
 	sys, inst := laneSpawn(t, p, "Raytrace")
 	var s *snap.Snapshot
 	for c := sim.Cycle(500); s == nil; c += 500 {
 		if sys.AllDone() {
-			t.Fatal("the run ended before 8 threads waited on a retry")
+			t.Fatal("the run ended before 8 threads waited on a storm step")
 		}
 		sys.RunUntil(c)
-		if _, retrying := requireLaneHoldsContinuations(t, sys); retrying >= 8 {
+		if _, retrying := requireLaneHoldsContinuations(t, sys); retrying >= 8 && core.StormMarked(sys) >= 8 && sys.StormSteps() > 0 {
 			var err error
 			if s, err = snap.Capture(sys, inst); err != nil {
 				t.Fatal(err)
@@ -175,6 +177,9 @@ func TestLaneSnapshotRestore(t *testing.T) {
 	}
 	if _, retrying := requireLaneHoldsContinuations(t, fork); retrying < 8 {
 		t.Fatalf("the restored lane holds %d retries, want at least 8", retrying)
+	}
+	if n := core.StormMarked(fork); n != 0 {
+		t.Fatalf("the restored lane holds %d retries marked for a storm step, want none", n)
 	}
 	laneFinish(t, sys, inst)
 	laneFinish(t, fork, finst)

@@ -138,7 +138,15 @@ func (st *SystemState) InTx() bool {
 //     (one per live thread, all on the lane) are all this layer knows
 //     how to rebuild;
 //   - no strong work remains — the run is over, snapshot it not.
+//
+// A capture with storm steps' charges still deferred (see flushStorm)
+// is an error, not ErrNotCapturable: stepBounded flushes them before it
+// returns, so a pending charge at a boundary is a broken invariant, and
+// the captured counters would be short.
 func (s *System) CaptureState(barriers []*Barrier) (*SystemState, error) {
+	if n := len(s.stormDirty); n != 0 {
+		return nil, fmt.Errorf("core: capture with the deferred retry charges of %d threads pending", n)
+	}
 	if s.OnOuterCommit != nil || s.PreemptCheck != nil || s.OnPreempt != nil || s.OnThreadDone != nil ||
 		s.Sink != nil || s.Met != nil || s.Check != nil || s.Fault != nil {
 		return nil, notCapturable("instrumentation or OS hook attached")
@@ -421,7 +429,7 @@ func (s *System) RestoreState(st *SystemState, barriers []*Barrier) error {
 		}
 		if ts.pendKind != pendNone {
 			s.Engine.ReserveRaw(ts.pendAt, ts.pendKey)
-			s.lane.push(t, s.Engine.Now())
+			s.lane.push(int32(laneAnchors+t.ID), t.pendAt, t.pendKey, 0, s.Engine.Now())
 		}
 	}
 

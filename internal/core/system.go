@@ -48,22 +48,30 @@ type System struct {
 	// replayed on this machine (see verdictsOn); nil otherwise. It also
 	// carries the block stamps and the epoch a verdict depends on.
 	verdictCoh *coherence.System
-	// verdictReplays counts retries answered from a verdict, and
-	// replaySkips those of them that skipped re-validation;
-	// verdictRechecks counts retries that re-checked only the moved
-	// cores and still NACKed.
+	// verdictReplays counts retries answered from a verdict;
+	// replaySkips the retries that found their lane cell still marked
+	// by a clean replay, so skipped re-validation, and stormSteps those
+	// that ran as storm steps; verdictRechecks counts retries that
+	// re-checked only the moved cores and still NACKed.
 	verdictReplays  uint64
 	replaySkips     uint64
+	stormSteps      uint64
 	verdictRechecks uint64
 	// replayGen advances at every step that is not a clean replay, and
 	// wherever state changes outside a step (see retry).
 	replayGen uint64
 
 	// lane queues every thread's continuation beside the engine's
-	// queue; laneStep runs one (runCont; the lane-order oracle
-	// substitutes its own).
+	// queue. laneStep, when set, runs each lane step in place of
+	// runCont and the storm step (a test seam: the lane-order oracle
+	// substitutes its own, and runCont alone runs every retry in full).
 	lane     contLane
 	laneStep func(*Thread) bool
+	// storm holds each thread's deferred storm-step charges, indexed
+	// by thread ID, and stormDirty the IDs holding any (see stormStep).
+	// Both are sized for every thread at spawn, never in a step.
+	storm      []stormSlot
+	stormDirty []int32
 	// coreStamps date each core's transactional state (see stampCore);
 	// allStamp is their sum, and allCores the mask of every core. Host
 	// bookkeeping that only ever grows.
@@ -336,8 +344,7 @@ func NewSystem(p Params) (*System, error) {
 	s.txLive = make([]int, p.Cores)
 	s.coreStamps = make([]uint64, p.Cores)
 	s.allCores = ^uint64(0) >> uint(64-p.Cores)
-	s.lane.grow(laneAnchors + p.Contexts())
-	s.laneStep = s.runCont
+	s.reserveThreads(p.Contexts())
 	return s, nil
 }
 
@@ -379,7 +386,7 @@ func (s *System) Reset(seed int64) error {
 	for i := range s.txLive {
 		s.txLive[i] = 0
 	}
-	s.verdictReplays, s.replaySkips, s.verdictRechecks = 0, 0, 0
+	s.verdictReplays, s.replaySkips, s.stormSteps, s.verdictRechecks = 0, 0, 0, 0
 	s.replayGen++
 	s.lane.clear()
 	s.readied = nil
@@ -392,6 +399,16 @@ func (s *System) Reset(seed int64) error {
 	s.Met, s.Check, s.Fault = nil, nil, nil
 	s.Sabotage = Sabotage{}
 	return nil
+}
+
+// reserveThreads sizes the lane's cells and the storm slots for n
+// threads.
+func (s *System) reserveThreads(n int) {
+	s.lane.grow(laneAnchors + n)
+	if n > len(s.storm) {
+		s.storm = append(s.storm, make([]stormSlot, n-len(s.storm))...)
+		s.stormDirty = append(make([]int32, 0, n), s.stormDirty...)
+	}
 }
 
 // Ctx returns a hardware context.
@@ -423,6 +440,7 @@ func (s *System) Spawn(name string, asid addr.ASID, pt *mem.PageTable, fn func(*
 		rngSeed: s.P.Seed*1_000_003 + int64(len(s.threads)),
 	}
 	s.threads = append(s.threads, t)
+	s.reserveThreads(len(s.threads))
 	api := &API{t: t, sys: s}
 	go func() {
 		defer func() {

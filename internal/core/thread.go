@@ -226,10 +226,8 @@ type Thread struct {
 	retryOp    sig.Op
 	retryEpoch uint64
 	// verdict memoizes the last NACK so an unchanged retry can replay it
-	// (see retryVerdict); replayGen is System.replayGen at the thread's
-	// last clean replay. Host bookkeeping only; snapshots skip both.
-	verdict   retryVerdict
-	replayGen uint64
+	// (see retryVerdict). Host bookkeeping only; snapshots skip it.
+	verdict retryVerdict
 
 	// finishResp is the response the completion continuation delivers
 	// (see System.finish). Valid because a thread has at most one
@@ -259,7 +257,9 @@ type Thread struct {
 	// these three fields; a restore re-counts the continuation at its
 	// original ordering key (sim.Engine.ReserveRaw) and pushes it back
 	// on the lane, reproducing the queues bit-identically. Cleared at
-	// the top of each continuation (System.runCont).
+	// the top of each continuation (System.runCont). A storm step
+	// leaves pendAt/pendKey behind its cell until the flush that
+	// charges it (System.flushStorm).
 	pendKind uint8
 	pendAt   sim.Cycle
 	pendKey  uint64

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 
 	"logtmse/internal/addr"
@@ -112,6 +113,16 @@ func (s *System) InvalidateRetryVerdicts() {
 // Reset.
 func (s *System) VerdictReplays() uint64 { return s.verdictReplays }
 
+// ReplaySkips reports how many NACK retries skipped re-validation — their
+// lane cell still carried the mark of a clean replay — and StormSteps
+// how many ran as storm steps, since the machine was built or Reset.
+// Only a retry the opt-in starvation limit escalates skips without a
+// storm step.
+func (s *System) ReplaySkips() uint64 { return s.replaySkips }
+
+// StormSteps: see ReplaySkips.
+func (s *System) StormSteps() uint64 { return s.stormSteps }
+
 // VerdictRechecks reports how many NACK retries re-checked only the
 // cores that moved since their verdict, and still NACKed, instead of
 // walking the protocol, since the machine was built or Reset.
@@ -200,11 +211,11 @@ func (s *System) blockHolds(v *retryVerdict) bool {
 }
 
 // retry runs t's NACK retry, a lane step, when it cannot skip
-// re-validation (see runCont), and reports whether it was a clean
+// re-validation (see stormStep), and reports whether it was a clean
 // replay: the verdict still held, and replay charged the retry and
 // re-armed it on the lane. A verdict whose checked cores alone moved is
 // re-checked on those cores (recheck); any other retry walks the
-// protocol through access. runCont and retry are the one replay site.
+// protocol through access. retry and stormStep are the one replay site.
 //
 // A clean replay changes none of the state a verdict depends on (block
 // stamps, core stamps, growth, the epoch, the bypass hooks, the page
@@ -214,7 +225,8 @@ func (s *System) blockHolds(v *retryVerdict) bool {
 // other step advances replayGen (an engine event, any other lane
 // continuation, a walked, re-checked or aborting retry, a dispatch from
 // a thread goroutine, a drive entry, Reset, snapshot restore), and a
-// thread that replayed since then skips re-validation.
+// retry whose lane cell that replay marked, with no such step since,
+// skips re-validation as a storm step.
 func (s *System) retry(t *Thread) bool {
 	held, recheck := false, false
 	if !t.pendingAbort {
@@ -236,9 +248,9 @@ func (s *System) retry(t *Thread) bool {
 // live possible_cycle flag and the starvation count. It then re-arms
 // the retry on the lane, exactly as scheduleRetry would for the parked
 // request (whose op, abort epoch and retrying mark are already set),
-// and reports true; it reports false if the resolution aborted t.
-// Stall episodes are never counted here: a retry is never an episode's
-// first NACK.
+// marks it for a storm step (see mark), and reports true; it reports
+// false if the resolution aborted t. Stall episodes are never counted
+// here: a retry is never an episode's first NACK.
 func (s *System) replay(t *Thread) bool {
 	v := &t.verdict
 	if v.smt {
@@ -269,8 +281,30 @@ func (s *System) replay(t *Thread) bool {
 		return false
 	}
 	s.laneArm(t, s.P.StallRetryLat+s.jitter()+s.faultRetryDelay(t), pendRetry)
-	t.replayGen = s.replayGen
+	if s.laneStep == nil {
+		s.mark(t)
+	}
 	return true
+}
+
+// mark marks t's re-armed retry, a clean replay's, as a storm step: its
+// lane cell carries replayGen+1, and its storm slot the verdict's charge
+// and the starvation budget. Until another step advances replayGen,
+// each retry would replay exactly as this one did, except that the
+// opt-in starvation limit counts them: the budget is the number of them
+// that stay below it, so the retry that escalates takes the full path.
+// Neither possible_cycle nor the younger-aborts rule can abort one —
+// their inputs move only in steps that advance replayGen.
+func (s *System) mark(t *Thread) {
+	s.lane.cells[laneAnchors+t.ID].gen = s.replayGen + 1
+	st := &s.storm[t.ID]
+	st.charge, st.left = coherence.NACKCharge{}, math.MaxUint64
+	if !t.verdict.smt {
+		st.charge = t.verdict.charge
+	}
+	if lim := s.P.StarvationRetryLimit; lim > 0 && t.InTx() {
+		st.left = uint64(lim - 1 - t.stallRetries)
+	}
 }
 
 // verdictCurrent reports whether t's verdict still holds for its retry

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -751,23 +752,28 @@ func TestPossibleCycleAbortOnReplayedRetry(t *testing.T) {
 
 // TestNackRetryZeroAlloc: waiters stalled on a hot block retry every
 // few dozen cycles, and in steady state a retry allocates nothing —
-// neither replayed from its verdict, re-armed on the lane with or
-// without re-validation, re-checked on the cores that moved (a
-// transaction on the NACKer's core keeps beginning and committing), nor
-// walked through the protocol (an attached sink turns verdicts off).
-// The retried request stays parked on the thread; a copy that escaped
-// to the heap would show here.
+// neither run as a storm step with its charges deferred, replayed from
+// its verdict after re-validation (every lane step through runCont),
+// re-checked on the cores that moved (a transaction on the NACKer's core
+// keeps beginning and committing), nor walked through the protocol (an
+// attached sink turns verdicts off). The retried request stays parked
+// on the thread, and the storm slots are sized at spawn; a copy that
+// escaped to the heap, or a slot array grown in a step, would show here.
 func TestNackRetryZeroAlloc(t *testing.T) {
 	X := addr.VAddr(0xa000)
 	for _, tc := range []struct {
-		name  string
-		sink  obs.Sink
-		churn bool
-	}{{"replayed", nil, false}, {"rechecked", nil, true}, {"walked", obs.Discard{}, false}} {
+		name     string
+		sink     obs.Sink
+		churn    bool
+		perRetry bool
+	}{{"storm", nil, false, false}, {"replayed", nil, false, true}, {"rechecked", nil, true, false}, {"walked", obs.Discard{}, false, false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := smallParams()
 			p.Sink = tc.sink
 			s := newSys(t, p)
+			if tc.perRetry {
+				s.laneStep = s.runCont
+			}
 			pt := s.NewPageTable(1)
 			if _, err := s.SpawnOn(0, 0, "holder", 1, pt, func(a *API) {
 				a.Transaction(func() {
@@ -803,7 +809,7 @@ func TestNackRetryZeroAlloc(t *testing.T) {
 				return n
 			}
 			s.RunUntil(50_000) // the waiters are deep in their stalls
-			before, replays, skips, rechecks := stalls(), s.verdictReplays, s.replaySkips, s.verdictRechecks
+			before, replays, skips, storms, rechecks := stalls(), s.verdictReplays, s.replaySkips, s.stormSteps, s.verdictRechecks
 			if n := testing.AllocsPerRun(100, func() {
 				s.RunUntil(s.Engine.Now() + 1000)
 			}); n != 0 {
@@ -815,13 +821,65 @@ func TestNackRetryZeroAlloc(t *testing.T) {
 			if replayed := s.verdictReplays > replays; replayed != (tc.sink == nil) {
 				t.Errorf("verdict replays advanced = %v, want %v", replayed, tc.sink == nil)
 			}
-			if skipped := s.replaySkips > skips; skipped != (tc.sink == nil) {
-				t.Errorf("re-validation skips advanced = %v, want %v", skipped, tc.sink == nil)
+			storming := tc.sink == nil && !tc.perRetry
+			if skipped := s.replaySkips > skips; skipped != storming {
+				t.Errorf("re-validation skips advanced = %v, want %v", skipped, storming)
+			}
+			if stormed := s.stormSteps-storms == s.replaySkips-skips && s.stormSteps > storms; stormed != storming {
+				t.Errorf("%d storm steps for %d skips, want storm steps = %v", s.stormSteps-storms, s.replaySkips-skips, storming)
 			}
 			if rechecked := s.verdictRechecks > rechecks; rechecked != tc.churn {
 				t.Errorf("re-checks advanced = %v, want %v", rechecked, tc.churn)
 			}
 		})
+	}
+}
+
+// TestCaptureRefusesDeferredCharges: a storm step defers its charges,
+// and its thread's queue position, to a flush that runs before
+// stepBounded returns, so no capture should ever see one pending. One
+// that did would record short counters, so CaptureState refuses with an
+// error that is not ErrNotCapturable (no fallback hides it).
+func TestCaptureRefusesDeferredCharges(t *testing.T) {
+	X := addr.VAddr(0xa000)
+	s := newSys(t, smallParams())
+	pt := s.NewPageTable(1)
+	spawn(t, s, 0, 0, "holder", pt, func(a *API) {
+		a.Transaction(func() {
+			a.Store(X, 1)
+			a.Compute(1_000_000)
+		})
+	})
+	for core := 1; core < 4; core++ {
+		spawn(t, s, core, 0, fmt.Sprintf("waiter%d", core), pt, func(a *API) {
+			a.Compute(1500)
+			a.Transaction(func() { a.Store(X, 2) })
+		})
+	}
+	s.RunUntil(20_000)
+	c, gen := s.lane.first(s.Engine.Now()), s.replayGen+1
+	if s.lane.cells[c].gen != gen {
+		t.Fatal("the lane's head is not marked for a storm step")
+	}
+	w, at := s.threads[s.lane.thread(c)], s.lane.cells[c].at
+	s.lane.pop(c)
+	s.Engine.Advance(at)
+	if !s.stormStep(c, gen) {
+		t.Fatal("the storm step declined")
+	}
+	if w.pendAt != at || len(s.stormDirty) != 1 {
+		t.Fatalf("before the flush: %s queued at %d (want the stale %d), %d threads with deferred charges", w.Name, w.pendAt, at, len(s.stormDirty))
+	}
+	if _, err := s.CaptureState(nil); err == nil || errors.Is(err, ErrNotCapturable) {
+		t.Fatalf("capture with a deferred charge pending: %v, want a plain error", err)
+	}
+	stalls := w.Stalls
+	s.flushStorm()
+	if w.pendAt != s.lane.cells[c].at || w.Stalls != stalls+1 {
+		t.Errorf("the flush left %s queued at %d with %d stalls, want %d and %d", w.Name, w.pendAt, w.Stalls, s.lane.cells[c].at, stalls+1)
+	}
+	if _, err := s.CaptureState(nil); !errors.Is(err, ErrNotCapturable) {
+		t.Errorf("capture after the flush: %v, want only the interpreted threads' ErrNotCapturable", err)
 	}
 }
 

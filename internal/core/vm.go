@@ -51,6 +51,7 @@ func (s *System) SpawnStepped(name string, asid addr.ASID, pt *mem.PageTable) *T
 		stepped: true,
 	}
 	s.threads = append(s.threads, t)
+	s.reserveThreads(len(s.threads))
 	return t
 }
 

@@ -42,6 +42,7 @@ go test -fuzz FuzzValidateDisassemble -fuzztime "$fuzztime" -run xxx ./internal/
 go test -fuzz FuzzSnapshotRoundTrip -fuzztime "$fuzztime" -run xxx ./internal/snap
 go test -fuzz FuzzEngineOrder -fuzztime "$fuzztime" -run xxx ./internal/sim
 go test -fuzz FuzzLaneOrder -fuzztime "$fuzztime" -run xxx ./internal/core
+go test -fuzz FuzzStormMatchesPerRetry -fuzztime "$fuzztime" -run xxx ./internal/core
 go test -fuzz FuzzReplayMatchesWalk -fuzztime "$fuzztime" -run xxx ./cmd/difftest
 
 echo "check: OK"
