@@ -2,10 +2,10 @@ package logtmse
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"net/http/httptest"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,16 +102,16 @@ func TestCachedRunIdentity(t *testing.T) {
 func TestFigure4CachedIdentity(t *testing.T) {
 	seeds := []int64{1, 2}
 	rc := RunConfig{Workload: "Cholesky", Scale: testScale, Seeds: seeds, Jobs: 2}
-	plain, err := Figure4(context.Background(), rc, nil)
+	plain, err := Figure4(context.Background(), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc.Cache = NewResultCache(t.TempDir(), 0)
-	coldRow, err := Figure4(context.Background(), rc, nil)
+	coldRow, err := Figure4(context.Background(), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRow, err := Figure4(context.Background(), rc, nil)
+	warmRow, err := Figure4(context.Background(), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,42 +131,42 @@ func TestFigure4CachedIdentity(t *testing.T) {
 // SIGINT does to the campaign commands) leaves every finished cell on
 // disk, and a re-run with a fresh cache over the same directory serves
 // them from disk and computes only the rest, with rows identical to a
-// cold, uncached run.
+// cold, uncached run. Like CI's kill-and-resume step, it counts the
+// finished cells as the .cell files in the cache directory.
 func TestFigure4ResumesFromDiskCache(t *testing.T) {
 	const k = 3
 	seeds := []int64{1, 2, 3}
 	rc := RunConfig{Workload: "Cholesky", Scale: testScale, Seeds: seeds, Jobs: 2}
-	cold, err := Figure4(context.Background(), rc, nil)
+	cold, err := Figure4(context.Background(), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
-	camp := NewCampaign("resume", len(Figure4Variants())*len(seeds))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	watched := make(chan struct{})
 	go func() {
 		defer close(watched)
-		for ctx.Err() == nil && cellsDone(camp) < k {
+		for ctx.Err() == nil && cellsDone(t, dir) < k {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
 	}()
 	rc.Jobs, rc.Cache = 1, NewResultCache(dir, 0)
-	_, err = Figure4(ctx, rc, camp)
+	_, err = Figure4(ctx, rc)
 	<-watched
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep returned %v, want context.Canceled", err)
 	}
-	done := cellsDone(camp)
+	done := cellsDone(t, dir)
 	if done < k || done >= int64(len(Figure4Variants())*len(seeds)) {
 		t.Fatalf("interrupted after %d cells, want at least %d and not all", done, k)
 	}
 
 	resume := NewResultCache(dir, 0)
 	rc.Cache = resume
-	got, err := Figure4(context.Background(), rc, nil)
+	got, err := Figure4(context.Background(), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,16 +178,21 @@ func TestFigure4ResumesFromDiskCache(t *testing.T) {
 	}
 }
 
-// cellsDone reads a campaign's finished-cell count from its /progress
-// endpoint.
-func cellsDone(c *Campaign) int64 {
-	rec := httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/progress", nil))
-	var p struct {
-		Done int64 `json:"cells_done"`
+// cellsDone counts the finished cells a disk cache holds: its .cell
+// files, less the temporary ones a write has not renamed yet.
+func cellsDone(t *testing.T, dir string) int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		t.Error(err)
 	}
-	json.Unmarshal(rec.Body.Bytes(), &p)
-	return p.Done
+	var n int64
+	for _, e := range entries {
+		if name := e.Name(); strings.HasSuffix(name, ".cell") && !strings.HasPrefix(name, "tmp-") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestFigure4SharesLockBaseline: the Lock cell is one simulation per
@@ -198,7 +203,7 @@ func TestFigure4SharesLockBaseline(t *testing.T) {
 	cache := NewResultCache("", 0)
 	seeds := []int64{3}
 	rc := RunConfig{Workload: "Radiosity", Scale: testScale, Seeds: seeds, Jobs: 1, Cache: cache}
-	if _, err := Figure4(context.Background(), rc, nil); err != nil {
+	if _, err := Figure4(context.Background(), rc); err != nil {
 		t.Fatal(err)
 	}
 	s := cache.Stats()

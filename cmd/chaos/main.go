@@ -113,8 +113,6 @@ type config struct {
 	// campaign then runs serially so the interval snapshots interleave
 	// deterministically.
 	metrics *logtmse.CoreMetrics
-	// camp, when set (-serve), receives live per-run telemetry.
-	camp *logtmse.Campaign
 }
 
 func main() {
@@ -144,7 +142,6 @@ func run() int {
 	useCache := flag.Bool("cache", false, "memoize harness-scenario results by fingerprint (the report is byte-identical either way)")
 	cacheDir := flag.String("cache-dir", "", "persist cached results in this directory across campaigns (implies -cache)")
 	metricsOut := flag.String("metrics-out", "", "write the interval metrics time series of the campaign's runs as CSV here (forces -j 1)")
-	serveAddr := flag.String("serve", "", "serve live /metrics and /progress on this address during the campaign")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := flag.String("memprofile", "", "write a heap profile here at exit")
 	flag.Parse()
@@ -229,37 +226,12 @@ func run() int {
 		rep.Campaign.Seeds = 1
 		rep.Campaign.SeedBase = *replay
 	}
-	if *serveAddr != "" {
-		cfg.camp = logtmse.NewCampaign("chaos", len(list))
-		if cfg.cache != nil {
-			cache := cfg.cache
-			cfg.camp.CacheStats = func() (hits, misses uint64) {
-				s := cache.Stats()
-				return s.Hits, s.Misses
-			}
-		}
-		bound, stop, err := logtmse.ServeCampaign(*serveAddr, cfg.camp)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos: -serve:", err)
-			return 2
-		}
-		defer stop()
-		fmt.Fprintf(os.Stderr, "serving /metrics and /progress on http://%s\n", bound)
-	}
 	// Every campaign run is a share-nothing cell, so the sweep runner can
 	// fan them out across workers; results land in submission (seed-list)
 	// order, keeping the report byte-identical for any -j.
-	var begin, end func(i int)
-	if cfg.camp != nil {
-		begin, end = cfg.camp.Hooks()
-	}
-	runs, err := sweep.MapNotify(ctx, len(list), *jobs, begin, end, func(i int) runRecord {
+	runs, err := sweep.Map(ctx, len(list), *jobs, func(i int) runRecord {
 		seed := list[i]
-		rec := runSeed(mixFor(mixes, *seedBase, seed), seed, cfg)
-		if cfg.camp != nil && !rec.OK {
-			cfg.camp.FailCell()
-		}
-		return rec
+		return runSeed(mixFor(mixes, *seedBase, seed), seed, cfg)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
@@ -437,15 +409,7 @@ func runHarness(mix string, seed int64, cfg config) runRecord {
 		// depths of the timeline.
 		rc.Sabotage = logtmse.Sabotage{SkipUndoRecord: true, SkipLimit: 1, SkipAfter: int(seed % 8)}
 	}
-	if cfg.camp != nil && cfg.cache == nil {
-		// Per-cause abort telemetry needs a sink, and a sink makes the
-		// cell uncacheable — attach it only on uncached campaigns.
-		rc.Sink = cfg.camp.CountAborts()
-	}
 	res, err := logtmse.RunOne(rc, seed)
-	if cfg.camp != nil {
-		cfg.camp.RecordRun(res.Stats.Commits, res.Stats.Aborts, res.Stats.Stalls)
-	}
 	rec.Cycles = uint64(res.Cycles)
 	rec.Faults = res.Faults
 	rec.Failures = res.CheckFailures
@@ -462,14 +426,13 @@ func runHarness(mix string, seed int64, cfg config) runRecord {
 // The probing oracles ride inside BisectFailure itself, so the cell
 // hands over its checks but must shed every observer the snapshot layer
 // refuses (cache is merely useless — sabotaged cells have no
-// fingerprint — but metrics and sinks are hooks).
+// fingerprint — but metrics are hooks).
 func bisectRecord(rec *runRecord, rc logtmse.RunConfig, seed int64, cfg config) {
 	if !cfg.bisect || !cfg.sabotage {
 		return
 	}
 	rc.Cache = nil
 	rc.Metrics = nil
-	rc.Sink = nil
 	br, err := logtmse.BisectFailure(rc, seed, cfg.snapEvery)
 	if err != nil {
 		rec.BisectError = err.Error()
@@ -493,9 +456,6 @@ func runScheduler(mix string, seed int64, cfg config) runRecord {
 	p.L2Bytes = 128 * 1024
 	p.L2Banks = 4
 	p.Signature = sig.Config{Kind: sig.KindBitSelect, Bits: 256}
-	if cfg.camp != nil {
-		p.Sink = cfg.camp.CountAborts()
-	}
 	sys, err := core.NewSystem(p)
 	if err != nil {
 		rec.Error = err.Error()
@@ -538,10 +498,6 @@ func runScheduler(mix string, seed int64, cfg config) runRecord {
 	rec.Cycles = uint64(end)
 	rec.Faults = inj.Stats().ByClass()
 	rec.Failures = chk.Failures()
-	if cfg.camp != nil {
-		st := sys.Stats()
-		cfg.camp.RecordRun(st.Commits, st.Aborts, st.Stalls)
-	}
 	if !sys.AllDone() {
 		rec.Error = fmt.Sprintf("threads stuck: %v\n%s", sys.Stuck(), sys.Diagnose())
 		return rec

@@ -98,8 +98,8 @@ type runOpts struct {
 	Watchdog  sim.Cycle
 	MaxCycles sim.Cycle
 	// Extra, if set, becomes the lifecycle event sink (the -trace
-	// printer and the -serve abort telemetry). An attached sink turns
-	// NACK retry replay off, so such runs walk every retry.
+	// printer). An attached sink turns NACK retry replay off, so such
+	// runs walk every retry.
 	Extra obs.Sink
 	// Metrics, if set, is attached to every system for interval
 	// snapshots (-metrics-out). The registry is single-goroutine: the

@@ -38,7 +38,6 @@ import (
 	"logtmse/internal/core"
 	"logtmse/internal/memo"
 	"logtmse/internal/obs"
-	"logtmse/internal/prof"
 	"logtmse/internal/progen"
 	"logtmse/internal/refmodel"
 	"logtmse/internal/sig"
@@ -129,7 +128,6 @@ func run() int {
 	useCache := flag.Bool("cache", false, "memoize per-(seed,config) outcomes (the report is byte-identical either way)")
 	cacheDir := flag.String("cache-dir", "", "persist cached outcomes in this directory (implies -cache)")
 	metricsOut := flag.String("metrics-out", "", "write the interval metrics time series of the campaign's runs as CSV here (forces -j 1, disables -cache)")
-	serveAddr := flag.String("serve", "", "serve live /metrics and /progress on this address during the campaign")
 	flag.Parse()
 
 	cfgs := matrix()
@@ -197,40 +195,8 @@ func run() int {
 			rep.Campaign.Seeds = 1
 			rep.Campaign.SeedBase = *replay
 		}
-		var camp *prof.Campaign
-		var begin, end func(i int)
-		if *serveAddr != "" {
-			camp = prof.NewCampaign("difftest", len(list))
-			// Per-cause abort telemetry needs a sink on every run, and a
-			// cached run never fires it — attach only on uncached
-			// campaigns so the counts stay exact.
-			if cache == nil {
-				opts.Extra = obs.Tee(opts.Extra, camp.CountAborts())
-			}
-			bound, stop, err := prof.Serve(*serveAddr, camp)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "difftest: -serve:", err)
-				return 2
-			}
-			defer stop()
-			fmt.Fprintf(os.Stderr, "serving /metrics and /progress on http://%s\n", bound)
-			begin, end = camp.Hooks()
-		}
-		runs, err := sweep.MapNotify(ctx, len(list), *jobs, begin, end, func(i int) seedRecord {
-			rec := runSeed(list[i], cfgs, opts, cache, *shrinkBudget)
-			if camp != nil {
-				var commits, aborts, stalls uint64
-				for _, c := range rec.Configs {
-					commits += uint64(c.Commits)
-					aborts += c.Aborts
-					stalls += c.Stalls
-				}
-				camp.RecordRun(commits, aborts, stalls)
-				if !rec.OK {
-					camp.FailCell()
-				}
-			}
-			return rec
+		runs, err := sweep.Map(ctx, len(list), *jobs, func(i int) seedRecord {
+			return runSeed(list[i], cfgs, opts, cache, *shrinkBudget)
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "difftest:", err)

@@ -53,7 +53,7 @@ type campaign struct {
 }
 
 // sweepFlags are read by every campaign that runs simulation cells.
-const sweepFlags = " j cache-dir cache-metrics serve"
+const sweepFlags = " j cache-dir cache-metrics"
 
 var campaigns = map[string]campaign{
 	"": {0.25, "scale seeds out" + sweepFlags, func(o options) logtmse.Experiment {
@@ -125,7 +125,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", 0, "parallel simulation cells (0 = GOMAXPROCS); output is identical for any -j")
 	cacheDir := fs.String("cache-dir", "", "persist cell results in this directory, so an interrupted campaign resumes (output is identical either way)")
 	cacheMetrics := fs.String("cache-metrics", "", "write the result-cache counters as a metrics CSV here (summarize with txviz -metrics)")
-	serve := fs.String("serve", "", "serve live /metrics and /progress on this address during the sweep")
 	out := fs.String("out", "", "write the report here instead of standard output")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -164,21 +163,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// In-memory memoization is always on: it dedups the cells campaigns
 	// share (ablation's Perfect references, the report's seed-1 cells).
 	cache := logtmse.NewResultCache(*cacheDir, 0)
-	var camp *logtmse.Campaign
-	if *serve != "" {
-		camp = logtmse.NewCampaign(fs.Name(), exp.Runs())
-		camp.CacheStats = func() (hits, misses uint64) {
-			s := cache.Stats()
-			return s.Hits, s.Misses
-		}
-		bound, stopServe, err := logtmse.ServeCampaign(*serve, camp)
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: -serve: %v\n", fs.Name(), err)
-			return 2
-		}
-		defer stopServe()
-		fmt.Fprintf(stderr, "serving /metrics and /progress on http://%s\n", bound)
-	}
 	w := stdout
 	var f *os.File
 	if *out != "" {
@@ -190,7 +174,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		w = f
 	}
 
-	err := exp.Run(ctx, w, *jobs, cache, camp)
+	err := exp.Run(ctx, w, *jobs, cache)
 	if f != nil {
 		if cerr := f.Close(); err == nil {
 			err = cerr

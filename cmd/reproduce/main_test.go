@@ -69,7 +69,7 @@ func TestGoldens(t *testing.T) {
 			continue
 		}
 		var out bytes.Buffer
-		if err := ablation.Run(context.Background(), &out, j, logtmse.NewResultCache(dir, 0), nil); err != nil {
+		if err := ablation.Run(context.Background(), &out, j, logtmse.NewResultCache(dir, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if want := readGolden(t, "ablation.txt"); out.String() != want {

@@ -16,7 +16,6 @@
 //	txlens                                  # BerkeleyDB / BS, 3 seeds
 //	txlens -workload all -variant all       # full Figure-4 sweep
 //	txlens -variant BS_64 -top 20           # aliasing-prone signature
-//	txlens -serve :9464 ...                 # live /metrics and /progress
 package main
 
 import (
@@ -70,7 +69,6 @@ func run() int {
 	maxCycles := flag.Int64("max-cycles", 0, "hang backstop per run (cycles; 0 = unbounded)")
 	top := flag.Int("top", 10, "rows per report table")
 	out := flag.String("out", "", "write the report here (default stdout)")
-	serveAddr := flag.String("serve", "", "serve live /metrics and /progress on this address during the campaign")
 	jobs := flag.Int("j", 0, "parallel cells (0 = GOMAXPROCS); the report is byte-identical for any -j")
 	verbose := flag.Bool("v", false, "print one line per cell to stderr")
 	flag.Parse()
@@ -95,22 +93,10 @@ func run() int {
 		}
 	}
 
-	camp := logtmse.NewCampaign("txlens", len(cells))
-	if *serveAddr != "" {
-		bound, stop, err := logtmse.ServeCampaign(*serveAddr, camp)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		defer stop()
-		fmt.Fprintf(os.Stderr, "serving /metrics and /progress on http://%s\n", bound)
-	}
-
 	// Each cell gets its own Profiler (sinks are single-goroutine);
 	// results land in submission order, so the merge below — and the
 	// report — is byte-identical for any -j.
-	begin, end := camp.Hooks()
-	outs, err := sweep.MapNotify(ctx, len(cells), *jobs, begin, end, func(i int) cellOut {
+	outs, err := sweep.Map(ctx, len(cells), *jobs, func(i int) cellOut {
 		c := cells[i]
 		p := logtmse.NewProfiler()
 		res, err := logtmse.RunOne(logtmse.RunConfig{
@@ -121,15 +107,6 @@ func run() int {
 			MaxCycles: logtmse.Cycle(*maxCycles),
 			Sink:      p,
 		}, c.seed)
-		camp.RecordRun(res.Stats.Commits, res.Stats.Aborts, res.Stats.Stalls)
-		for cause, n := range abortCauses(p) {
-			for k := uint64(0); k < n; k++ {
-				camp.AddAbortCause(cause)
-			}
-		}
-		if err != nil {
-			camp.FailCell()
-		}
 		return cellOut{res: res, prof: p, err: err}
 	})
 	if err != nil {
@@ -236,18 +213,6 @@ func variantList(name string) ([]logtmse.Variant, error) {
 		return nil, fmt.Errorf("txlens: unknown or non-TM variant %q", name)
 	}
 	return []logtmse.Variant{v}, nil
-}
-
-// abortCauses extracts the per-cause abort counts of one cell's
-// profiler for the campaign telemetry.
-func abortCauses(p *logtmse.Profiler) map[logtmse.AbortCause]uint64 {
-	out := make(map[logtmse.AbortCause]uint64)
-	for c := range p.Wasted {
-		if n := p.Wasted[c].Aborts; n > 0 {
-			out[logtmse.AbortCause(c)] = n
-		}
-	}
-	return out
 }
 
 // reconcile cross-checks the attribution against the engine's own

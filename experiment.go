@@ -27,13 +27,12 @@ type Section struct {
 
 // Run runs the sections in order and writes each one to w as soon as
 // its cells finish, so a long campaign prints row by row. Every cell
-// is served through cache (nil simulates everything) and reported to
-// camp (nil: no telemetry). The output is byte-identical for every
-// jobs and cache state. On cancellation the cells in flight finish and
+// is served through cache (nil simulates everything). The output is
+// byte-identical for every jobs and cache state. On cancellation the cells in flight finish and
 // Run returns the context's error. A cell that cannot run (a bad scale
 // or thread count, an unknown workload) fails Run before anything is
 // written, so a rejected campaign never leaves a partial report.
-func (e Experiment) Run(ctx context.Context, w io.Writer, jobs int, cache *ResultCache, camp *Campaign) error {
+func (e Experiment) Run(ctx context.Context, w io.Writer, jobs int, cache *ResultCache) error {
 	for _, s := range e {
 		for _, c := range s.Cells {
 			if err := c.withDefaults().validate(); err != nil {
@@ -45,7 +44,7 @@ func (e Experiment) Run(ctx context.Context, w io.Writer, jobs int, cache *Resul
 		if _, err := io.WriteString(w, s.Head); err != nil {
 			return err
 		}
-		aggs, err := runCells(ctx, s.Cells, jobs, cache, camp)
+		aggs, err := runCells(ctx, s.Cells, jobs, cache)
 		if err != nil {
 			return err
 		}
@@ -80,7 +79,7 @@ type seedOut struct {
 // workers and aggregates each cell's seeds in seed-list order, so the
 // result is bit-identical for every worker count. A non-nil cache
 // replaces the cells' own.
-func runCells(ctx context.Context, cells []RunConfig, jobs int, cache *ResultCache, camp *Campaign) ([]Aggregate, error) {
+func runCells(ctx context.Context, cells []RunConfig, jobs int, cache *ResultCache) ([]Aggregate, error) {
 	type pair struct{ cell, seed int }
 	var pairs []pair
 	cfgs := make([]RunConfig, len(cells))
@@ -94,19 +93,9 @@ func runCells(ctx context.Context, cells []RunConfig, jobs int, cache *ResultCac
 			pairs = append(pairs, pair{i, s})
 		}
 	}
-	var begin, end func(i int)
-	if camp != nil {
-		begin, end = camp.Hooks()
-	}
-	outs, err := sweep.MapNotify(ctx, len(pairs), jobs, begin, end, func(i int) seedOut {
+	outs, err := sweep.Map(ctx, len(pairs), jobs, func(i int) seedOut {
 		c := cfgs[pairs[i].cell]
 		r, err := RunOne(c, c.Seeds[pairs[i].seed])
-		if camp != nil {
-			camp.RecordRun(r.Stats.Commits, r.Stats.Aborts, r.Stats.Stalls)
-			if err != nil {
-				camp.FailCell()
-			}
-		}
 		return seedOut{r: r, err: err}
 	})
 	if err != nil {
@@ -138,11 +127,10 @@ type Figure4Row struct {
 // Figure4 regenerates one row of Figure 4: rc's workload under every
 // Figure4Variants bar (rc.Variant is ignored), each over rc.Seeds, on
 // up to rc.Jobs workers and through rc.Cache. The lock baseline is one
-// cell per seed, shared by every bar's speedup. camp, if set, receives
-// live telemetry. The row is bit-identical for every worker count and
-// cache state.
-func Figure4(ctx context.Context, rc RunConfig, camp *Campaign) (Figure4Row, error) {
-	aggs, err := runCells(ctx, figure4Cells(rc), rc.Jobs, nil, camp)
+// cell per seed, shared by every bar's speedup. The row is
+// bit-identical for every worker count and cache state.
+func Figure4(ctx context.Context, rc RunConfig) (Figure4Row, error) {
+	aggs, err := runCells(ctx, figure4Cells(rc), rc.Jobs, nil)
 	if err != nil {
 		return Figure4Row{Workload: rc.Workload}, err
 	}

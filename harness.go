@@ -408,7 +408,7 @@ func Run(rc RunConfig) (Aggregate, error) {
 		// serial and in seed order.
 		jobs = 1
 	}
-	aggs, err := runCells(context.Background(), []RunConfig{rc}, jobs, nil, nil)
+	aggs, err := runCells(context.Background(), []RunConfig{rc}, jobs, nil)
 	if err != nil {
 		return Aggregate{Workload: rc.Workload, Variant: rc.Variant}, err
 	}

@@ -234,7 +234,7 @@ func TestFigure4RowSmall(t *testing.T) {
 		t.Skip("full row is slow")
 	}
 	p := DefaultParams()
-	row, err := Figure4(context.Background(), RunConfig{Workload: "Mp3d", Scale: testScale, Seeds: []int64{1, 2}, Params: &p}, nil)
+	row, err := Figure4(context.Background(), RunConfig{Workload: "Mp3d", Scale: testScale, Seeds: []int64{1, 2}, Params: &p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"logtmse/internal/addr"
@@ -179,5 +181,42 @@ func TestStarvationRetryLimitEscalates(t *testing.T) {
 	}
 	if got := s.Mem.ReadWord(pt.Translate(X)); got != 11 {
 		t.Errorf("X = %d, want 11", got)
+	}
+}
+
+// TestThreadPanicReachesRunCaller pins the goroutine API's panic relay:
+// a thread closure that panics on the engine owner's stack must surface
+// as a panic on Run's caller, named "thread <name>: <value>", where a
+// cell runner's recover can turn it into an error. The machine is then
+// wedged (the panicking thread never finished), so Reset must refuse it.
+func TestThreadPanicReachesRunCaller(t *testing.T) {
+	s := newSys(t, smallParams())
+	pt := s.NewPageTable(1)
+	if _, err := s.SpawnOn(0, 0, "boom", 1, pt, func(a *API) {
+		a.Store(0x1000, 1)
+		a.Compute(50)
+		panic("kaboom")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SpawnOn(1, 0, "peer", 1, pt, func(a *API) {
+		a.Store(0x2000, 1)
+		a.Compute(100_000)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run()
+		return nil
+	}()
+	if got == nil {
+		t.Fatal("Run returned normally; the thread's panic was lost")
+	}
+	if msg := fmt.Sprint(got); !strings.HasPrefix(msg, "thread boom: kaboom") {
+		t.Fatalf("Run panicked with %q, want prefix %q", msg, "thread boom: kaboom")
+	}
+	if err := s.Reset(2); err == nil || !strings.Contains(err.Error(), "live thread boom") {
+		t.Fatalf("Reset after a thread panic = %v, want a live-thread refusal", err)
 	}
 }

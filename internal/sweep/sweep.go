@@ -9,12 +9,12 @@
 // output is bit-identical regardless of the worker count. -j only changes
 // wall-clock time, never results.
 //
-// Every runner threads a context.Context: when it is cancelled (SIGINT,
-// SIGTERM, a dying coordinator), workers stop claiming new cells, the
-// cells already running finish — a half-simulated cell is worthless, a
-// finished one is journalable — and the runner returns ctx.Err() with
-// the partial results. Cancellation never orphans worker goroutines:
-// the runner only returns after every worker has exited.
+// Map threads a context.Context: when it is cancelled (SIGINT,
+// SIGTERM), workers stop claiming new cells, the cells already running
+// finish — a half-simulated cell is worthless, a finished one reaches
+// the result cache — and Map returns ctx.Err() with the partial
+// results. Cancellation never orphans worker goroutines: Map only
+// returns after every worker has exited.
 package sweep
 
 import (
@@ -44,17 +44,6 @@ func Jobs(j int) int {
 // partial result slice: cells that never ran are left at the zero value,
 // so a caller must treat a non-nil error as "do not aggregate".
 func Map[T any](ctx context.Context, n, j int, fn func(i int) T) ([]T, error) {
-	return MapWorker(ctx, n, j, func(_, i int) T { return fn(i) })
-}
-
-// MapWorker is Map with the worker's identity passed to fn: worker is in
-// [0, effective-j) and stable for the goroutine evaluating that cell, so
-// fn can keep per-worker scratch state (a pooled simulation machine, a
-// reusable buffer) in a slice indexed by worker with no locking. Cell
-// results are still written in index order, so the aggregate output
-// stays bit-identical for every worker count; only state keyed by
-// worker may differ, and such state must never influence results.
-func MapWorker[T any](ctx context.Context, n, j int, fn func(worker, i int) T) ([]T, error) {
 	if n <= 0 {
 		return nil, ctx.Err()
 	}
@@ -68,7 +57,7 @@ func MapWorker[T any](ctx context.Context, n, j int, fn func(worker, i int) T) (
 			if err := ctx.Err(); err != nil {
 				return out, err
 			}
-			out[i] = fn(0, i)
+			out[i] = fn(i)
 		}
 		return out, ctx.Err()
 	}
@@ -76,46 +65,19 @@ func MapWorker[T any](ctx context.Context, n, j int, fn func(worker, i int) T) (
 	var wg sync.WaitGroup
 	for w := 0; w < j; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				out[i] = fn(worker, i)
+				out[i] = fn(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return out, ctx.Err()
-}
-
-// MapNotify is Map with begin/end hooks around each cell, for live
-// campaign telemetry: begin(i) fires just before cell i starts, end(i)
-// just after it finishes, on the worker's goroutine. The hooks must be
-// safe for concurrent calls and must never influence results — they
-// observe scheduling, which (unlike results) depends on j.
-func MapNotify[T any](ctx context.Context, n, j int, begin, end func(i int), fn func(i int) T) ([]T, error) {
-	return MapWorker(ctx, n, j, func(_, i int) T {
-		if begin != nil {
-			begin(i)
-		}
-		v := fn(i)
-		if end != nil {
-			end(i)
-		}
-		return v
-	})
-}
-
-// Each is Map for cells that produce no value.
-func Each(ctx context.Context, n, j int, fn func(i int)) error {
-	_, err := Map(ctx, n, j, func(i int) struct{} {
-		fn(i)
-		return struct{}{}
-	})
-	return err
 }
 
 // Trap invokes fn and converts a panic into an ordinary error carrying

@@ -85,77 +85,6 @@ func TestMapEdgeCases(t *testing.T) {
 	}
 }
 
-func TestEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := Each(context.Background(), 100, 4, func(i int) { sum.Add(int64(i)) }); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Errorf("Each sum = %d, want 4950", sum.Load())
-	}
-}
-
-// TestMapNotifyHookOrdering pins the begin/end contract for every cell
-// at several worker counts: begin(i) strictly before fn(i), fn(i)
-// strictly before end(i), and exactly one of each per cell — the
-// ordering campaign telemetry (in-flight gauges, lease bookkeeping)
-// depends on.
-func TestMapNotifyHookOrdering(t *testing.T) {
-	const n = 300
-	for _, j := range []int{1, 2, 8, 33} {
-		var begins, runs, ends [n]atomic.Int32
-		outs, err := MapNotify(context.Background(), n, j,
-			func(i int) {
-				if begins[i].Add(1) != 1 {
-					t.Errorf("j=%d: begin(%d) fired twice", j, i)
-				}
-				if runs[i].Load() != 0 || ends[i].Load() != 0 {
-					t.Errorf("j=%d: begin(%d) fired after its cell", j, i)
-				}
-			},
-			func(i int) {
-				if ends[i].Add(1) != 1 {
-					t.Errorf("j=%d: end(%d) fired twice", j, i)
-				}
-				if runs[i].Load() != 1 {
-					t.Errorf("j=%d: end(%d) fired before its cell ran", j, i)
-				}
-			},
-			func(i int) uint64 {
-				if begins[i].Load() != 1 {
-					t.Errorf("j=%d: cell %d ran before begin", j, i)
-				}
-				runs[i].Add(1)
-				return cell(i)
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if begins[i].Load() != 1 || runs[i].Load() != 1 || ends[i].Load() != 1 {
-				t.Fatalf("j=%d: cell %d hooks = begin %d run %d end %d, want 1/1/1",
-					j, i, begins[i].Load(), runs[i].Load(), ends[i].Load())
-			}
-			if outs[i] != cell(i) {
-				t.Fatalf("j=%d: cell %d result corrupted by hooks", j, i)
-			}
-		}
-	}
-}
-
-// TestMapNotifyNilHooks: MapNotify with nil hooks is just Map.
-func TestMapNotifyNilHooks(t *testing.T) {
-	got, err := MapNotify(context.Background(), 10, 4, nil, nil, cell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != cell(i) {
-			t.Fatalf("cell %d = %d, want %d", i, got[i], cell(i))
-		}
-	}
-}
-
 // TestMapCancellation: once the context is cancelled, workers stop
 // claiming cells (cells already running finish), Map returns ctx.Err(),
 // and no goroutine is left behind.
