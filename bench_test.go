@@ -321,10 +321,10 @@ func BenchmarkLogTMvsSE(b *testing.B) {
 }
 
 // BenchmarkObsOverhead is the observability overhead guard: the same
-// cell with no sink (the seed baseline), with a discarding sink, and
-// with a discarding sink plus metrics. The bare run must stay within
-// noise of the seed, and the cycles/unit metric must be identical across
-// all three — instrumentation observes the run, it never changes it.
+// cell with no sink (the seed baseline) and with a discarding sink. The
+// bare run must stay within noise of the seed, and the cycles/unit
+// metric must be identical across both — instrumentation observes the
+// run, it never changes it.
 func BenchmarkObsOverhead(b *testing.B) {
 	perfect, _ := VariantByName("Perfect")
 	cells := []struct {
@@ -337,10 +337,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 		{"sink", func() RunConfig {
 			return RunConfig{Workload: "BerkeleyDB", Variant: perfect, Scale: benchScale,
 				Sink: DiscardSink{}}
-		}},
-		{"sink+metrics", func() RunConfig {
-			return RunConfig{Workload: "BerkeleyDB", Variant: perfect, Scale: benchScale,
-				Sink: DiscardSink{}, Metrics: NewCoreMetrics(NewRegistry())}
 		}},
 	}
 	var baseline float64

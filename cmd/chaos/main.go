@@ -109,10 +109,6 @@ type config struct {
 	bisect    bool
 	snapEvery sim.Cycle
 	cache     *logtmse.ResultCache
-	// metrics, when set (-metrics-out), is shared by every run; the
-	// campaign then runs serially so the interval snapshots interleave
-	// deterministically.
-	metrics *logtmse.CoreMetrics
 }
 
 func main() {
@@ -141,7 +137,6 @@ func run() int {
 	jobs := flag.Int("j", 0, "parallel campaign runs (0 = GOMAXPROCS); the report is byte-identical for any -j")
 	useCache := flag.Bool("cache", false, "memoize harness-scenario results by fingerprint (the report is byte-identical either way)")
 	cacheDir := flag.String("cache-dir", "", "persist cached results in this directory across campaigns (implies -cache)")
-	metricsOut := flag.String("metrics-out", "", "write the interval metrics time series of the campaign's runs as CSV here (forces -j 1)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := flag.String("memprofile", "", "write a heap profile here at exit")
 	flag.Parse()
@@ -203,13 +198,6 @@ func run() int {
 		snapEvery: sim.Cycle(*snapEvery),
 		cache:     logtmse.CacheFromFlags(*useCache, *cacheDir),
 	}
-	if *metricsOut != "" {
-		// One registry shared by every run: serialize the campaign so
-		// the interval snapshots interleave deterministically. Runs with
-		// metrics attached bypass the result cache (see Cacheable).
-		cfg.metrics = logtmse.NewCoreMetrics(logtmse.NewRegistry())
-		*jobs = 1
-	}
 
 	rep := report{Campaign: campaign{
 		SeedBase: *seedBase, Seeds: *seeds, Mix: *mix,
@@ -254,19 +242,6 @@ func run() int {
 	rep.Summary = summarize(rep.Runs)
 	if cfg.cache != nil {
 		fmt.Fprintln(os.Stderr, logtmse.CacheSummary(cfg.cache))
-	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err == nil {
-			err = cfg.metrics.Reg.WriteCSV(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos: metrics-out:", err)
-			return 2
-		}
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
@@ -401,7 +376,6 @@ func runHarness(mix string, seed int64, cfg config) runRecord {
 		Checks:    logtmse.AllChecks(cfg.watchdog),
 		Fault:     plan,
 		Cache:     cfg.cache,
-		Metrics:   cfg.metrics,
 	}
 	if cfg.sabotage {
 		// One corruption per run, buried a seed-dependent number of
@@ -424,15 +398,13 @@ func runHarness(mix string, seed int64, cfg config) runRecord {
 
 // bisectRecord localizes a failing sabotage run to its first bad cycle.
 // The probing oracles ride inside BisectFailure itself, so the cell
-// hands over its checks but must shed every observer the snapshot layer
-// refuses (cache is merely useless — sabotaged cells have no
-// fingerprint — but metrics are hooks).
+// hands over its checks; the cache is shed because it is merely
+// useless there (sabotaged cells have no fingerprint).
 func bisectRecord(rec *runRecord, rc logtmse.RunConfig, seed int64, cfg config) {
 	if !cfg.bisect || !cfg.sabotage {
 		return
 	}
 	rc.Cache = nil
-	rc.Metrics = nil
 	br, err := logtmse.BisectFailure(rc, seed, cfg.snapEvery)
 	if err != nil {
 		rec.BisectError = err.Error()
@@ -460,9 +432,6 @@ func runScheduler(mix string, seed int64, cfg config) runRecord {
 	if err != nil {
 		rec.Error = err.Error()
 		return rec
-	}
-	if cfg.metrics != nil {
-		sys.AttachMetrics(cfg.metrics, 10_000)
 	}
 	chk := sys.AttachChecker(logtmse.AllChecks(cfg.watchdog))
 	sched := osm.New(sys, 1_500) // aggressive slices

@@ -101,10 +101,6 @@ type runOpts struct {
 	// printer). An attached sink turns NACK retry replay off, so such
 	// runs walk every retry.
 	Extra obs.Sink
-	// Metrics, if set, is attached to every system for interval
-	// snapshots (-metrics-out). The registry is single-goroutine: the
-	// campaign must run serially when set.
-	Metrics *obs.CoreMetrics
 }
 
 // simOutcome is everything one simulator run exposes to the oracles.
@@ -160,9 +156,6 @@ func runSim(prog *progen.Program, cfg simConfig, seed int64, opts runOpts) (*sim
 	sys, err := core.NewSystem(params)
 	if err != nil {
 		return nil, fmt.Errorf("difftest: config %s: %w", cfg.Name, err)
-	}
-	if opts.Metrics != nil {
-		sys.AttachMetrics(opts.Metrics, 10_000)
 	}
 	sys.Sabotage = opts.Sabotage
 	// The checker records the outermost-commit order; an injected abort

@@ -127,7 +127,6 @@ func run() int {
 	jobs := flag.Int("j", 0, "parallel seeds (0 = GOMAXPROCS); the report is byte-identical for any -j")
 	useCache := flag.Bool("cache", false, "memoize per-(seed,config) outcomes (the report is byte-identical either way)")
 	cacheDir := flag.String("cache-dir", "", "persist cached outcomes in this directory (implies -cache)")
-	metricsOut := flag.String("metrics-out", "", "write the interval metrics time series of the campaign's runs as CSV here (forces -j 1, disables -cache)")
 	flag.Parse()
 
 	cfgs := matrix()
@@ -157,17 +156,6 @@ func run() int {
 		opts.Extra = obs.FuncSink(func(e obs.Event) { fmt.Fprintln(os.Stderr, e) })
 		if cache != nil {
 			fmt.Fprintln(os.Stderr, "difftest: -trace disables the result cache")
-			cache = nil
-		}
-	}
-	if *metricsOut != "" {
-		// One registry shared by every run: serialize the campaign and
-		// bypass the cache so every cell actually simulates and feeds
-		// the interval snapshots.
-		opts.Metrics = obs.NewCoreMetrics(obs.NewRegistry())
-		*jobs = 1
-		if cache != nil {
-			fmt.Fprintln(os.Stderr, "difftest: -metrics-out disables the result cache")
 			cache = nil
 		}
 	}
@@ -236,19 +224,6 @@ func run() int {
 		}
 	} else {
 		os.Stdout.Write(buf)
-	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err == nil {
-			err = opts.Metrics.Reg.WriteCSV(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "difftest: metrics-out:", err)
-			return 2
-		}
 	}
 
 	if *sabotage {

@@ -7,7 +7,6 @@
 //	logtmsim -print-config          # Table 1 parameters
 //	logtmsim -trace 40              # first 40 lifecycle events as text
 //	logtmsim -trace-out run.json    # per-core timeline for chrome://tracing
-//	logtmsim -metrics-out run.csv   # interval metrics time series
 package main
 
 import (
@@ -51,9 +50,7 @@ func run() int {
 	chips := flag.Int("chips", 1, "build a multiple-CMP system (§7) with this many chips")
 	trace := flag.Int("trace", 0, "print the first N lifecycle events, one text line each, ahead of the summary")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event (catapult) JSON timeline to this file (open in chrome://tracing or Perfetto; summarize with txviz)")
-	metricsOut := flag.String("metrics-out", "", "write the interval metrics time series (counters, gauges, histogram percentiles) as CSV to this file")
-	metricsInterval := flag.Uint64("metrics-interval", 10000, "metrics snapshot interval in cycles")
-	snapEvery := flag.Uint64("snap-every", 0, "capture a full-state snapshot every N cycles and prove the layer on the spot: the last snapshot is restored onto a fresh machine and replayed, and the replay must match bit for bit (needs no -trace/-trace-out/-metrics-out); exits 1 if the run ends before the first capture")
+	snapEvery := flag.Uint64("snap-every", 0, "capture a full-state snapshot every N cycles and prove the layer on the spot: the last snapshot is restored onto a fresh machine and replayed, and the replay must match bit for bit (needs no -trace/-trace-out); exits 1 if the run ends before the first capture")
 	asJSON := flag.Bool("json", false, "emit the result as JSON (for scripting)")
 	printConfig := flag.Bool("print-config", false, "print the Table 1 system parameters and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
@@ -131,19 +128,13 @@ func run() int {
 		rec = &logtmse.Recorder{}
 		sinks = append(sinks, rec)
 	}
-	var metrics *logtmse.CoreMetrics
-	if *metricsOut != "" {
-		metrics = logtmse.NewCoreMetrics(logtmse.NewRegistry())
-	}
 	rc := logtmse.RunConfig{
-		Workload:        *name,
-		Variant:         v,
-		Scale:           *scale,
-		Threads:         *threads,
-		Params:          &params,
-		Sink:            logtmse.Tee(sinks...),
-		Metrics:         metrics,
-		MetricsInterval: logtmse.Cycle(*metricsInterval),
+		Workload: *name,
+		Variant:  v,
+		Scale:    *scale,
+		Threads:  *threads,
+		Params:   &params,
+		Sink:     logtmse.Tee(sinks...),
 	}
 	var res logtmse.RunResult
 	var err error
@@ -176,14 +167,6 @@ func run() int {
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "logtmsim: wrote %d events to %s\n", len(rec.Events), *traceOut)
-	}
-	if metrics != nil {
-		if err := writeFile(*metricsOut, func(w *os.File) error {
-			return metrics.Reg.WriteCSV(w)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "logtmsim: metrics-out: %v\n", err)
-			return 1
-		}
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

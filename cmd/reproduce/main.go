@@ -32,7 +32,6 @@ import (
 	"syscall"
 
 	"logtmse"
-	"logtmse/internal/obs"
 )
 
 // options are the parsed flags a campaign builds its experiment from.
@@ -53,7 +52,7 @@ type campaign struct {
 }
 
 // sweepFlags are read by every campaign that runs simulation cells.
-const sweepFlags = " j cache-dir cache-metrics"
+const sweepFlags = " j cache-dir"
 
 var campaigns = map[string]campaign{
 	"": {0.25, "scale seeds out" + sweepFlags, func(o options) logtmse.Experiment {
@@ -124,7 +123,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	workloads := fs.String("workloads", "all", "comma-separated benchmark names or 'all'")
 	jobs := fs.Int("j", 0, "parallel simulation cells (0 = GOMAXPROCS); output is identical for any -j")
 	cacheDir := fs.String("cache-dir", "", "persist cell results in this directory, so an interrupted campaign resumes (output is identical either way)")
-	cacheMetrics := fs.String("cache-metrics", "", "write the result-cache counters as a metrics CSV here (summarize with txviz -metrics)")
 	out := fs.String("out", "", "write the report here instead of standard output")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -183,9 +181,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if exp.Runs() > 0 {
 		fmt.Fprintln(stderr, logtmse.CacheSummary(cache))
 	}
-	if err == nil && *cacheMetrics != "" {
-		err = writeCacheMetrics(*cacheMetrics, cache)
-	}
 	if err != nil {
 		fmt.Fprintf(stderr, "%s: %v\n", fs.Name(), err)
 		if errors.Is(err, context.Canceled) {
@@ -197,21 +192,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "report written to %s\n", *out)
 	}
 	return 0
-}
-
-// writeCacheMetrics writes the cache's hit/miss/eviction counters as a
-// one-snapshot metrics CSV.
-func writeCacheMetrics(path string, cache *logtmse.ResultCache) error {
-	reg := obs.NewRegistry()
-	cache.Bind(reg)
-	reg.Snapshot(0)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = reg.WriteCSV(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -1,96 +1,56 @@
 // Command txviz summarizes a catapult trace produced by
-// `logtmsim -trace-out`: transaction and stall duration percentiles,
-// abort causes, and the top-N conflict addresses. With -metrics it
-// instead (or additionally) summarizes a metrics CSV — the final value
-// of every counter and gauge, including the result cache's memo.*
-// counters when the CSV came from `reproduce <campaign> -cache-metrics`.
+// `logtmsim -trace-out`: transaction, set-size and stall distributions,
+// abort causes, and the top-N conflict addresses.
 //
 // Usage:
 //
 //	logtmsim -workload BerkeleyDB -scale 0.1 -trace-out run.json
 //	txviz run.json
 //	txviz -top 20 run.json
-//	reproduce figure4 -cache-dir d -cache-metrics cache.csv && txviz -metrics cache.csv
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
-	"strings"
 
 	"logtmse/internal/obs"
 )
 
 func main() {
-	top := flag.Int("top", 10, "conflict addresses to list")
-	metrics := flag.String("metrics", "", "summarize a metrics CSV (logtmsim -metrics-out or reproduce -cache-metrics)")
-	flag.Parse()
-	if *metrics != "" {
-		if err := summarizeMetrics(os.Stdout, *metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "txviz: %v\n", err)
-			os.Exit(1)
-		}
-		if flag.NArg() == 0 {
-			return
-		}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run carries main's body and returns the exit code: 2 for a usage
+// error, 1 for an unreadable trace.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("txviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	top := fs.Int("top", 10, "conflict addresses to list (0 or more)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintf(os.Stderr, "usage: txviz [-top N] [-metrics run.csv] <trace.json>\n")
-		os.Exit(2)
+	if fs.NArg() != 1 || *top < 0 {
+		fmt.Fprintf(stderr, "usage: txviz [-top N] <trace.json>  (N >= 0)\n")
+		return 2
 	}
-	f, err := os.Open(flag.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "txviz: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "txviz: %v\n", err)
+		return 1
 	}
 	defer f.Close()
 	var doc obs.CatapultTrace
 	if err := json.NewDecoder(f).Decode(&doc); err != nil {
-		fmt.Fprintf(os.Stderr, "txviz: %s: %v\n", flag.Arg(0), err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "txviz: %s: %v\n", fs.Arg(0), err)
+		return 1
 	}
-	summarize(os.Stdout, &doc, *top)
-}
-
-// summarizeMetrics prints the last snapshot of a metrics CSV: one
-// "name value" line per column, in column order. The result cache's
-// memo.* counters show up here like any other registry metric.
-func summarizeMetrics(w io.Writer, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var header, last []string
-	for sc.Scan() {
-		fields := strings.Split(sc.Text(), ",")
-		if header == nil {
-			header = fields
-			continue
-		}
-		last = fields
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if header == nil || last == nil {
-		return fmt.Errorf("%s: no metrics snapshots", path)
-	}
-	if len(last) != len(header) {
-		return fmt.Errorf("%s: final row has %d fields for %d columns", path, len(last), len(header))
-	}
-	fmt.Fprintf(w, "metrics (%s, final snapshot):\n", path)
-	for i, name := range header {
-		fmt.Fprintf(w, "  %-28s %s\n", name, last[i])
-	}
-	return nil
+	summarize(stdout, &doc, *top)
+	return 0
 }
 
 // conflictStat accumulates per-address conflict activity.
@@ -106,7 +66,7 @@ type conflictStat struct {
 func (c conflictStat) total() int { return c.nacks + c.summary + c.sticky }
 
 func summarize(w io.Writer, doc *obs.CatapultTrace, top int) {
-	var txDur, abortDur, stallDur, walkRecords []float64
+	var txDur, readSet, writeSet, abortDur, stallDur, walkRecords []float64
 	commits, aborts, unfinished := 0, 0, 0
 	causes := map[string]int{}
 	coreCauses := map[int]map[string]int{}
@@ -129,6 +89,12 @@ func summarize(w io.Writer, doc *obs.CatapultTrace, top int) {
 		case e.Ph == "X" && e.Name == obs.NameTx:
 			commits++
 			txDur = append(txDur, e.Dur)
+			if r, ok := e.Args["reads"].(float64); ok {
+				readSet = append(readSet, r)
+			}
+			if w, ok := e.Args["writes"].(float64); ok {
+				writeSet = append(writeSet, w)
+			}
 		case e.Ph == "X" && e.Name == obs.NameTxAborted:
 			aborts++
 			abortDur = append(abortDur, e.Dur)
@@ -186,6 +152,8 @@ func summarize(w io.Writer, doc *obs.CatapultTrace, top int) {
 		printCoreCauses(w, names, coreCauses)
 	}
 	printDist(w, "tx duration (cycles)", txDur)
+	printDist(w, "read set per commit", readSet)
+	printDist(w, "write set per commit", writeSet)
 	printDist(w, "aborted attempt duration", abortDur)
 	printDist(w, "stall duration (cycles)", stallDur)
 	printDist(w, "undo records per abort", walkRecords)
@@ -255,7 +223,35 @@ func printDist(w io.Writer, label string, samples []float64) {
 			max = s
 		}
 	}
-	qs := obs.Percentiles(samples, 0.50, 0.90, 0.99)
+	qs := percentiles(samples, 0.50, 0.90, 0.99)
 	fmt.Fprintf(w, "%-26s n=%-7d mean=%-9.1f p50=%-8.0f p90=%-8.0f p99=%-8.0f max=%.0f\n",
 		label, len(samples), sum/float64(len(samples)), qs[0], qs[1], qs[2], max)
+}
+
+// percentiles returns exact nearest-rank percentiles of the decoded
+// trace samples, one per q; the caller's slice is left unsorted.
+func percentiles(samples []float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	if len(samples) == 0 {
+		return out
+	}
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	for i, q := range qs {
+		if q < 0 {
+			q = 0
+		}
+		if q > 1 {
+			q = 1
+		}
+		idx := int(math.Ceil(q*float64(len(s)))) - 1
+		if idx < 0 {
+			idx = 0
+		}
+		if idx >= len(s) {
+			idx = len(s) - 1
+		}
+		out[i] = s[idx]
+	}
+	return out
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"logtmse/internal/obs"
@@ -50,31 +51,49 @@ func TestSummarizeGolden(t *testing.T) {
 	checkGolden(t, "trace_top1.golden", out.Bytes())
 }
 
-func TestSummarizeMetricsGolden(t *testing.T) {
-	var out bytes.Buffer
-	if err := summarizeMetrics(&out, filepath.Join("testdata", "metrics.csv")); err != nil {
-		t.Fatal(err)
+// TestRunFlags drives the command's flag handling: a negative -top is a
+// usage error, not a slice bound on the conflict table, and a valid
+// invocation prints the same summary as the golden.
+func TestRunFlags(t *testing.T) {
+	trace := filepath.Join("testdata", "trace.json")
+	for _, args := range [][]string{
+		{"-top", "-1", trace},
+		{"-top", "-1000", trace},
+		{},
+		{"-no-such-flag", trace},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("txviz %q exited %d, want 2", args, code)
+		}
+		if out.Len() != 0 || !strings.Contains(strings.ToLower(errb.String()), "usage") {
+			t.Errorf("txviz %q: stdout %q, stderr %q; want only a usage message", args, out.String(), errb.String())
+		}
 	}
-	checkGolden(t, "metrics.golden", out.Bytes())
+	var out, errb bytes.Buffer
+	if code := run([]string{"-top", "1", trace}, &out, &errb); code != 0 {
+		t.Fatalf("txviz -top 1 exited %d: %s", code, errb.String())
+	}
+	checkGolden(t, "trace_top1.golden", out.Bytes())
+	if code := run([]string{filepath.Join("testdata", "no-such.json")}, &out, &errb); code != 1 {
+		t.Errorf("missing trace exited %d, want 1", code)
+	}
 }
 
-func TestSummarizeMetricsErrors(t *testing.T) {
-	var out bytes.Buffer
-	if err := summarizeMetrics(&out, filepath.Join("testdata", "no-such.csv")); err == nil {
-		t.Error("missing file accepted")
+func TestPercentiles(t *testing.T) {
+	if got := percentiles(nil, 0.5); got[0] != 0 {
+		t.Errorf("empty percentiles = %v", got)
 	}
-	empty := filepath.Join(t.TempDir(), "empty.csv")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
+	s := []float64{5, 1, 3, 2, 4}
+	got := percentiles(s, 0, 0.5, 1, -1, 2)
+	want := []float64{1, 3, 5, 1, 5}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("q[%d] = %f, want %f", i, got[i], want[i])
+		}
 	}
-	if err := summarizeMetrics(&out, empty); err == nil {
-		t.Error("empty CSV accepted")
-	}
-	ragged := filepath.Join(t.TempDir(), "ragged.csv")
-	if err := os.WriteFile(ragged, []byte("a,b\n1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := summarizeMetrics(&out, ragged); err == nil {
-		t.Error("ragged CSV accepted")
+	// Input must not be mutated.
+	if s[0] != 5 {
+		t.Errorf("percentiles sorted the caller's slice")
 	}
 }

@@ -93,12 +93,6 @@ type RunConfig struct {
 	// per-core rings; invariant-oracle failures, watchdog trips and
 	// hung runs dump them as a postmortem.
 	Flight *FlightRecorder
-	// Metrics, if set, is attached to the system: the engine's counters
-	// are bound into Metrics.Reg and its histograms are fed during the
-	// run. MetricsInterval controls periodic time-series snapshots in
-	// cycles (0 = every 10k cycles).
-	Metrics         *CoreMetrics
-	MetricsInterval Cycle
 	// MaxCycles, when nonzero, bounds the run; a run still incomplete at
 	// the bound fails with the engine's wait-for diagnosis (the chaos
 	// campaign's hang backstop). 0 runs to completion.
@@ -123,7 +117,7 @@ type RunConfig struct {
 	// Jobs bounds how many seeds run concurrently (0 = GOMAXPROCS,
 	// 1 = serial). Each seed is a share-nothing cell, so the worker
 	// count never changes results — only wall-clock time. Cells with a
-	// Sink, Flight or Metrics attached share those observers across
+	// Sink or Flight attached share those observers across
 	// seeds and therefore always run serially, whatever Jobs says.
 	Jobs int
 	// Cache, if set, memoizes cell results by fingerprint (see
@@ -140,7 +134,7 @@ type RunConfig struct {
 // observed reports whether the cell attaches an observer. Observed
 // cells are never cached, pooled or snapshotted, and run serially.
 func (rc RunConfig) observed() bool {
-	return rc.Sink != nil || rc.Flight != nil || rc.Metrics != nil
+	return rc.Sink != nil || rc.Flight != nil
 }
 
 // errParamsSink rejects Params.Sink: the harness builds it from
@@ -308,13 +302,6 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 		}
 	}
 	sys.Sabotage = rc.Sabotage
-	if rc.Metrics != nil {
-		interval := rc.MetricsInterval
-		if interval == 0 {
-			interval = 10_000
-		}
-		sys.AttachMetrics(rc.Metrics, interval)
-	}
 	inst, err := w.Spawn(sys, workload.Config{
 		Mode:    rc.Variant.Mode,
 		Threads: rc.Threads,
@@ -346,12 +333,6 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 		end = sys.RunUntil(rc.MaxCycles)
 	} else {
 		end = sys.Run()
-	}
-	if rc.Metrics != nil {
-		// Close the time series with the end-of-run state, stamped at
-		// the run's true final cycle (a trailing snapshot event may
-		// have advanced the raw clock past it).
-		rc.Metrics.Reg.Snapshot(end)
 	}
 	res := RunResult{Seed: seed}
 	if chk != nil {

@@ -149,76 +149,19 @@ func TestResetKeepsParamsSink(t *testing.T) {
 	}
 }
 
-// TestMetricsHistogramsFed verifies AttachMetrics feeds the histograms
-// during a run and the snapshot schedule drains with the engine.
-func TestMetricsHistogramsFed(t *testing.T) {
-	s := newSys(t, smallParams())
-	m := obs.NewCoreMetrics(obs.NewRegistry())
-	s.AttachMetrics(m, 100)
-	pt := s.NewPageTable(1)
-	for c := 0; c < 4; c++ {
-		if _, err := s.SpawnOn(c, 0, "w", 1, pt, func(a *API) {
-			for r := 0; r < 8; r++ {
-				a.Transaction(func() {
-					v := a.Load(0x200)
-					a.Compute(50)
-					a.Store(0x200, v+1)
-				})
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustRun(t, s)
-	st := s.Stats()
-	if m.TxCycles.Count() != st.Commits {
-		t.Errorf("TxCycles observations = %d, commits = %d", m.TxCycles.Count(), st.Commits)
-	}
-	if m.ReadSet.Count() != st.Commits || m.WriteSet.Count() != st.Commits {
-		t.Errorf("set-size observations don't match commits")
-	}
-	if st.StallEpisodes > 0 && m.StallCycles.Count() == 0 {
-		t.Errorf("stalls occurred but StallCycles is empty")
-	}
-	if len(m.Reg.Snapshots()) == 0 {
-		t.Errorf("no interval snapshots recorded")
-	}
-	// The bound counters read the live stats: a snapshot taken now must
-	// report the final counter values.
-	m.Reg.Snapshot(s.Engine.Now())
-	snaps := m.Reg.Snapshots()
-	final := snaps[len(snaps)-1]
-	cols := m.Reg.Header()
-	col := func(name string) float64 {
-		for i, c := range cols {
-			if c == name {
-				return final.Values[i-1] // Values excludes the cycle column
-			}
-		}
-		t.Fatalf("column %q not registered", name)
-		return 0
-	}
-	for _, c := range []struct {
-		name string
-		want uint64
-	}{{"tx.commits", st.Commits}, {"tx.begins", st.Begins}, {"work.units", st.WorkUnits}} {
-		if got := col(c.name); got != float64(c.want) {
-			t.Errorf("%s = %v, want %d", c.name, got, c.want)
-		}
-	}
-}
-
-// TestMetricsSnapshotZeroAlloc: interval sampling at every = 10 cycles,
-// beside stalled waiters retrying on the lane, allocates nothing in
-// steady state. One weak tick re-arms itself (sim ScheduleWeakEvery),
-// and the samples share one growing value store, so only its amortized
-// growth allocates.
-func TestMetricsSnapshotZeroAlloc(t *testing.T) {
+// TestWeakTickZeroAlloc: a weak tick every 10 cycles, beside stalled
+// waiters retrying on the lane, allocates nothing in steady state. The
+// tick re-arms itself (sim ScheduleWeakEvery), the way the checker's
+// and the fault injector's periodic probes ride the engine.
+func TestWeakTickZeroAlloc(t *testing.T) {
 	X := addr.VAddr(0xa000)
 	p := smallParams()
 	s := newSys(t, p)
-	m := obs.NewCoreMetrics(obs.NewRegistry())
-	s.AttachMetrics(m, 10)
+	ticks := 0
+	s.Engine.ScheduleWeakEvery(10, func() bool {
+		ticks++
+		return true
+	})
 	pt := s.NewPageTable(1)
 	spawn(t, s, 0, 0, "holder", pt, func(a *API) {
 		a.Transaction(func() {
@@ -233,13 +176,13 @@ func TestMetricsSnapshotZeroAlloc(t *testing.T) {
 		})
 	}
 	s.RunUntil(50_000)
-	before := len(m.Reg.Snapshots())
+	before := ticks
 	if n := testing.AllocsPerRun(100, func() {
 		s.RunUntil(s.Engine.Now() + 1000)
 	}); n != 0 {
-		t.Errorf("sampling every 10 cycles allocated %.1f times per 1,000 cycles, want 0", n)
+		t.Errorf("ticking every 10 cycles allocated %.1f times per 1,000 cycles, want 0", n)
 	}
-	if got := len(m.Reg.Snapshots()) - before; got < 100*1000/10 {
-		t.Errorf("%d interval samples in the measured window, want at least %d", got, 100*1000/10)
+	if got := ticks - before; got < 100*1000/10 {
+		t.Errorf("%d ticks in the measured window, want at least %d", got, 100*1000/10)
 	}
 }

@@ -68,7 +68,6 @@ type threadState struct {
 	exactStack    []exactSnap
 	abortStreak   int
 	consecAborts  int
-	txStart       sim.Cycle
 	stalling      bool
 	stallSince    sim.Cycle
 	stallRetries  int
@@ -148,7 +147,7 @@ func (s *System) CaptureState(barriers []*Barrier) (*SystemState, error) {
 		return nil, fmt.Errorf("core: capture with the deferred retry charges of %d threads pending", n)
 	}
 	if s.OnOuterCommit != nil || s.PreemptCheck != nil || s.OnPreempt != nil || s.OnThreadDone != nil ||
-		s.Sink != nil || s.Met != nil || s.Check != nil || s.Fault != nil {
+		s.Sink != nil || s.Check != nil || s.Fault != nil {
 		return nil, notCapturable("instrumentation or OS hook attached")
 	}
 	if s.P.CD != CDSignature {
@@ -241,7 +240,6 @@ func (s *System) CaptureState(barriers []*Barrier) (*SystemState, error) {
 			exact:         t.exact.clone(),
 			abortStreak:   t.abortStreak,
 			consecAborts:  t.consecAborts,
-			txStart:       t.txStart,
 			stalling:      t.stalling,
 			stallSince:    t.stallSince,
 			stallRetries:  t.stallRetries,
@@ -395,7 +393,6 @@ func (s *System) RestoreState(st *SystemState, barriers []*Barrier) error {
 		}
 		t.abortStreak = ts.abortStreak
 		t.consecAborts = ts.consecAborts
-		t.txStart = ts.txStart
 		t.stalling = ts.stalling
 		t.stallSince = ts.stallSince
 		t.stallRetries = ts.stallRetries

@@ -123,9 +123,6 @@ type System struct {
 	// Sink receives the structured lifecycle event stream (set via
 	// Params.Sink; nil disables instrumentation).
 	Sink obs.Sink
-	// Met, when attached with AttachMetrics, receives the engine's
-	// duration and set-size histograms.
-	Met *obs.CoreMetrics
 	// Check, when attached with AttachChecker, evaluates the runtime
 	// invariant oracles (shadow memory, signature membership, undo-log
 	// LIFO, sticky audit, progress watchdog) against this system.
@@ -210,8 +207,7 @@ func (s *System) emit(kind obs.Kind, t *Thread, cause obs.AbortCause, depth int,
 }
 
 // endStall closes the thread's open stall episode (the stalled access
-// was granted, or the transaction aborted) and feeds the stall-duration
-// histogram.
+// was granted, or the transaction aborted) and emits its duration.
 func (s *System) endStall(t *Thread, a addr.PAddr) {
 	t.stallRetries = 0
 	t.waitingOn = t.waitingOn[:0]
@@ -219,67 +215,7 @@ func (s *System) endStall(t *Thread, a addr.PAddr) {
 		return
 	}
 	t.stalling = false
-	dur := uint64(s.Engine.Now() - t.stallSince)
-	s.emit(obs.KindStallEnd, t, obs.CauseNone, t.depth, a, dur, 0)
-	if s.Met != nil {
-		s.Met.StallCycles.Observe(dur)
-	}
-}
-
-// AttachMetrics binds a metrics registry to the system: the engine's
-// counters become function-backed registry counters (reading the same
-// Stats fields, so they can never drift), live gauges are registered,
-// and the engine starts feeding m's histograms. every > 0 additionally
-// snapshots the registry into its time series every that many cycles
-// while the simulation has work queued. Attaching metrics never perturbs
-// simulated behavior: snapshot events read state and draw no randomness,
-// so Stats stay bit-identical with or without metrics.
-func (s *System) AttachMetrics(m *obs.CoreMetrics, every sim.Cycle) {
-	s.Met = m
-	reg := m.Reg
-	reg.CounterFunc("tx.begins", func() uint64 { return s.stats.Begins })
-	reg.CounterFunc("tx.commits", func() uint64 { return s.stats.Commits })
-	reg.CounterFunc("tx.aborts", func() uint64 { return s.stats.Aborts })
-	reg.CounterFunc("tx.stalls", func() uint64 { return s.stats.Stalls })
-	reg.CounterFunc("tx.stall_episodes", func() uint64 { return s.stats.StallEpisodes })
-	reg.CounterFunc("tx.possible_cycle_aborts", func() uint64 { return s.stats.PossibleCycleAborts })
-	reg.CounterFunc("tx.fp_episodes", func() uint64 { return s.stats.FPEpisodes })
-	reg.CounterFunc("tx.summary_conflicts", func() uint64 { return s.stats.SummaryConflicts })
-	reg.CounterFunc("tx.smt_conflicts", func() uint64 { return s.stats.SMTConflicts })
-	reg.CounterFunc("log.records", func() uint64 { return s.stats.LogRecords })
-	reg.CounterFunc("log.filter_hits", func() uint64 { return s.stats.LogFilterHits })
-	reg.CounterFunc("work.units", func() uint64 { return s.stats.WorkUnits })
-	reg.CounterFunc("coh.l1_misses", func() uint64 { return s.Coh.Stats().L1Misses })
-	reg.CounterFunc("coh.l2_misses", func() uint64 { return s.Coh.Stats().L2Misses })
-	reg.CounterFunc("coh.nacks", func() uint64 { return s.Coh.Stats().NACKs })
-	reg.CounterFunc("coh.sticky_evicts", func() uint64 { return s.Coh.Stats().StickyEvicts })
-	reg.CounterFunc("coh.writebacks", func() uint64 { return s.Coh.Stats().WritebacksToMem })
-	reg.GaugeFunc("threads.in_tx", func() float64 {
-		n := 0
-		for _, t := range s.threads {
-			if t.InTx() {
-				n++
-			}
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("log.live_bytes", func() float64 {
-		total := 0
-		for _, t := range s.threads {
-			total += t.Log.Bytes()
-		}
-		return float64(total)
-	})
-	// The samples ride a weak tick: it cannot keep the run alive, and
-	// one firing after the last model event does not extend the measured
-	// cycle count (see sim.ScheduleWeak) — that is what keeps Stats
-	// bit-identical with metrics attached. The tick stops once the model
-	// finished: the harness records the end-of-run state, so a trailing
-	// sample would only duplicate it with an overshot timestamp.
-	s.Engine.ScheduleWeakEvery(every, func() bool {
-		reg.Snapshot(s.Engine.Now())
-		return true
-	})
+	s.emit(obs.KindStallEnd, t, obs.CauseNone, t.depth, a, uint64(s.Engine.Now()-t.stallSince), 0)
 }
 
 // NewSystem builds a machine per p.
@@ -396,7 +332,7 @@ func (s *System) Reset(seed int64) error {
 	// Params.Sink is configuration (coherence keeps it across its own
 	// Reset); only what was attached after construction is dropped.
 	s.Sink = s.P.Sink
-	s.Met, s.Check, s.Fault = nil, nil, nil
+	s.Check, s.Fault = nil, nil
 	s.Sabotage = Sabotage{}
 	return nil
 }
@@ -809,9 +745,6 @@ func (s *System) begin(t *Thread, open bool) {
 		}
 	}
 	t.Log.Push(nil, saved, open)
-	if t.depth == 1 {
-		t.txStart = s.Engine.Now()
-	}
 	var openArg uint64
 	if open {
 		openArg = 1
@@ -939,11 +872,6 @@ func (s *System) commit(t *Thread) {
 	s.emit(obs.KindTxCommit, t, obs.CauseNone, 1, 0, uint64(rs), uint64(ws))
 	if s.Check != nil {
 		s.Check.OnCommit(t.ID, 1, false)
-	}
-	if s.Met != nil {
-		s.Met.TxCycles.Observe(uint64(s.Engine.Now() - t.txStart))
-		s.Met.ReadSet.Observe(uint64(rs))
-		s.Met.WriteSet.Observe(uint64(ws))
 	}
 	s.finish(t, response{}, s.P.CommitLat)
 }
@@ -1503,19 +1431,10 @@ func (s *System) abort(t *Thread, cause obs.AbortCause) {
 	t.Aborts++
 	s.emit(obs.KindLogWalkEnd, t, cause, t.depth, 0, uint64(records), 0)
 	s.emit(obs.KindTxAbort, t, cause, t.depth, 0, uint64(records), 0)
-	if s.Met != nil {
-		s.Met.LogWalk.Observe(uint64(records))
-		if t.depth == 0 {
-			s.Met.AbortedTxCycles.Observe(uint64(s.Engine.Now() - t.txStart))
-		}
-	}
 
 	// Randomized exponential backoff before the retry (bounded).
 	backoff := backoffWindow(s.P.StallRetryLat, t.consecAborts, s.P.BackoffCapShift)
 	delay := sim.Cycle(s.Engine.Rand().Int63n(int64(backoff) + 1))
-	if s.Met != nil {
-		s.Met.Backoff.Observe(uint64(delay))
-	}
 	lat += delay
 	s.finish(t, response{abort: true, toDepth: t.depth}, lat)
 }

@@ -193,10 +193,8 @@ type Thread struct {
 	abortStreak   int // consecutive aborts without progress (escalation)
 	consecAborts  int // consecutive aborts of the whole transaction (backoff)
 
-	// Observability state: the outermost begin cycle of the current
-	// attempt, and the open stall episode (first NACK of a memory
-	// operation that has not yet been granted or aborted).
-	txStart    sim.Cycle
+	// Observability state: the open stall episode (first NACK of a
+	// memory operation that has not yet been granted or aborted).
 	stalling   bool
 	stallSince sim.Cycle
 	// stallRetries counts NACKed retries in the current stall episode

@@ -30,8 +30,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"logtmse/internal/obs"
 )
 
 // magic prefixes every cache file; bump it if the file format changes.
@@ -102,17 +100,6 @@ func (c *Cache) Stats() Stats {
 		Evictions: c.evictions.Load(),
 		Errors:    c.errors.Load(),
 	}
-}
-
-// Bind registers the cache's counters in a metrics registry under
-// memo.* so sweep commands surface hit rates alongside the simulator's
-// own counters.
-func (c *Cache) Bind(reg *obs.Registry) {
-	reg.CounterFunc("memo.hits", func() uint64 { return c.hits.Load() })
-	reg.CounterFunc("memo.disk_hits", func() uint64 { return c.diskHits.Load() })
-	reg.CounterFunc("memo.misses", func() uint64 { return c.misses.Load() })
-	reg.CounterFunc("memo.evictions", func() uint64 { return c.evictions.Load() })
-	reg.CounterFunc("memo.errors", func() uint64 { return c.errors.Load() })
 }
 
 // warn reports a disk failure: counted always, logged once (the first

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"logtmse/internal/obs"
 )
 
 func TestDoMemoizesInProcess(t *testing.T) {
@@ -211,27 +209,5 @@ func TestDiskFailureNonFatal(t *testing.T) {
 	}
 	if s := c.Stats(); s.Errors == 0 {
 		t.Fatalf("stats = %+v, want errors > 0", s)
-	}
-}
-
-// TestBindRegistersCounters: the obs registry integration used by the
-// sweep commands' -cache-metrics flag.
-func TestBindRegistersCounters(t *testing.T) {
-	c := New("", 0)
-	reg := obs.NewRegistry()
-	c.Bind(reg)
-	if _, _, err := c.Do("k", func() ([]byte, error) { return []byte("v"), nil }); err != nil {
-		t.Fatal(err)
-	}
-	c.Get("k")
-	reg.Snapshot(0)
-	header := reg.Header()
-	snap := reg.Snapshots()[0]
-	got := map[string]float64{}
-	for i, name := range header[1:] {
-		got[name] = snap.Values[i]
-	}
-	if got["memo.misses"] != 1 || got["memo.hits"] != 1 {
-		t.Fatalf("registry values = %v, want memo.misses=1 memo.hits=1", got)
 	}
 }

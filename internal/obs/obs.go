@@ -1,11 +1,12 @@
 // Package obs is the observability layer of the simulator: a
 // zero-allocation probe interface (Sink) that the transactional engine
-// and the coherence protocol emit structured lifecycle events through, a
-// metrics registry (counters, gauges, log-scale histograms) with periodic
-// time-series snapshots, and exporters — Chrome trace-event (catapult)
-// JSON for chrome://tracing / Perfetto timelines, and CSV for the
-// interval series — plus a one-line text form of each event
-// (Event.String) for trace printing and postmortems.
+// and the coherence protocol emit structured lifecycle events through,
+// the one observer port into the engine; a Chrome trace-event
+// (catapult) JSON exporter for chrome://tracing / Perfetto timelines;
+// and a one-line text form of each event (Event.String) for trace
+// printing and postmortems. Aggregate counters live in core.Stats, and
+// every distribution (durations, set sizes, log walks) is read from the
+// event stream.
 //
 // The package depends only on the simulation clock and address types, so
 // every layer of the model (core engine, coherence, network) can emit

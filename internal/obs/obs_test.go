@@ -88,8 +88,4 @@ func TestEmitAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { off.Emit(e) }); n != 0 {
 		t.Errorf("offsetSink.Emit allocates %v per event", n)
 	}
-	var h Histogram
-	if n := testing.AllocsPerRun(1000, func() { h.Observe(42) }); n != 0 {
-		t.Errorf("Histogram.Observe allocates %v per value", n)
-	}
 }

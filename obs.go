@@ -1,7 +1,7 @@
 package logtmse
 
 // Observability surface: the library re-exports the internal/obs types
-// so downstream users can attach sinks and metrics without importing
+// so downstream users can attach sinks without importing
 // internal packages. See the "Observability" section of DESIGN.md.
 
 import (
@@ -28,13 +28,6 @@ type (
 	DiscardSink = obs.Discard
 	// FuncSink adapts a function to the Sink interface.
 	FuncSink = obs.FuncSink
-	// Registry holds counters, gauges, histograms and their interval
-	// snapshots.
-	Registry = obs.Registry
-	// Histogram is a log-scale histogram of a nonnegative quantity.
-	Histogram = obs.Histogram
-	// CoreMetrics bundles the engine-side histograms with a registry.
-	CoreMetrics = obs.CoreMetrics
 	// CatapultTrace is the Chrome trace-event JSON document.
 	CatapultTrace = obs.CatapultTrace
 )
@@ -65,13 +58,6 @@ const (
 // EvFaultInject is one applied fault-injection action (Arg carries the
 // fault class).
 const EvFaultInject = obs.KindFaultInject
-
-// NewRegistry returns an empty metrics registry.
-func NewRegistry() *Registry { return obs.NewRegistry() }
-
-// NewCoreMetrics registers the engine's histograms in reg and returns
-// the bundle to pass as RunConfig.Metrics.
-func NewCoreMetrics(reg *Registry) *CoreMetrics { return obs.NewCoreMetrics(reg) }
 
 // Tee fans one event stream out to several sinks.
 func Tee(sinks ...Sink) Sink { return obs.Tee(sinks...) }
