@@ -36,18 +36,6 @@ func NewResultCache(dir string, maxBytes int64) *ResultCache {
 	return memo.New(dir, maxBytes)
 }
 
-// CacheFromFlags builds the result cache behind the -cache/-cache-dir
-// flag pair of cmd/chaos: -cache-dir implies -cache, and -cache alone
-// keeps the cache in memory (single-flight dedup within one
-// invocation). Returns nil when caching is off, which every RunConfig
-// treats as "simulate normally".
-func CacheFromFlags(enabled bool, dir string) *ResultCache {
-	if !enabled && dir == "" {
-		return nil
-	}
-	return NewResultCache(dir, 0)
-}
-
 // CacheSummary formats the one-line report the sweep commands print to
 // standard error after a cached run (standard output stays
 // byte-identical with and without caching; see the CI job).

@@ -135,8 +135,7 @@ func run() int {
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
 	verbose := flag.Bool("v", false, "print one line per run to stderr")
 	jobs := flag.Int("j", 0, "parallel campaign runs (0 = GOMAXPROCS); the report is byte-identical for any -j")
-	useCache := flag.Bool("cache", false, "memoize harness-scenario results by fingerprint (the report is byte-identical either way)")
-	cacheDir := flag.String("cache-dir", "", "persist cached results in this directory across campaigns (implies -cache)")
+	cacheDir := flag.String("cache-dir", "", "memoize harness-scenario results by fingerprint in this directory, across campaigns (the report is byte-identical either way)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := flag.String("memprofile", "", "write a heap profile here at exit")
 	flag.Parse()
@@ -196,7 +195,9 @@ func run() int {
 		sabotage:  *sabotage,
 		bisect:    *bisect,
 		snapEvery: sim.Cycle(*snapEvery),
-		cache:     logtmse.CacheFromFlags(*useCache, *cacheDir),
+	}
+	if *cacheDir != "" {
+		cfg.cache = logtmse.NewResultCache(*cacheDir, 0)
 	}
 
 	rep := report{Campaign: campaign{

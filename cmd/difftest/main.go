@@ -14,7 +14,7 @@
 // repro and embedded in the report.
 //
 // The report is byte-identical across repeated invocations with the same
-// flags, for any -j, and with or without -cache.
+// flags, for any -j, and with or without -cache-dir.
 //
 //	difftest -seeds 500                 # CI campaign
 //	difftest -replay 137                # one seed, full matrix
@@ -123,10 +123,9 @@ func run() int {
 	shrinkBudget := flag.Int("shrink-budget", 300, "predicate evaluations per divergence shrink")
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
 	verbose := flag.Bool("v", false, "print one line per seed to stderr")
-	trace := flag.Bool("trace", false, "stream the lifecycle events to stderr, one line each (repro debugging; use with -repro or -replay and -config; disables -cache)")
+	trace := flag.Bool("trace", false, "stream the lifecycle events to stderr, one line each (repro debugging; use with -repro or -replay and -config; disables -cache-dir)")
 	jobs := flag.Int("j", 0, "parallel seeds (0 = GOMAXPROCS); the report is byte-identical for any -j")
-	useCache := flag.Bool("cache", false, "memoize per-(seed,config) outcomes (the report is byte-identical either way)")
-	cacheDir := flag.String("cache-dir", "", "persist cached outcomes in this directory (implies -cache)")
+	cacheDir := flag.String("cache-dir", "", "memoize per-(seed,config) outcomes in this directory, across campaigns (the report is byte-identical either way)")
 	flag.Parse()
 
 	cfgs := matrix()
@@ -147,7 +146,7 @@ func run() int {
 		opts.Sabotage = core.Sabotage{SkipUndoRecord: true}
 	}
 	var cache *memo.Cache
-	if *useCache || *cacheDir != "" {
+	if *cacheDir != "" {
 		cache = memo.New(*cacheDir, 256<<20)
 	}
 	if *trace {

@@ -28,7 +28,7 @@ const FingerprintSchemaVersion = 2
 
 // Cacheable reports whether a cell's result may be served from (or
 // stored into) a result cache. Cells with an observer attached — an
-// event Sink (a Profiler included) or a FlightRecorder — are excluded:
+// event Sink, a Profiler included — are excluded:
 // their value is the event stream, which the cache does not store.
 // Stats are bit-identical with observers on or off, so excluding
 // observed cells costs nothing but re-simulation time. Sabotaged cells are excluded too: a deliberately broken run

@@ -89,10 +89,6 @@ type RunConfig struct {
 	// Tee). Nil disables instrumentation; Stats are bit-identical
 	// either way for the same seed. Params.Sink must stay nil.
 	Sink Sink
-	// Flight, if set, records recent lifecycle events into bounded
-	// per-core rings; invariant-oracle failures, watchdog trips and
-	// hung runs dump them as a postmortem.
-	Flight *FlightRecorder
 	// MaxCycles, when nonzero, bounds the run; a run still incomplete at
 	// the bound fails with the engine's wait-for diagnosis (the chaos
 	// campaign's hang backstop). 0 runs to completion.
@@ -117,8 +113,8 @@ type RunConfig struct {
 	// Jobs bounds how many seeds run concurrently (0 = GOMAXPROCS,
 	// 1 = serial). Each seed is a share-nothing cell, so the worker
 	// count never changes results — only wall-clock time. Cells with a
-	// Sink or Flight attached share those observers across
-	// seeds and therefore always run serially, whatever Jobs says.
+	// Sink attached share that observer across seeds and therefore
+	// always run serially, whatever Jobs says.
 	Jobs int
 	// Cache, if set, memoizes cell results by fingerprint (see
 	// Fingerprint): a cell already cached is served without simulating,
@@ -134,11 +130,11 @@ type RunConfig struct {
 // observed reports whether the cell attaches an observer. Observed
 // cells are never cached, pooled or snapshotted, and run serially.
 func (rc RunConfig) observed() bool {
-	return rc.Sink != nil || rc.Flight != nil
+	return rc.Sink != nil
 }
 
 // errParamsSink rejects Params.Sink: the harness builds it from
-// RunConfig.Sink and RunConfig.Flight.
+// RunConfig.Sink.
 var errParamsSink = fmt.Errorf("logtmse: attach event sinks with RunConfig.Sink, not Params.Sink")
 
 // validate rejects a defaulted cell the simulator cannot run: an input
@@ -286,9 +282,6 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 	p.Seed = seed
 	p.Signature = rc.Variant.Sig
 	p.Sink = rc.Sink
-	if rc.Flight != nil {
-		p.Sink = Tee(rc.Sink, rc.Flight)
-	}
 	poolable := poolableCell(rc)
 	var sys *core.System
 	if poolable {
@@ -315,9 +308,6 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 	var chk *Checker
 	if rc.Checks.Any() {
 		chk = sys.AttachChecker(rc.Checks)
-		if rc.Flight != nil {
-			chk.SetFlightDump(rc.Flight.DumpString)
-		}
 	}
 	var inj *Injector
 	if rc.Fault.Active() {
@@ -343,14 +333,9 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 	}
 	if !sys.AllDone() {
 		// A hung run fails with a full diagnosis — per-thread transaction
-		// state and the NACK wait-for graph — not just thread names. With
-		// a flight recorder attached, the last events per core follow.
-		diag := sys.Diagnose()
-		if rc.Flight != nil {
-			diag += "\n" + rc.Flight.DumpString()
-		}
+		// state and the NACK wait-for graph — not just thread names.
 		return res, fmt.Errorf("logtmse: %s/%s seed %d: threads stuck: %v\n%s",
-			rc.Workload, rc.Variant.Name, seed, sys.Stuck(), diag)
+			rc.Workload, rc.Variant.Name, seed, sys.Stuck(), sys.Diagnose())
 	}
 	if err := inst.Verify(sys); err != nil {
 		return res, fmt.Errorf("logtmse: %s/%s seed %d: %w",

@@ -161,10 +161,6 @@ type Checker struct {
 	failures []Failure
 	dropped  int
 
-	// flightDump, when set, renders the flight recorder's recent-event
-	// rings; invoked once, on the first recorded failure, and appended
-	// to that failure's detail (postmortem context).
-	flightDump func() string
 	// onOuterCommit, when set, is told the thread of every outermost
 	// commit, in engine order.
 	onOuterCommit func(tid int)
@@ -195,11 +191,6 @@ func (c *Checker) Config() Config { return c.cfg }
 
 // SetNamer installs a tid -> thread-name resolver used in failure details.
 func (c *Checker) SetNamer(fn func(tid int) string) { c.name = fn }
-
-// SetFlightDump installs a flight-recorder renderer: its output is
-// appended to the first recorded failure (oracle violation or watchdog
-// trip), turning the report into a self-contained postmortem.
-func (c *Checker) SetFlightDump(fn func() string) { c.flightDump = fn }
 
 // SetOuterCommitHook installs fn to receive the software thread id of
 // every outermost commit, in engine order — the serial order a
@@ -312,9 +303,6 @@ func (c *Checker) fail(oracle string, tid int, format string, args ...interface{
 	detail := fmt.Sprintf(format, args...)
 	if c.name != nil && tid >= 0 {
 		detail = c.name(tid) + ": " + detail
-	}
-	if len(c.failures) == 0 && c.flightDump != nil {
-		detail += "\n" + c.flightDump()
 	}
 	c.failures = append(c.failures, Failure{
 		Cycle: c.now(), Oracle: oracle, TID: tid, Detail: detail,

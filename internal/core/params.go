@@ -78,12 +78,7 @@ type Params struct {
 	AbortPerRec  sim.Cycle // per undo record restored
 
 	// Conflict-resolution pacing.
-	StallRetryLat   sim.Cycle // base delay before retrying a NACKed request
-	BackoffCapShift uint      // exponential backoff cap after aborts (2^n)
-
-	// NestAbortEscalation aborts one extra nesting level after this many
-	// consecutive aborts of the same innermost frame (0 disables).
-	NestAbortEscalation int
+	StallRetryLat sim.Cycle // base delay before retrying a NACKed request
 
 	// StarvationRetryLimit, when nonzero, bounds how many consecutive
 	// NACKed retries one stalled transactional access may issue before
@@ -178,34 +173,32 @@ func (r Resolution) String() string {
 // grid with 3-cycle links; signatures default to perfect.
 func DefaultParams() Params {
 	return Params{
-		Cores:               16,
-		ThreadsPerCore:      2,
-		Signature:           sig.Config{Kind: sig.KindPerfect},
-		L1Bytes:             32 * 1024,
-		L1Ways:              4,
-		L2Bytes:             8 * 1024 * 1024,
-		L2Ways:              8,
-		L2Banks:             16,
-		L1HitLat:            1,
-		L2Lat:               34,
-		MemLat:              500,
-		DirLat:              6,
-		CheckLat:            1,
-		LinkLat:             3,
-		GridW:               4,
-		GridH:               3,
-		Protocol:            coherence.Directory,
-		LogFilterSets:       16,
-		LogFilterWays:       2,
-		LogWriteLat:         2,
-		BeginLat:            2,
-		CommitLat:           2,
-		AbortBaseLat:        40,
-		AbortPerRec:         10,
-		StallRetryLat:       20,
-		BackoffCapShift:     6,
-		NestAbortEscalation: 4,
-		Seed:                1,
+		Cores:          16,
+		ThreadsPerCore: 2,
+		Signature:      sig.Config{Kind: sig.KindPerfect},
+		L1Bytes:        32 * 1024,
+		L1Ways:         4,
+		L2Bytes:        8 * 1024 * 1024,
+		L2Ways:         8,
+		L2Banks:        16,
+		L1HitLat:       1,
+		L2Lat:          34,
+		MemLat:         500,
+		DirLat:         6,
+		CheckLat:       1,
+		LinkLat:        3,
+		GridW:          4,
+		GridH:          3,
+		Protocol:       coherence.Directory,
+		LogFilterSets:  16,
+		LogFilterWays:  2,
+		LogWriteLat:    2,
+		BeginLat:       2,
+		CommitLat:      2,
+		AbortBaseLat:   40,
+		AbortPerRec:    10,
+		StallRetryLat:  20,
+		Seed:           1,
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // TestBackoffWindowSaturation pins the bounded-exponential backoff
 // arithmetic: the shift grows with consecutive aborts, saturates at
-// BackoffCapShift, is hard-clamped at 32 even for absurd caps, and the
+// the cap shift, is hard-clamped at 32 even for absurd caps, and the
 // overflow defense never lets the window wrap below the base.
 func TestBackoffWindowSaturation(t *testing.T) {
 	cases := []struct {

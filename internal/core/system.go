@@ -1337,13 +1337,13 @@ func (s *System) abort(t *Thread, cause obs.AbortCause) {
 		// outer frames' signatures, which a partial abort keeps. Shed
 		// the whole transaction or the cycle survives the abort.
 		levels = t.depth
-	} else if s.P.NestAbortEscalation > 0 && t.abortStreak >= s.P.NestAbortEscalation && t.depth > 1 {
+	} else if t.abortStreak >= nestAbortEscalation && t.depth > 1 {
 		// Progressive escalation: each further streak of aborts unwinds
 		// one more level, reaching the outermost frame if the conflict
 		// persists. A fixed two-level unwind can cycle forever between
 		// inner depths while the contended outer footprint never
 		// releases.
-		levels = 1 + t.abortStreak/s.P.NestAbortEscalation
+		levels = 1 + t.abortStreak/nestAbortEscalation
 		if levels > t.depth {
 			levels = t.depth
 		}
@@ -1433,11 +1433,20 @@ func (s *System) abort(t *Thread, cause obs.AbortCause) {
 	s.emit(obs.KindTxAbort, t, cause, t.depth, 0, uint64(records), 0)
 
 	// Randomized exponential backoff before the retry (bounded).
-	backoff := backoffWindow(s.P.StallRetryLat, t.consecAborts, s.P.BackoffCapShift)
+	backoff := backoffWindow(s.P.StallRetryLat, t.consecAborts, backoffCapShift)
 	delay := sim.Cycle(s.Engine.Rand().Int63n(int64(backoff) + 1))
 	lat += delay
 	s.finish(t, response{abort: true, toDepth: t.depth}, lat)
 }
+
+// Abort pacing. backoffCapShift caps the exponential backoff window
+// after consecutive aborts at StallRetryLat << 6; nestAbortEscalation
+// aborts one extra nesting level after this many consecutive aborts of
+// the same innermost frame.
+const (
+	backoffCapShift     = 6
+	nestAbortEscalation = 4
+)
 
 // backoffWindow computes the bounded exponential backoff window after
 // consecutive aborts: base << min(aborts, capShift), with the effective

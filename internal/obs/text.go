@@ -5,10 +5,9 @@ import (
 	"strings"
 )
 
-// String renders the event as one line of text — the third exporter
-// over the event stream, beside catapult JSON and the metrics CSV, and
-// what `logtmsim -trace N`, `difftest -trace` and the flight recorder
-// print. The line reads: cycle, hardware context (cC.T, cC for protocol
+// String renders the event as one line of text — the exporter over the
+// event stream beside catapult JSON, and what `logtmsim -trace N` and
+// `difftest -trace` print. The line reads: cycle, hardware context (cC.T, cC for protocol
 // events, - when unknown), software thread (tid=N or -), kind, then the
 // kind's payload decoded as key=value fields.
 func (e Event) String() string {

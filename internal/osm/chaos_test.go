@@ -231,8 +231,8 @@ func TestPagingUpdatesNestedSaveAreas(t *testing.T) {
 }
 
 // A thread preempted twice within one transaction must replace (not
-// accumulate) its saved-signature contribution — the counting-signature
-// regression behind an earlier livelock.
+// accumulate) its saved-signature contribution — the regression behind
+// an earlier livelock.
 func TestDoublePreemptReplacesSavedSignature(t *testing.T) {
 	p := smallParams()
 	p.Cores = 2
@@ -263,14 +263,10 @@ func TestDoublePreemptReplacesSavedSignature(t *testing.T) {
 	if !sys.AllDone() {
 		t.Fatalf("stuck: %v", sys.Stuck())
 	}
-	// After everything commits, the process summary must be empty:
-	// every contribution was removed exactly once.
-	if n := proc.counting.Contributors(); n != 0 {
-		t.Errorf("counting signature still has %d contributors", n)
-	}
-	if got := sys.Mem.ReadWord(proc.PT.Translate(X)); got != 0 {
-		// block 0 stores value 0; just confirm last block instead
-		_ = got
+	// After everything commits, the process summary state must be empty:
+	// every saved signature left with its transaction's commit.
+	if n := len(proc.savedSigs); n != 0 {
+		t.Errorf("%d saved signatures outlive their transactions", n)
 	}
 	if got := sys.Mem.ReadWord(proc.PT.Translate(X + 11*addr.BlockBytes)); got != 11 {
 		t.Errorf("transaction lost writes: %d", got)

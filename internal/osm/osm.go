@@ -39,9 +39,6 @@ type Process struct {
 	// in-transaction thread; the summary signature for a context running
 	// thread t is the union of all entries except t's own (§4.1).
 	savedSigs map[*core.Thread]*sig.Signature
-	// counting incrementally maintains that union (the paper's footnote
-	// 1, VTM-XF style): adds on deschedule, removes on commit/abort.
-	counting *sig.CountingSignature
 }
 
 type threadState int
@@ -114,16 +111,11 @@ func (s *Scheduler) Stats() Stats { return s.stats }
 func (s *Scheduler) NewProcess(name string) *Process {
 	asid := s.nextASID
 	s.nextASID++
-	counting, err := sig.NewCountingSignature(s.sys.P.Signature)
-	if err != nil {
-		panic(err)
-	}
 	p := &Process{
 		ASID:      asid,
 		Name:      name,
 		PT:        s.sys.NewPageTable(asid),
 		savedSigs: make(map[*core.Thread]*sig.Signature),
-		counting:  counting,
 	}
 	s.procs[asid] = p
 	return p
@@ -239,20 +231,9 @@ func (s *Scheduler) onPreempt(t *core.Thread) {
 
 // saveSignature records a descheduled transaction's signature in the
 // process summary state. A thread preempted more than once in the same
-// transaction replaces its earlier snapshot — the stale contribution
-// must leave the counting signature first, or the summary would grow
-// monotonically and eventually block the whole process.
+// transaction replaces its earlier snapshot rather than adding to it.
 func (s *Scheduler) saveSignature(p *Process, t *core.Thread) {
-	if old, ok := p.savedSigs[t]; ok {
-		if err := p.counting.Remove(old); err != nil {
-			panic(err)
-		}
-	}
-	saved := t.SavedSig.Clone()
-	p.savedSigs[t] = saved
-	if err := p.counting.Add(saved); err != nil {
-		panic(err)
-	}
+	p.savedSigs[t] = t.SavedSig.Clone()
 }
 
 // onOuterCommit implements the commit trap: the committed transaction's
@@ -260,12 +241,7 @@ func (s *Scheduler) saveSignature(p *Process, t *core.Thread) {
 // the process's running contexts.
 func (s *Scheduler) onOuterCommit(t *core.Thread) {
 	ti := s.info[t]
-	if saved, ok := ti.proc.savedSigs[t]; ok {
-		if err := ti.proc.counting.Remove(saved); err != nil {
-			panic(err)
-		}
-		delete(ti.proc.savedSigs, t)
-	}
+	delete(ti.proc.savedSigs, t)
 	s.stats.SummaryCommits++
 	s.installSummaries(ti.proc)
 }
@@ -289,9 +265,12 @@ func (s *Scheduler) onThreadDone(t *core.Thread) {
 }
 
 // installSummaries installs the summary signature on every context
-// running a thread of process p, built incrementally from the counting
-// signature. The summary for thread t excludes t's own saved signature,
-// so a rescheduled thread does not conflict with its own read/write sets.
+// running a thread of process p: the union of the other threads' saved
+// signatures, recomputed each time (the simulator charges no cycles for
+// it). The summary for thread t excludes t's own saved signature, so a
+// rescheduled thread does not conflict with its own read/write sets.
+// Threads are visited in spawn order, never in map order, so a Perfect
+// summary's slot layout is the same on every run.
 func (s *Scheduler) installSummaries(p *Process) {
 	for _, t := range p.threads {
 		ctx := t.Context()
@@ -299,19 +278,19 @@ func (s *Scheduler) installSummaries(p *Process) {
 			continue
 		}
 		var sum *sig.Signature
-		if p.counting.Contributors() > 0 {
-			var err error
-			if saved, ok := p.savedSigs[t]; ok {
-				sum, err = p.counting.SnapshotExcluding(saved)
-			} else {
-				sum, err = p.counting.Snapshot()
+		for _, u := range p.threads {
+			saved, ok := p.savedSigs[u]
+			if !ok || u == t {
+				continue
 			}
-			if err != nil {
+			if sum == nil {
+				sum = saved.Clone()
+			} else if err := sum.Union(saved); err != nil {
 				panic(err)
 			}
-			if sum.Empty() {
-				sum = nil
-			}
+		}
+		if sum != nil && sum.Empty() {
+			sum = nil
 		}
 		s.sys.InstallSummary(ctx.Core, ctx.Thread, sum)
 		s.stats.SummaryInstalls++
@@ -360,7 +339,7 @@ func (s *Scheduler) RelocatePage(p *Process, va addr.VAddr) error {
 			}
 		} else if t.InTx() {
 			// Descheduled mid-transaction: the signature ScheduleOn
-			// will restore lives in t.SavedSig (the summary keeps its
+			// will restore lives in t.SavedSig (savedSigs keeps its
 			// own clone, updated below), and nested frames' save areas
 			// ride in the log. Leaving either under the old physical
 			// address would blind conflict detection after reschedule.
@@ -380,16 +359,9 @@ func (s *Scheduler) RelocatePage(p *Process, va addr.VAddr) error {
 	// Descheduled transactions: update their saved signatures (the paper
 	// queues a signal to do this before they resume; updating the saved
 	// copy now is equivalent) and refresh the summaries built from them.
-	// The counting structure sees the change as a remove/re-add.
 	changed := false
 	for _, saved := range p.savedSigs {
-		if err := p.counting.Remove(saved); err != nil {
-			return err
-		}
 		r, w := saved.RelocatePage(oldBase, newBase)
-		if err := p.counting.Add(saved); err != nil {
-			return err
-		}
 		s.stats.SigBlocksMoved += uint64(r + w)
 		if r+w > 0 {
 			changed = true

@@ -6,7 +6,6 @@ import (
 
 	"logtmse/internal/addr"
 	"logtmse/internal/obs"
-	"logtmse/internal/sim"
 )
 
 func nack(tid, core, depth int, a addr.PAddr, flags uint64) obs.Event {
@@ -205,40 +204,5 @@ func TestProfilerEmitAllocationFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state Emit allocates %.1f times per event batch, want 0", avg)
-	}
-}
-
-func TestFlightRecorderRing(t *testing.T) {
-	f := NewFlightRecorder(2, 4)
-	for i := 0; i < 10; i++ {
-		f.Emit(obs.Event{Kind: obs.KindTxBegin, Core: i % 2, TID: i, Cycle: sim.Cycle(i)})
-	}
-	evs := f.Events()
-	if len(evs) != 8 {
-		t.Fatalf("retained %d events, want 8 (two rings of 4)", len(evs))
-	}
-	// Oldest-first in emission order; the first two were overwritten.
-	if evs[0].TID != 2 || evs[len(evs)-1].TID != 9 {
-		t.Fatalf("retained window = TID %d..%d, want 2..9", evs[0].TID, evs[len(evs)-1].TID)
-	}
-	// Core-less / protocol events land in ring 0.
-	f.Emit(obs.Event{Kind: obs.KindStickyForward, Core: -1, TID: -1, Addr: addr.PAddr(0x40)})
-	dump := f.DumpString()
-	if !strings.Contains(dump, "sticky-forward") || !strings.Contains(dump, "flight recorder") {
-		t.Errorf("dump missing content:\n%s", dump)
-	}
-	f.Reset()
-	if got := f.Events(); len(got) != 0 {
-		t.Fatalf("reset left %d events", len(got))
-	}
-}
-
-func TestFlightRecorderEmitAllocationFree(t *testing.T) {
-	f := NewFlightRecorder(4, 64)
-	e := obs.Event{Kind: obs.KindNack, Core: 1, TID: 3, Addr: addr.PAddr(0x80)}
-	f.Emit(e)
-	avg := testing.AllocsPerRun(500, func() { f.Emit(e) })
-	if avg != 0 {
-		t.Errorf("FlightRecorder.Emit allocates %.2f per call, want 0", avg)
 	}
 }

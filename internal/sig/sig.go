@@ -146,17 +146,6 @@ func (p *perfect) insertKey(k uint64) {
 
 func (p *perfect) Insert(a addr.PAddr) { p.insertKey(uint64(a.Block()) + 1) }
 
-// forEachAddr visits every recorded block address in slot order — a pure
-// function of the insertion history, so deterministic across runs (unlike
-// Go map range order).
-func (p *perfect) forEachAddr(fn func(a addr.PAddr)) {
-	for _, k := range p.keys {
-		if k != 0 {
-			fn(addr.PAddr(k - 1))
-		}
-	}
-}
-
 func (p *perfect) MayContain(a addr.PAddr) bool {
 	if p.n == 0 {
 		return false

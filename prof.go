@@ -1,9 +1,8 @@
 package logtmse
 
 // Attribution surface: the library re-exports the internal/prof types
-// so downstream users can attach the conflict-attribution profiler and
-// the flight recorder without importing internal packages. See
-// DESIGN.md §11.
+// so downstream users can attach the conflict-attribution profiler
+// without importing internal packages. See DESIGN.md §11.
 
 import "logtmse/internal/prof"
 
@@ -22,16 +21,7 @@ type (
 	BlockStat = prof.BlockStat
 	// BlameEdge is one waits-for edge (From stalled on To).
 	BlameEdge = prof.Edge
-	// FlightRecorder keeps bounded per-core rings of recent lifecycle
-	// events for postmortems (RunConfig.Flight).
-	FlightRecorder = prof.FlightRecorder
 )
 
 // NewProfiler returns an empty conflict-attribution profiler.
 func NewProfiler() *Profiler { return prof.New() }
-
-// NewFlightRecorder returns a recorder with perCore event slots for
-// each of cores rings plus one protocol ring (perCore <= 0 → 256).
-func NewFlightRecorder(cores, perCore int) *FlightRecorder {
-	return prof.NewFlightRecorder(cores, perCore)
-}

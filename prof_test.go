@@ -6,9 +6,9 @@ import (
 )
 
 // TestProfilerDoesNotPerturb extends the instrumentation bit-identity
-// gate to the attribution layer: attaching a conflict profiler, a
-// flight recorder, or both plus a recording sink must leave Stats and
-// cycle counts identical to the bare run of the same seed.
+// gate to the attribution layer: attaching a conflict profiler, alone
+// or teed with a recording sink, must leave Stats and cycle counts
+// identical to the bare run of the same seed.
 func TestProfilerDoesNotPerturb(t *testing.T) {
 	v, _ := VariantByName("CBS")
 	for _, wl := range []string{"BerkeleyDB", "Mp3d"} {
@@ -30,10 +30,7 @@ func TestProfilerDoesNotPerturb(t *testing.T) {
 			}
 		}
 		check("prof", RunConfig{Sink: NewProfiler()})
-		check("flight", RunConfig{Flight: NewFlightRecorder(16, 64)})
-		check("prof+flight+sink", RunConfig{
-			Sink: Tee(NewProfiler(), &Recorder{}), Flight: NewFlightRecorder(16, 64),
-		})
+		check("prof+sink", RunConfig{Sink: Tee(NewProfiler(), &Recorder{})})
 	}
 }
 
@@ -72,33 +69,34 @@ func TestProfilerReconcilesFigure4(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderAttachesToHungRunDiagnostics pins the postmortem
-// path: a run that exhausts MaxCycles with a flight recorder attached
-// reports the recorder's event dump in the error.
-func TestFlightRecorderAttachesToHungRunDiagnostics(t *testing.T) {
+// TestHungRunReportsDiagnosis pins the postmortem path: a run that
+// exhausts MaxCycles fails with the engine's wait-for dump — one line
+// per thread giving its context, transaction state and the thread it
+// is stalled on — in the error.
+func TestHungRunReportsDiagnosis(t *testing.T) {
 	v, _ := VariantByName("BS")
-	f := NewFlightRecorder(16, 32)
 	_, err := RunOne(RunConfig{
 		Workload: "BerkeleyDB", Variant: v, Scale: testScale,
-		Flight: f, MaxCycles: 500, // far too few: force the hung-run path
+		MaxCycles: 2000, // far too few: force the hung-run path
 	}, 5)
 	if err == nil {
 		t.Fatal("truncated run did not error")
 	}
-	if !strings.Contains(err.Error(), "flight recorder") {
-		t.Errorf("hung-run error lacks the flight dump:\n%v", err)
+	// By cycle 2000 most threads are stalled on a NACK, so the dump
+	// names the thread each waits on.
+	for _, want := range []string{"threads stuck", "bdb-0: on core 0 tx depth=1", "stalled", "waiting on bdb-"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("hung-run error lacks %q:\n%v", want, err)
+		}
 	}
 }
 
-// TestProfilerRunsCacheBypass pins the caching contract: a profiled or
-// flight-recorded run is never served from the result cache (a cached
-// cell would silently skip the sinks).
+// TestProfilerRunsCacheBypass pins the caching contract: a profiled
+// run is never served from the result cache (a cached cell would
+// silently skip the sink).
 func TestProfilerRunsCacheBypass(t *testing.T) {
 	if Cacheable(RunConfig{Sink: NewProfiler()}) {
 		t.Error("profiled run reported cacheable")
-	}
-	if Cacheable(RunConfig{Flight: NewFlightRecorder(4, 4)}) {
-		t.Error("flight-recorded run reported cacheable")
 	}
 	if !Cacheable(RunConfig{}) {
 		t.Error("bare run reported uncacheable")
