@@ -1,13 +1,12 @@
 package logtmse
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 
-	"logtmse/internal/core"
 	"logtmse/internal/snap"
 	"logtmse/internal/sweep"
-	"logtmse/internal/workload"
 )
 
 // Cycle-level bisect.
@@ -94,27 +93,14 @@ func (r *BisectResult) String() string {
 const maxBisectSnaps = 512
 
 // BisectFailure localizes the first failing cycle of a broken cell. The
-// cell must be observer-free, fault-plan-free and on the
-// single-chip signature-mode baseline (the snapshot layer's domain);
-// rc.Checks selects the probing oracles (default: all, watchdog off).
-// Typically rc.Sabotage arms the defect under study, but any
-// deterministic in-engine defect an oracle can see is bisectable.
+// cell must be snapshot-capable (see snapshotCell); rc.Checks selects
+// the probing oracles (default: all, watchdog off). Typically
+// rc.Sabotage arms the defect under study, but any deterministic
+// in-engine defect an oracle can see is bisectable.
 func BisectFailure(rc RunConfig, seed int64, snapEvery Cycle) (*BisectResult, error) {
 	rc = rc.withDefaults()
-	if err := rc.validate(); err != nil {
+	if err := snapshotCell(rc); err != nil {
 		return nil, err
-	}
-	if rc.Params.Sink != nil {
-		return nil, errParamsSink
-	}
-	if rc.observed() {
-		return nil, fmt.Errorf("logtmse: bisect needs an observer-free cell (snapshots don't coexist with hooks)")
-	}
-	if rc.Fault.Active() {
-		return nil, fmt.Errorf("logtmse: the fault injector's schedule is hook state a snapshot cannot carry; bisect localizes sabotage- and engine-class defects")
-	}
-	if rc.Params.CD != CDSignature || rc.Params.Chips > 1 {
-		return nil, fmt.Errorf("logtmse: bisect needs the single-chip signature-mode baseline")
 	}
 	if snapEvery <= 0 {
 		snapEvery = 10_000
@@ -123,57 +109,45 @@ func BisectFailure(rc RunConfig, seed int64, snapEvery Cycle) (*BisectResult, er
 	if !checks.Any() {
 		checks = AllChecks(0)
 	}
-	b, err := newBisector(rc, checks, seed)
-	if err != nil {
-		return nil, err
-	}
+	rc.Checks = CheckConfig{}
+	b := &bisector{rc: rc, checks: checks, seed: seed}
 
 	res := &BisectResult{
 		Workload: rc.Workload, Variant: rc.Variant.Name, Seed: seed, SnapEvery: snapEvery,
 	}
-	err = sweep.Trap(func() error { return b.run(res, snapEvery) })
-	if err != nil {
+	if err := sweep.Trap(func() error { return b.run(res, snapEvery) }); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// bisector holds everything needed to spawn the cell again and again.
+// snapshotCell checks what BisectFailure and RunWithSnapshots both ask
+// of a defaulted cell: a valid config the snapshot layer can carry —
+// no observer (hooks don't snapshot), no fault plan (the injector's
+// schedule is hook state a snapshot cannot carry; sabotage is machine
+// state and snapshots fine) and the single-chip signature-mode
+// baseline.
+func snapshotCell(rc RunConfig) error {
+	if err := rc.validate(); err != nil {
+		return err
+	}
+	if rc.observed() {
+		return fmt.Errorf("logtmse: snapshots need an observer-free cell (hooks don't snapshot)")
+	}
+	if rc.Fault.Active() {
+		return fmt.Errorf("logtmse: the fault injector's schedule is hook state a snapshot cannot carry; bisect localizes sabotage- and engine-class defects")
+	}
+	if rc.Params.CD != CDSignature || rc.Params.Chips > 1 {
+		return fmt.Errorf("logtmse: snapshots need the single-chip signature-mode baseline")
+	}
+	return nil
+}
+
+// bisector holds everything needed to build the cell again and again.
 type bisector struct {
 	rc     RunConfig // normalized; Checks stripped (collection must be hook-free)
 	checks CheckConfig
 	seed   int64
-	w      *workload.Workload
-	p      core.Params
-}
-
-func newBisector(rc RunConfig, checks CheckConfig, seed int64) (*bisector, error) {
-	w, ok := workload.ByName(rc.Workload)
-	if !ok {
-		return nil, fmt.Errorf("logtmse: unknown workload %q", rc.Workload)
-	}
-	p := *rc.Params
-	p.Seed = seed
-	p.Signature = rc.Variant.Sig
-	rc.Checks = CheckConfig{}
-	return &bisector{rc: rc, checks: checks, seed: seed, w: w, p: p}, nil
-}
-
-func (b *bisector) spawn() (*core.System, *workload.Instance, error) {
-	sys, err := core.NewSystem(b.p)
-	if err != nil {
-		return nil, nil, err
-	}
-	inst, err := b.w.Spawn(sys, workload.Config{
-		Mode:    b.rc.Variant.Mode,
-		Threads: b.rc.Threads,
-		Scale:   b.rc.Scale,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	sys.Sabotage = b.rc.Sabotage
-	return sys, inst, nil
 }
 
 func (b *bisector) run(res *BisectResult, snapEvery Cycle) error {
@@ -192,7 +166,6 @@ func (b *bisector) run(res *BisectResult, snapEvery Cycle) error {
 	// clean collection run means there is nothing to bisect.
 	rcRef := b.rc
 	rcRef.Checks = b.checks
-	rcRef.Cache = nil
 	ref, refErr := runOneSafe(rcRef, b.seed)
 	res.Probes++
 	if len(ref.CheckFailures) == 0 {
@@ -277,7 +250,7 @@ func (b *bisector) run(res *BisectResult, snapEvery Cycle) error {
 // snapEvery cycles. It returns the snapshots, the end cycle, and the
 // run's own completion error (nil when it finished and verified).
 func (b *bisector) collect(snapEvery Cycle) ([]*snap.Snapshot, Cycle, error, error) {
-	sys, inst, err := b.spawn()
+	sys, inst, err := buildCell(b.rc, b.seed, false)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -323,17 +296,11 @@ func (b *bisector) collect(snapEvery Cycle) ([]*snap.Snapshot, Cycle, error, err
 			break
 		}
 	}
-	var end Cycle
-	if b.rc.MaxCycles > 0 {
-		end = sys.RunUntil(b.rc.MaxCycles)
-	} else {
-		end = sys.Run()
-	}
-	var runErr error
-	if !sys.AllDone() {
-		runErr = fmt.Errorf("threads stuck: %v", sys.Stuck())
-	} else if verr := inst.Verify(sys); verr != nil {
-		runErr = verr
+	end := runCell(sys, b.rc.MaxCycles)
+	_, runErr := finishCell(b.rc, RunResult{Seed: b.seed}, sys, inst, nil, end)
+	// The report already names the cell: keep the bare cause.
+	if cause := errors.Unwrap(runErr); cause != nil {
+		runErr = cause
 	}
 	return snaps, end, runErr, nil
 }
@@ -347,7 +314,7 @@ type probeOut struct {
 // checker (shadow memory seeded from the restored state — damage before
 // the snapshot is baseline, not violation), and replays the suffix.
 func (b *bisector) probe(s *snap.Snapshot) (probeOut, error) {
-	sys, inst, err := b.spawn()
+	sys, inst, err := buildCell(b.rc, b.seed, false)
 	if err != nil {
 		return probeOut{}, err
 	}
@@ -355,11 +322,7 @@ func (b *bisector) probe(s *snap.Snapshot) (probeOut, error) {
 		return probeOut{}, err
 	}
 	chk := sys.AttachChecker(b.checks)
-	if b.rc.MaxCycles > 0 {
-		sys.RunUntil(b.rc.MaxCycles)
-	} else {
-		sys.Run()
-	}
+	runCell(sys, b.rc.MaxCycles)
 	return probeOut{failures: chk.Failures(), stuck: !sys.AllDone()}, nil
 }
 
@@ -393,16 +356,15 @@ type SnapSelfCheck struct {
 
 // RunWithSnapshots runs one cell capturing a snapshot every `every`
 // cycles, then proves the snapshot layer on the spot: the last capture
-// is restored onto a freshly spawned machine and replayed to
-// completion, and the replay must finish at the same cycle with
-// bit-identical Stats. The cell must satisfy the same constraints as
-// BisectFailure (observer-free, no fault plan, single-chip
-// signature baseline); the returned RunResult is the original run's,
-// bit-identical to RunOne.
+// is restored onto a freshly built machine and replayed to completion,
+// and the replay must finish at the same cycle with bit-identical
+// Stats. The cell must be snapshot-capable like BisectFailure's (see
+// snapshotCell) and carry no oracles; the returned RunResult is the
+// original run's, bit-identical to RunOne.
 func RunWithSnapshots(rc RunConfig, seed int64, every Cycle) (RunResult, SnapSelfCheck, error) {
 	rc = rc.withDefaults()
 	var sc SnapSelfCheck
-	if err := rc.validate(); err != nil {
+	if err := snapshotCell(rc); err != nil {
 		return RunResult{}, sc, err
 	}
 	if every <= 0 {
@@ -411,26 +373,10 @@ func RunWithSnapshots(rc RunConfig, seed int64, every Cycle) (RunResult, SnapSel
 	if rc.Checks.Any() {
 		return RunResult{}, sc, fmt.Errorf("logtmse: snapshots don't coexist with oracles (use BisectFailure to probe a checked run)")
 	}
-	if rc.Params.Sink != nil {
-		return RunResult{}, sc, errParamsSink
-	}
-	if rc.observed() {
-		return RunResult{}, sc, fmt.Errorf("logtmse: snapshots need an observer-free cell")
-	}
-	if rc.Fault.Active() {
-		return RunResult{}, sc, fmt.Errorf("logtmse: the fault injector is not snapshot-capable")
-	}
-	if rc.Params.CD != CDSignature || rc.Params.Chips > 1 {
-		return RunResult{}, sc, fmt.Errorf("logtmse: snapshots need the single-chip signature-mode baseline")
-	}
-	b, err := newBisector(rc, CheckConfig{}, seed)
-	if err != nil {
-		return RunResult{}, sc, err
-	}
 
 	var res RunResult
-	err = sweep.Trap(func() error {
-		sys, inst, err := b.spawn()
+	err := sweep.Trap(func() error {
+		sys, inst, err := buildCell(rc, seed, false)
 		if err != nil {
 			return err
 		}
@@ -445,14 +391,9 @@ func RunWithSnapshots(rc RunConfig, seed int64, every Cycle) (RunResult, SnapSel
 				sc.Snapshots++
 			}
 		}
-		var end Cycle
-		if rc.MaxCycles > 0 {
-			end = sys.RunUntil(rc.MaxCycles)
-		} else {
-			end = sys.Run()
-		}
+		end := runCell(sys, rc.MaxCycles)
 		sc.EndCycle = end
-		res, err = finishBisectRun(rc, seed, sys, inst, end)
+		res, err = finishCell(rc, RunResult{Seed: seed}, sys, inst, nil, end)
 		if err != nil {
 			return err
 		}
@@ -461,15 +402,15 @@ func RunWithSnapshots(rc RunConfig, seed int64, every Cycle) (RunResult, SnapSel
 		}
 		sc.ResumedFrom = last.Cycle
 
-		sys2, inst2, err := b.spawn()
+		sys2, inst2, err := buildCell(rc, seed, false)
 		if err != nil {
 			return err
 		}
 		if err := snap.Restore(sys2, inst2, last); err != nil {
 			return err
 		}
-		end2 := sys2.Run()
-		res2, err := finishBisectRun(rc, seed, sys2, inst2, end2)
+		end2 := runCell(sys2, rc.MaxCycles)
+		res2, err := finishCell(rc, RunResult{Seed: seed}, sys2, inst2, nil, end2)
 		if err != nil {
 			return fmt.Errorf("snapshot replay from cycle %d: %w", last.Cycle, err)
 		}
@@ -479,32 +420,5 @@ func RunWithSnapshots(rc RunConfig, seed int64, every Cycle) (RunResult, SnapSel
 		sc.Identical = true
 		return nil
 	})
-	if err != nil {
-		return res, sc, err
-	}
-	return res, sc, nil
-}
-
-// finishBisectRun is the run postlude for the snapshot-capable subset:
-// completion check, verification, result assembly. Unlike
-// finishSharedRun it never pools the machine — sabotage may have run
-// here.
-func finishBisectRun(rc RunConfig, seed int64, sys *core.System, inst *workload.Instance, end Cycle) (RunResult, error) {
-	res := RunResult{Seed: seed}
-	if !sys.AllDone() {
-		return res, fmt.Errorf("logtmse: %s/%s seed %d: threads stuck: %v\n%s",
-			rc.Workload, rc.Variant.Name, seed, sys.Stuck(), sys.Diagnose())
-	}
-	if err := inst.Verify(sys); err != nil {
-		return res, fmt.Errorf("logtmse: %s/%s seed %d: %w", rc.Workload, rc.Variant.Name, seed, err)
-	}
-	st := sys.Stats()
-	if st.WorkUnits == 0 {
-		return res, fmt.Errorf("logtmse: %s produced no work units", rc.Workload)
-	}
-	res.Cycles = end
-	res.WorkUnits = st.WorkUnits
-	res.CyclesPerUnit = float64(end) / float64(st.WorkUnits)
-	res.Stats = st
-	return res, nil
+	return res, sc, err
 }

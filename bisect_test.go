@@ -3,7 +3,6 @@ package logtmse
 import (
 	"math/bits"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -158,29 +157,30 @@ func TestBisectCleanRun(t *testing.T) {
 	}
 }
 
-// TestBisectRejectsUnbisectable pins the gate: observers and fault
-// plans cannot be snapshotted, so bisect must refuse rather than return
-// a bogus localization; a Params-level sink is refused by name.
+// TestBisectRejectsUnbisectable pins the gate BisectFailure and
+// RunWithSnapshots share: observers and fault plans cannot be
+// snapshotted and multi-chip machines are outside the snapshot layer,
+// so both must refuse rather than return a bogus localization or
+// self-check.
 func TestBisectRejectsUnbisectable(t *testing.T) {
 	bs, _ := VariantByName("BS")
 	base := RunConfig{Workload: "Mp3d", Variant: bs, Scale: testScale}
 
 	faulty := base
 	faulty.Fault = FaultPlan{NackDelayPct: 50, NackDelayMax: 64, Seed: 9}
-	if _, err := BisectFailure(faulty, 1, 5_000); err == nil {
-		t.Error("fault-plan cell accepted")
-	}
 	traced := base
 	traced.Sink = FuncSink(func(Event) {})
-	if _, err := BisectFailure(traced, 1, 5_000); err == nil {
-		t.Error("traced cell accepted")
-	}
 	p := DefaultParams()
-	p.Sink = FuncSink(func(Event) {})
-	paramsSink := base
-	paramsSink.Params = &p
-	if _, err := BisectFailure(paramsSink, 1, 5_000); err == nil || !strings.Contains(err.Error(), "RunConfig.Sink") {
-		t.Errorf("Params.Sink cell: err = %v, want a rejection naming RunConfig.Sink", err)
+	p.Chips = 2
+	multiChip := base
+	multiChip.Params = &p
+	for name, rc := range map[string]RunConfig{"fault-plan": faulty, "traced": traced, "multi-chip": multiChip} {
+		if _, err := BisectFailure(rc, 1, 5_000); err == nil {
+			t.Errorf("BisectFailure accepted the %s cell", name)
+		}
+		if _, _, err := RunWithSnapshots(rc, 1, 5_000); err == nil {
+			t.Errorf("RunWithSnapshots accepted the %s cell", name)
+		}
 	}
 }
 

@@ -108,7 +108,6 @@ type config struct {
 	sabotage  bool
 	bisect    bool
 	snapEvery sim.Cycle
-	cache     *logtmse.ResultCache
 }
 
 func main() {
@@ -135,7 +134,6 @@ func run() int {
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
 	verbose := flag.Bool("v", false, "print one line per run to stderr")
 	jobs := flag.Int("j", 0, "parallel campaign runs (0 = GOMAXPROCS); the report is byte-identical for any -j")
-	cacheDir := flag.String("cache-dir", "", "memoize harness-scenario results by fingerprint in this directory, across campaigns (the report is byte-identical either way)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := flag.String("memprofile", "", "write a heap profile here at exit")
 	flag.Parse()
@@ -196,9 +194,6 @@ func run() int {
 		bisect:    *bisect,
 		snapEvery: sim.Cycle(*snapEvery),
 	}
-	if *cacheDir != "" {
-		cfg.cache = logtmse.NewResultCache(*cacheDir, 0)
-	}
 
 	rep := report{Campaign: campaign{
 		SeedBase: *seedBase, Seeds: *seeds, Mix: *mix,
@@ -241,9 +236,6 @@ func run() int {
 		}
 	}
 	rep.Summary = summarize(rep.Runs)
-	if cfg.cache != nil {
-		fmt.Fprintln(os.Stderr, logtmse.CacheSummary(cfg.cache))
-	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -376,7 +368,6 @@ func runHarness(mix string, seed int64, cfg config) runRecord {
 		MaxCycles: cfg.maxCycles,
 		Checks:    logtmse.AllChecks(cfg.watchdog),
 		Fault:     plan,
-		Cache:     cfg.cache,
 	}
 	if cfg.sabotage {
 		// One corruption per run, buried a seed-dependent number of
@@ -399,13 +390,11 @@ func runHarness(mix string, seed int64, cfg config) runRecord {
 
 // bisectRecord localizes a failing sabotage run to its first bad cycle.
 // The probing oracles ride inside BisectFailure itself, so the cell
-// hands over its checks; the cache is shed because it is merely
-// useless there (sabotaged cells have no fingerprint).
+// hands over its checks.
 func bisectRecord(rec *runRecord, rc logtmse.RunConfig, seed int64, cfg config) {
 	if !cfg.bisect || !cfg.sabotage {
 		return
 	}
-	rc.Cache = nil
 	br, err := logtmse.BisectFailure(rc, seed, cfg.snapEvery)
 	if err != nil {
 		rec.BisectError = err.Error()

@@ -121,7 +121,7 @@ type simOutcome struct {
 	CheckFailures []string
 	// Replays counts NACK retries answered from a retry verdict rather
 	// than a protocol walk: host bookkeeping, never part of a report.
-	Replays uint64 `json:"-"`
+	Replays uint64
 	// Err describes a run-level failure (stuck threads, oracle error);
 	// empty for a clean run.
 	Err string
@@ -151,12 +151,11 @@ func runSim(prog *progen.Program, cfg simConfig, seed int64, opts runOpts) (*sim
 	params.StarvationRetryLimit = 200
 
 	out := &simOutcome{}
-	params.Sink = opts.Extra
-
 	sys, err := core.NewSystem(params)
 	if err != nil {
 		return nil, fmt.Errorf("difftest: config %s: %w", cfg.Name, err)
 	}
+	sys.AttachSink(opts.Extra)
 	sys.Sabotage = opts.Sabotage
 	// The checker records the outermost-commit order; an injected abort
 	// at the commit point never reaches it. Its oracles run unless the

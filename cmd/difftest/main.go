@@ -14,7 +14,8 @@
 // repro and embedded in the report.
 //
 // The report is byte-identical across repeated invocations with the same
-// flags, for any -j, and with or without -cache-dir.
+// flags and for any -j. Every cell is simulated: a campaign of 500 seeds
+// takes about a second, so no result cache is kept.
 //
 //	difftest -seeds 500                 # CI campaign
 //	difftest -replay 137                # one seed, full matrix
@@ -25,8 +26,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -36,7 +35,6 @@ import (
 	"syscall"
 
 	"logtmse/internal/core"
-	"logtmse/internal/memo"
 	"logtmse/internal/obs"
 	"logtmse/internal/progen"
 	"logtmse/internal/refmodel"
@@ -123,9 +121,8 @@ func run() int {
 	shrinkBudget := flag.Int("shrink-budget", 300, "predicate evaluations per divergence shrink")
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
 	verbose := flag.Bool("v", false, "print one line per seed to stderr")
-	trace := flag.Bool("trace", false, "stream the lifecycle events to stderr, one line each (repro debugging; use with -repro or -replay and -config; disables -cache-dir)")
+	trace := flag.Bool("trace", false, "stream the lifecycle events to stderr, one line each (repro debugging; use with -repro or -replay and -config)")
 	jobs := flag.Int("j", 0, "parallel seeds (0 = GOMAXPROCS); the report is byte-identical for any -j")
-	cacheDir := flag.String("cache-dir", "", "memoize per-(seed,config) outcomes in this directory, across campaigns (the report is byte-identical either way)")
 	flag.Parse()
 
 	cfgs := matrix()
@@ -145,18 +142,8 @@ func run() int {
 	if *sabotage {
 		opts.Sabotage = core.Sabotage{SkipUndoRecord: true}
 	}
-	var cache *memo.Cache
-	if *cacheDir != "" {
-		cache = memo.New(*cacheDir, 256<<20)
-	}
 	if *trace {
-		// A cached cell never simulates, so it would print nothing:
-		// every traced cell must run.
 		opts.Extra = obs.FuncSink(func(e obs.Event) { fmt.Fprintln(os.Stderr, e) })
-		if cache != nil {
-			fmt.Fprintln(os.Stderr, "difftest: -trace disables the result cache")
-			cache = nil
-		}
 	}
 
 	rep := report{Campaign: campaign{
@@ -171,7 +158,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "difftest:", err)
 			return 2
 		}
-		rec := diffProgram(prog, prog.Seed, cfgs, opts, cache, *shrinkBudget)
+		rec := diffProgram(prog, prog.Seed, cfgs, opts, *shrinkBudget)
 		rep.Campaign.Seeds = 1
 		rep.Campaign.SeedBase = prog.Seed
 		rep.Runs = []seedRecord{rec}
@@ -183,7 +170,7 @@ func run() int {
 			rep.Campaign.SeedBase = *replay
 		}
 		runs, err := sweep.Map(ctx, len(list), *jobs, func(i int) seedRecord {
-			return runSeed(list[i], cfgs, opts, cache, *shrinkBudget)
+			return runSeed(list[i], cfgs, opts, *shrinkBudget)
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "difftest:", err)
@@ -274,14 +261,14 @@ func summarize(runs []seedRecord) summary {
 }
 
 // runSeed generates the seed's program and differential-tests it.
-func runSeed(seed int64, cfgs []simConfig, opts runOpts, cache *memo.Cache, shrinkBudget int) seedRecord {
+func runSeed(seed int64, cfgs []simConfig, opts runOpts, shrinkBudget int) seedRecord {
 	prog := progen.Generate(seed, progen.DeriveGenConfig(seed))
-	return diffProgram(prog, seed, cfgs, opts, cache, shrinkBudget)
+	return diffProgram(prog, seed, cfgs, opts, shrinkBudget)
 }
 
 // diffProgram runs one program through every matrix cell and applies the
 // oracles; the first divergence is shrunk to a minimal repro.
-func diffProgram(prog *progen.Program, seed int64, cfgs []simConfig, opts runOpts, cache *memo.Cache, shrinkBudget int) seedRecord {
+func diffProgram(prog *progen.Program, seed int64, cfgs []simConfig, opts runOpts, shrinkBudget int) seedRecord {
 	rec := seedRecord{
 		Seed:        seed,
 		Commutative: prog.Commutative,
@@ -296,7 +283,7 @@ func diffProgram(prog *progen.Program, seed int64, cfgs []simConfig, opts runOpt
 	}
 	var clean []cell
 	for _, cfg := range cfgs {
-		out, err := runCfg(prog, cfg, seed, opts, cache)
+		out, err := runSim(prog, cfg, seed, opts)
 		crec := configRecord{Config: cfg.Name}
 		if err != nil {
 			crec.Error = err.Error()
@@ -340,40 +327,6 @@ func diffProgram(prog *progen.Program, seed int64, cfgs []simConfig, opts runOpt
 		}
 	}
 	return rec
-}
-
-// runCfg runs one cell, optionally memoized: the cache key fingerprints
-// everything the outcome depends on, and replayed outcomes are
-// byte-identical to cold ones.
-func runCfg(prog *progen.Program, cfg simConfig, seed int64, opts runOpts, cache *memo.Cache) (*simOutcome, error) {
-	if cache == nil {
-		return runSim(prog, cfg, seed, opts)
-	}
-	pj, err := prog.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	h := sha256.New()
-	// v2: core.Stats gained PossibleCycleAborts, which is serialized in
-	// the cached outcome.
-	fmt.Fprintf(h, "difftest-v2|%s|%d|%v|%d|%d|", cfg.Name, seed, opts.Sabotage, opts.MaxCycles, opts.Watchdog)
-	h.Write(pj)
-	key := "difftest-" + hex.EncodeToString(h.Sum(nil))
-	payload, _, err := cache.Do(key, func() ([]byte, error) {
-		out, err := runSim(prog, cfg, seed, opts)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(out)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out simOutcome
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // oracleCheck compares one simulator outcome against the reference model

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"logtmse/internal/core"
-	"logtmse/internal/memo"
 	"logtmse/internal/progen"
 	"logtmse/internal/sweep"
 )
@@ -31,7 +30,7 @@ func TestCampaignSmoke(t *testing.T) {
 	cfgs := matrix()
 	opts := testOpts()
 	for seed := int64(1); seed <= 30; seed++ {
-		rec := runSeed(seed, cfgs, opts, nil, 300)
+		rec := runSeed(seed, cfgs, opts, 300)
 		if !rec.OK {
 			detail := "(no divergence record)"
 			if rec.Divergence != nil {
@@ -58,7 +57,7 @@ func TestEngineBugRegressions(t *testing.T) {
 	cfgs := matrix()
 	opts := testOpts()
 	for _, seed := range []int64{178, 185, 203, 234, 284, 299, 302} {
-		rec := runSeed(seed, cfgs, opts, nil, 300)
+		rec := runSeed(seed, cfgs, opts, 300)
 		if !rec.OK {
 			detail := "(no divergence record)"
 			if rec.Divergence != nil {
@@ -79,7 +78,7 @@ func TestSabotageCaught(t *testing.T) {
 	caught := 0
 	minOps := 1 << 30
 	for seed := int64(1); seed <= 24 && caught < 3; seed++ {
-		rec := runSeed(seed, cfgs, opts, nil, 300)
+		rec := runSeed(seed, cfgs, opts, 300)
 		if rec.OK {
 			continue
 		}
@@ -114,7 +113,7 @@ func TestParallelByteIdentity(t *testing.T) {
 	seeds := campaignSeeds(1, 12)
 	runAll := func(jobs int) []byte {
 		runs, err := sweep.Map(context.Background(), len(seeds), jobs, func(i int) seedRecord {
-			return runSeed(seeds[i], cfgs, opts, nil, 300)
+			return runSeed(seeds[i], cfgs, opts, 300)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -129,35 +128,6 @@ func TestParallelByteIdentity(t *testing.T) {
 	parallel := runAll(8)
 	if string(serial) != string(parallel) {
 		t.Fatal("parallel campaign report differs from serial")
-	}
-}
-
-// TestCacheByteIdentity pins the memoization contract: cold, warm and
-// uncached runs of the same cell return identical outcomes.
-func TestCacheByteIdentity(t *testing.T) {
-	cfgs := matrix()
-	opts := testOpts()
-	cache := memo.New(t.TempDir(), 64<<20)
-	prog := progen.Generate(7, progen.DeriveGenConfig(7))
-	for _, cfg := range cfgs[:3] {
-		plain, err := runCfg(prog, cfg, 7, opts, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		cold, err := runCfg(prog, cfg, 7, opts, cache)
-		if err != nil {
-			t.Fatalf("%s cold: %v", cfg.Name, err)
-		}
-		warm, err := runCfg(prog, cfg, 7, opts, cache)
-		if err != nil {
-			t.Fatalf("%s warm: %v", cfg.Name, err)
-		}
-		pj, _ := json.Marshal(plain)
-		cj, _ := json.Marshal(cold)
-		wj, _ := json.Marshal(warm)
-		if string(pj) != string(cj) || string(cj) != string(wj) {
-			t.Fatalf("%s: outcomes differ across cache modes", cfg.Name)
-		}
 	}
 }
 
@@ -224,7 +194,7 @@ func TestMaxCyclesBackstop(t *testing.T) {
 }
 
 // TestMatrixNamesUnique guards the report schema: cell names key the
-// cache and the cross-config oracle.
+// report and the cross-config oracle.
 func TestMatrixNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range matrix() {
@@ -263,25 +233,26 @@ func runMain(t *testing.T, args ...string) (int, string) {
 	return code, string(stderr)
 }
 
-// TestTraceBypassesCache: a warm result cache would serve the traced
-// cell without simulating it, printing nothing. -trace must turn the
-// cache off, say so, stream the events, and write the same report.
-func TestTraceBypassesCache(t *testing.T) {
+// TestTraceMatchesUntracedReport: -trace streams the traced cell's
+// lifecycle events to stderr, one line each, and leaves the report
+// byte-identical to the untraced run's.
+func TestTraceMatchesUntracedReport(t *testing.T) {
 	dir := t.TempDir()
-	cell := []string{"-replay", "302", "-config", "bs256-os-sched", "-cache-dir", filepath.Join(dir, "cache")}
+	cell := []string{"-replay", "302", "-config", "bs256-os-sched"}
 	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	if code, stderr := runMain(t, append(cell, "-out", a)...); code != 0 {
-		t.Fatalf("warming run: exit %d, stderr:\n%s", code, stderr)
+	code, stderr := runMain(t, append(cell, "-out", a)...)
+	if code != 0 {
+		t.Fatalf("untraced run: exit %d, stderr:\n%s", code, stderr)
 	}
-	code, stderr := runMain(t, append(cell, "-trace", "-out", b)...)
+	if strings.Contains(stderr, " tx-commit ") {
+		t.Errorf("untraced run streamed events:\n%.500s", stderr)
+	}
+	code, stderr = runMain(t, append(cell, "-trace", "-out", b)...)
 	if code != 0 {
 		t.Fatalf("traced run: exit %d, stderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(stderr, "-trace disables the result cache") {
-		t.Errorf("traced run did not report the cache bypass:\n%.500s", stderr)
-	}
 	if n := strings.Count(stderr, " tx-commit "); n == 0 {
-		t.Errorf("traced run over a warm cache streamed no commit events:\n%.500s", stderr)
+		t.Errorf("traced run streamed no commit events:\n%.500s", stderr)
 	}
 	ra, err := os.ReadFile(a)
 	if err != nil {
@@ -292,6 +263,6 @@ func TestTraceBypassesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(ra) != string(rb) {
-		t.Error("traced report differs from the cached one")
+		t.Error("traced report differs from the untraced one")
 	}
 }

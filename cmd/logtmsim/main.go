@@ -20,20 +20,6 @@ import (
 	"logtmse"
 )
 
-// writeFile creates path, runs fn on it, and closes it, reporting the
-// first error.
-func writeFile(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	os.Exit(run())
 }
@@ -123,10 +109,27 @@ func run() int {
 			}
 		}))
 	}
-	var rec *logtmse.Recorder
+	// The timeline streams to the file while the run goes; a run that
+	// fails leaves no partial file behind.
+	var traceFile *os.File
+	var cw *logtmse.CatapultWriter
 	if *traceOut != "" {
-		rec = &logtmse.Recorder{}
-		sinks = append(sinks, rec)
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "logtmsim: trace-out: %v\n", err)
+			return 1
+		}
+		traceFile = f
+		defer func() {
+			// traceFile is cleared once the timeline is complete; any
+			// earlier exit removes the partial file.
+			if traceFile != nil {
+				traceFile.Close()
+				os.Remove(*traceOut)
+			}
+		}()
+		cw = logtmse.NewCatapultWriter(f)
+		sinks = append(sinks, cw)
 	}
 	rc := logtmse.RunConfig{
 		Workload: *name,
@@ -159,14 +162,17 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "logtmsim: %v\n", err)
 		return 1
 	}
-	if rec != nil {
-		if err := writeFile(*traceOut, func(w *os.File) error {
-			return logtmse.WriteCatapult(w, rec.Events)
-		}); err != nil {
+	if cw != nil {
+		err := cw.Close()
+		if cerr := traceFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "logtmsim: trace-out: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "logtmsim: wrote %d events to %s\n", len(rec.Events), *traceOut)
+		traceFile = nil
+		fmt.Fprintf(os.Stderr, "logtmsim: wrote %d events to %s\n", cw.Events(), *traceOut)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"logtmse/internal/obs"
 )
 
 // runArgs runs the command with args and returns its exit code,
@@ -123,5 +126,48 @@ func TestInvalidScaleAndThreadsExit(t *testing.T) {
 		if stdout != "" {
 			t.Errorf("%v: printed a report:\n%s", c.args, stdout)
 		}
+	}
+}
+
+// TestTraceOutStreamsTimeline: -trace-out writes a catapult document
+// that decodes, with one tx slice per commit, and a run that fails
+// exits 1 without leaving a partial file behind.
+func TestTraceOutStreamsTimeline(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "t.json")
+	code, stdout, stderr := runArgs(t, "-workload", "Cholesky", "-variant", "BS", "-scale", "0.02", "-json", "-trace-out", out)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "events to "+out) {
+		t.Errorf("stderr does not report the export:\n%s", stderr)
+	}
+	var res struct{ Stats struct{ Commits uint64 } }
+	if err := json.Unmarshal([]byte(stdout), &res); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc obs.CatapultTrace
+	if err := json.Unmarshal(buf, &doc); err != nil {
+		t.Fatalf("timeline does not decode: %v", err)
+	}
+	var slices uint64
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" && e.Name == obs.NameTx {
+			slices++
+		}
+	}
+	if slices == 0 || slices != res.Stats.Commits {
+		t.Errorf("timeline has %d tx slices for %d commits", slices, res.Stats.Commits)
+	}
+
+	failed := filepath.Join(t.TempDir(), "failed.json")
+	if code, _, stderr := runArgs(t, "-workload", "Cholesky", "-scale", "-1", "-trace-out", failed); code != 1 {
+		t.Errorf("failing run: exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	if _, err := os.Stat(failed); !os.IsNotExist(err) {
+		t.Errorf("failing run left %s behind (stat: %v)", failed, err)
 	}
 }

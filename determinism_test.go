@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -292,14 +293,21 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 // per committed outermost transaction.
 func TestTraceOutHasSlicePerCommit(t *testing.T) {
 	v, _ := VariantByName("Perfect")
-	rec := &Recorder{}
+	var buf bytes.Buffer
+	cw := NewCatapultWriter(&buf)
 	r, err := RunOne(RunConfig{
-		Workload: "Cholesky", Variant: v, Scale: testScale, Sink: rec,
+		Workload: "Cholesky", Variant: v, Scale: testScale, Sink: cw,
 	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := BuildCatapult(rec.Events)
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var doc CatapultTrace
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
 	slices := 0
 	for _, e := range doc.TraceEvents {
 		if e.Ph == "X" && e.Name == "tx" {

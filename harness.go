@@ -86,8 +86,9 @@ type RunConfig struct {
 	// walks, summary conflicts, sticky forwards) from the engine and
 	// the coherence protocol — the one port for every consumer (a
 	// Recorder, a Profiler, an Event.String printer; join several with
-	// Tee). Nil disables instrumentation; Stats are bit-identical
-	// either way for the same seed. Params.Sink must stay nil.
+	// Tee). The harness attaches it before the workload spawns (see
+	// System.AttachSink). Nil disables instrumentation; Stats are
+	// bit-identical either way for the same seed.
 	Sink Sink
 	// MaxCycles, when nonzero, bounds the run; a run still incomplete at
 	// the bound fails with the engine's wait-for diagnosis (the chaos
@@ -132,10 +133,6 @@ type RunConfig struct {
 func (rc RunConfig) observed() bool {
 	return rc.Sink != nil
 }
-
-// errParamsSink rejects Params.Sink: the harness builds it from
-// RunConfig.Sink.
-var errParamsSink = fmt.Errorf("logtmse: attach event sinks with RunConfig.Sink, not Params.Sink")
 
 // validate rejects a defaulted cell the simulator cannot run: an input
 // scale that is negative or not finite (it would size every workload
@@ -218,9 +215,6 @@ func RunOne(rc RunConfig, seed int64) (RunResult, error) {
 	if err := rc.validate(); err != nil {
 		return RunResult{}, err
 	}
-	if rc.Params.Sink != nil {
-		return RunResult{}, errParamsSink
-	}
 	if rc.Cache != nil && Cacheable(rc) {
 		if key, err := Fingerprint(rc, seed); err == nil {
 			return runCached(rc, seed, key)
@@ -274,32 +268,8 @@ func runCached(rc RunConfig, seed int64, key string) (RunResult, error) {
 // fresh runs are byte-identical (pinned by determinism tests).
 func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 	rc = rc.withDefaults()
-	w, ok := workload.ByName(rc.Workload)
-	if !ok {
-		return RunResult{}, fmt.Errorf("logtmse: unknown workload %q", rc.Workload)
-	}
-	p := *rc.Params
-	p.Seed = seed
-	p.Signature = rc.Variant.Sig
-	p.Sink = rc.Sink
 	poolable := poolableCell(rc)
-	var sys *core.System
-	if poolable {
-		sys = sysPool.get(p, seed)
-	}
-	if sys == nil {
-		var err error
-		sys, err = core.NewSystem(p)
-		if err != nil {
-			return RunResult{}, err
-		}
-	}
-	sys.Sabotage = rc.Sabotage
-	inst, err := w.Spawn(sys, workload.Config{
-		Mode:    rc.Variant.Mode,
-		Threads: rc.Threads,
-		Scale:   rc.Scale,
-	})
+	sys, inst, err := buildCell(rc, seed, poolable)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -318,33 +288,92 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 		inj = fault.New(plan, sys)
 		inj.Arm()
 	}
-	var end Cycle
-	if rc.MaxCycles > 0 {
-		end = sys.RunUntil(rc.MaxCycles)
-	} else {
-		end = sys.Run()
-	}
+	end := runCell(sys, rc.MaxCycles)
 	res := RunResult{Seed: seed}
-	if chk != nil {
-		res.CheckFailures = chk.Failures()
-	}
 	if inj != nil {
 		res.Faults = inj.Stats().ByClass()
 	}
+	res, err = finishCell(rc, res, sys, inst, chk, end)
+	if err == nil && poolable {
+		// Only a cleanly finished machine returns to the pool: every
+		// failure leaves it to the garbage collector, so a wedged
+		// thread goroutine can never be handed to the next cell.
+		sysPool.put(sys)
+	}
+	return res, err
+}
+
+// buildCell is the one way a cell's machine comes to life: taken from
+// the pool when pooled is set and a machine is free, else constructed
+// for the seed and the variant's signature; then sabotage is armed, the
+// cell's sink attached and the workload spawned, so the event stream
+// covers the whole run. rc must be defaulted. Only RunOne pools (see
+// poolableCell): bisect and snapshot cells build fresh.
+func buildCell(rc RunConfig, seed int64, pooled bool) (*core.System, *workload.Instance, error) {
+	w, ok := workload.ByName(rc.Workload)
+	if !ok {
+		return nil, nil, fmt.Errorf("logtmse: unknown workload %q", rc.Workload)
+	}
+	p := *rc.Params
+	p.Seed = seed
+	p.Signature = rc.Variant.Sig
+	var sys *core.System
+	if pooled {
+		sys = sysPool.get(p, seed)
+	}
+	if sys == nil {
+		var err error
+		sys, err = core.NewSystem(p)
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	sys.Sabotage = rc.Sabotage
+	sys.AttachSink(rc.Sink)
+	inst, err := w.Spawn(sys, workload.Config{
+		Mode:    rc.Variant.Mode,
+		Threads: rc.Threads,
+		Scale:   rc.Scale,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return sys, inst, nil
+}
+
+// runCell runs the machine to completion, or to maxCycles when that is
+// nonzero, and returns the end cycle.
+func runCell(sys *core.System, maxCycles Cycle) Cycle {
+	if maxCycles > 0 {
+		return sys.RunUntil(maxCycles)
+	}
+	return sys.Run()
+}
+
+// finishCell is the postlude every cell shares. A hung run fails with
+// the engine's diagnosis (per-thread transaction state and the NACK
+// wait-for graph), then the workload's own verification, the oracles'
+// verdict (chk may be nil) and a nonzero work count must hold before
+// the result is filled in. res carries what the caller recorded
+// (seed, fault counts) and comes back partial, with the oracle
+// failures, on every error. A cell's own failures wrap their cause
+// behind a "logtmse: workload/variant seed N:" prefix.
+func finishCell(rc RunConfig, res RunResult, sys *core.System, inst *workload.Instance, chk *Checker, end Cycle) (RunResult, error) {
+	if chk != nil {
+		res.CheckFailures = chk.Failures()
+	}
+	fail := func(err error) (RunResult, error) {
+		return res, fmt.Errorf("logtmse: %s/%s seed %d: %w", rc.Workload, rc.Variant.Name, res.Seed, err)
+	}
 	if !sys.AllDone() {
-		// A hung run fails with a full diagnosis — per-thread transaction
-		// state and the NACK wait-for graph — not just thread names.
-		return res, fmt.Errorf("logtmse: %s/%s seed %d: threads stuck: %v\n%s",
-			rc.Workload, rc.Variant.Name, seed, sys.Stuck(), sys.Diagnose())
+		return fail(fmt.Errorf("threads stuck: %v\n%s", sys.Stuck(), sys.Diagnose()))
 	}
 	if err := inst.Verify(sys); err != nil {
-		return res, fmt.Errorf("logtmse: %s/%s seed %d: %w",
-			rc.Workload, rc.Variant.Name, seed, err)
+		return fail(err)
 	}
 	if chk != nil {
 		if err := chk.Err(); err != nil {
-			return res, fmt.Errorf("logtmse: %s/%s seed %d: %w",
-				rc.Workload, rc.Variant.Name, seed, err)
+			return fail(err)
 		}
 	}
 	st := sys.Stats()
@@ -355,12 +384,6 @@ func runOneCold(rc RunConfig, seed int64) (RunResult, error) {
 	res.WorkUnits = st.WorkUnits
 	res.CyclesPerUnit = float64(end) / float64(st.WorkUnits)
 	res.Stats = st
-	if poolable {
-		// Only a cleanly finished machine returns to the pool: every
-		// failure path above leaves it to the garbage collector, so a
-		// wedged thread goroutine can never be handed to the next cell.
-		sysPool.put(sys)
-	}
 	return res, nil
 }
 

@@ -96,23 +96,6 @@ func TestRunOneTrapsPanickingObserver(t *testing.T) {
 	}
 }
 
-// TestParamsSinkRejected: the harness builds the engine's sink from
-// RunConfig.Sink, so a Params-level sink is an error that names the
-// field to use instead — in RunOne (and through it Run) and in
-// RunWithSnapshots.
-func TestParamsSinkRejected(t *testing.T) {
-	v, _ := VariantByName("BS")
-	p := DefaultParams()
-	p.Sink = FuncSink(func(Event) {})
-	rc := RunConfig{Workload: "Mp3d", Variant: v, Scale: testScale, Params: &p}
-	if _, err := RunOne(rc, 1); err == nil || !strings.Contains(err.Error(), "RunConfig.Sink") {
-		t.Errorf("RunOne: err = %v, want a rejection naming RunConfig.Sink", err)
-	}
-	if _, _, err := RunWithSnapshots(rc, 1, 5_000); err == nil || !strings.Contains(err.Error(), "RunConfig.Sink") {
-		t.Errorf("RunWithSnapshots: err = %v, want a rejection naming RunConfig.Sink", err)
-	}
-}
-
 func TestRunAggregatesSeeds(t *testing.T) {
 	v, _ := VariantByName("Perfect")
 	agg, err := Run(RunConfig{
@@ -372,5 +355,46 @@ func TestInvalidScaleAndThreadsRejected(t *testing.T) {
 				t.Errorf("RunWithSnapshots: err = %v, want a rejection naming %s", err, c.field)
 			}
 		})
+	}
+}
+
+// TestSinkReceivesStickyForwards: RunConfig.Sink reaches the memory
+// system as well as the engine. Only the coherence protocol emits
+// sticky forwards; a 4 KB L1 victimizes BerkeleyDB's transactional
+// blocks often enough to produce them. On the four-chip machine each
+// chip's events must carry machine-global core ids, so together they
+// name a core on every chip.
+func TestSinkReceivesStickyForwards(t *testing.T) {
+	bs, _ := VariantByName("BS")
+	for _, chips := range []int{1, 4} {
+		p := DefaultParams()
+		p.L1Bytes = 4 * 1024
+		if chips > 1 {
+			p.Chips = chips
+			p.GridW, p.GridH = 2, 2
+		}
+		perChip := p.Cores / chips
+		forwards := 0
+		seen := map[int]bool{}
+		sink := FuncSink(func(e Event) {
+			if e.Kind != EvStickyForward {
+				return
+			}
+			forwards++
+			if e.Core < 0 || e.Core >= p.Cores {
+				t.Fatalf("chips=%d: sticky forward on core %d of %d", chips, e.Core, p.Cores)
+			}
+			seen[e.Core/perChip] = true
+		})
+		rc := RunConfig{Workload: "BerkeleyDB", Variant: bs, Scale: testScale, Params: &p, Sink: sink}
+		if _, err := RunOne(rc, 1); err != nil {
+			t.Fatalf("chips=%d: %v", chips, err)
+		}
+		if forwards == 0 {
+			t.Errorf("chips=%d: the sink received no sticky forwards", chips)
+		}
+		if len(seen) != chips {
+			t.Errorf("chips=%d: sticky forwards name cores on %d chips, want %d", chips, len(seen), chips)
+		}
 	}
 }

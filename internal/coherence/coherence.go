@@ -61,9 +61,6 @@ type Params struct {
 	CheckLat sim.Cycle // remote signature-check latency
 	Protocol Protocol
 	Grid     *network.Grid
-	// Sink, if set, receives protocol lifecycle events (sticky
-	// forwards); nil disables emission.
-	Sink obs.Sink
 	// Now supplies the cycle stamp for emitted events (nil stamps 0).
 	Now func() sim.Cycle
 }
@@ -200,6 +197,9 @@ type System struct {
 	dir   ptable.Table[dirEntry]
 	hooks Hooks
 	stats Stats
+	// sink, if set, receives protocol lifecycle events (sticky
+	// forwards); nil disables emission. See SetSink.
+	sink obs.Sink
 
 	// epoch, stamps and touches date the state a NACK outcome depends on
 	// (see Epoch, BlockStamp and Touches). They are host bookkeeping, not
@@ -260,12 +260,15 @@ func (s *System) emitSticky(owner, requester int, a addr.PAddr) {
 	if s.p.Now != nil {
 		now = s.p.Now()
 	}
-	s.p.Sink.Emit(obs.Event{
+	s.sink.Emit(obs.Event{
 		Kind: obs.KindStickyForward, Cycle: now,
 		Core: owner, Thread: -1, TID: -1,
 		Addr: a, Arg: uint64(requester),
 	})
 }
+
+// SetSink attaches the protocol's event sink (nil detaches it).
+func (s *System) SetSink(sink obs.Sink) { s.sink = sink }
 
 // Stats returns a snapshot of the protocol counters.
 func (s *System) Stats() Stats { return s.stats }
@@ -586,7 +589,7 @@ func (s *System) gets(req Request, e *dirEntry, bank int, lat sim.Cycle) AccessR
 		// Forward to the (possibly sticky) owner for a signature check.
 		owner := e.owner
 		s.stats.Forwards++
-		if s.p.Sink != nil && s.l1[owner].Peek(a) == cache.Invalid {
+		if s.sink != nil && s.l1[owner].Peek(a) == cache.Invalid {
 			s.emitSticky(owner, req.Core, a)
 		}
 		lat += s.p.Grid.Latency(s.p.Grid.BankNode(bank), s.p.Grid.CoreNode(owner)) +
@@ -630,7 +633,7 @@ func (s *System) getm(req Request, e *dirEntry, bank int, lat sim.Cycle) AccessR
 	a := req.Addr
 	targets := s.targetsOf(e, req.Core)
 	if len(targets) > 0 {
-		if s.p.Sink != nil && e.owner != -1 && e.owner != req.Core &&
+		if s.sink != nil && e.owner != -1 && e.owner != req.Core &&
 			s.l1[e.owner].Peek(a) == cache.Invalid {
 			s.emitSticky(e.owner, req.Core, a)
 		}

@@ -18,6 +18,8 @@ type Memory interface {
 	Access(req Request) AccessResult
 	Stats() Stats
 	Reset()
+	// SetSink attaches the protocol's event sink (nil detaches it).
+	SetSink(obs.Sink)
 }
 
 var (
@@ -82,9 +84,6 @@ func NewMultiChip(p MultiChipParams, hooks Hooks) (*MultiChip, error) {
 	for c := 0; c < p.Chips; c++ {
 		cp := p.Params
 		cp.Cores = m.coresPerChip
-		// Chip-local events carry chip-local core ids; shift them to the
-		// machine-global numbering before they reach the sink.
-		cp.Sink = obs.CoreOffset(p.Sink, c*m.coresPerChip)
 		// Chip-local hooks translate chip-local core ids to global ones.
 		chipHooks := &chipHooks{m: m, chip: c}
 		chip, err := NewSystem(cp, chipHooks)
@@ -123,6 +122,15 @@ func (h *chipHooks) SignatureMember(core int, req Request) bool {
 
 func (h *chipHooks) InExactSet(core int, a addr.PAddr) bool {
 	return h.m.hooks.InExactSet(h.global(core), a)
+}
+
+// SetSink attaches the event sink to every chip. Chip-local events carry
+// chip-local core ids, so each chip's are shifted to the machine-global
+// numbering before they reach the sink.
+func (m *MultiChip) SetSink(sink obs.Sink) {
+	for c, chip := range m.chips {
+		chip.SetSink(obs.CoreOffset(sink, c*m.coresPerChip))
+	}
 }
 
 // Chip returns one CMP's single-chip memory system (tests, stats).

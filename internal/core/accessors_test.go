@@ -10,15 +10,15 @@ import (
 func TestThreadAccessorsAndEventSink(t *testing.T) {
 	p := smallParams()
 	var begins, commits int
-	p.Sink = obs.FuncSink(func(e obs.Event) {
+	s := newSys(t, p)
+	s.AttachSink(obs.FuncSink(func(e obs.Event) {
 		switch e.Kind {
 		case obs.KindTxBegin:
 			begins++
 		case obs.KindTxCommit:
 			commits++
 		}
-	})
-	s := newSys(t, p)
+	}))
 	pt := s.NewPageTable(1)
 	var th *Thread
 	th, _ = s.SpawnOn(0, 0, "probe", 1, pt, func(a *API) {

@@ -19,7 +19,7 @@ import (
 // queue on that order, so event execution order, every Stats counter
 // and every RNG draw are the same as with one queue. The engine keeps
 // only the rare events: the OS model's quanta, page relocation and the
-// weak ticks of metrics, fault injection and the checker.
+// weak ticks of fault injection and the checker.
 //
 // Each thread owns one cell holding its continuation's (cycle, key). A
 // continuation due fewer than laneSpan cycles after the clock goes into

@@ -39,8 +39,8 @@ func TestEmitZeroAllocs(t *testing.T) {
 func TestLifecycleEventStream(t *testing.T) {
 	p := smallParams()
 	var rec obs.Recorder
-	p.Sink = &rec
 	s := newSys(t, p)
+	s.AttachSink(&rec)
 	pt := s.NewPageTable(1)
 	for c := 0; c < 4; c++ {
 		if _, err := s.SpawnOn(c, 0, "w", 1, pt, func(a *API) {
@@ -107,15 +107,16 @@ func TestLifecycleEventStream(t *testing.T) {
 	}
 }
 
-// TestResetKeepsParamsSink pins Reset's just-constructed promise for
-// the event stream: Params.Sink is configuration, so the same program
-// run before and after a Reset emits the same events — from the engine
-// and from the protocol alike — into it.
-func TestResetKeepsParamsSink(t *testing.T) {
+// TestResetClearsSink pins Reset's just-constructed promise for the
+// event stream: a sink is attached like a checker, so Reset detaches it
+// from the engine and the protocol alike, and re-attaching it makes the
+// same program emit the same events as before the Reset.
+func TestResetClearsSink(t *testing.T) {
 	counts := map[obs.Kind]uint64{}
+	sink := obs.FuncSink(func(e obs.Event) { counts[e.Kind]++ })
 	p := smallParams()
-	p.Sink = obs.FuncSink(func(e obs.Event) { counts[e.Kind]++ })
 	s := newSys(t, p)
+	s.AttachSink(sink)
 	run := func() map[obs.Kind]uint64 {
 		clear(counts)
 		pt := s.NewPageTable(1)
@@ -144,8 +145,15 @@ func TestResetKeepsParamsSink(t *testing.T) {
 	if err := s.Reset(p.Seed); err != nil {
 		t.Fatal(err)
 	}
+	if detached := run(); len(detached) != 0 {
+		t.Errorf("Reset kept the sink attached: it received %v", detached)
+	}
+	if err := s.Reset(p.Seed); err != nil {
+		t.Fatal(err)
+	}
+	s.AttachSink(sink)
 	if after := run(); !maps.Equal(before, after) {
-		t.Errorf("event counts after Reset = %v, before = %v", after, before)
+		t.Errorf("event counts after Reset and re-attach = %v, before = %v", after, before)
 	}
 }
 

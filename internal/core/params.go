@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"logtmse/internal/coherence"
-	"logtmse/internal/obs"
 	"logtmse/internal/sig"
 	"logtmse/internal/sim"
 )
@@ -100,14 +99,6 @@ type Params struct {
 	// signature save/restore latency. 0 reproduces the base design,
 	// which copies the signature to the log frame header every time.
 	SigBackupCopies int
-
-	// Sink, if set, receives the structured lifecycle event stream (obs
-	// package) from the engine and the coherence protocol: transaction
-	// begins/commits/aborts, NACKs, stall episodes, log walks, summary
-	// conflicts, and sticky forwards. Nil (the default) disables
-	// instrumentation entirely — runs are bit-identical to an
-	// un-instrumented simulator.
-	Sink obs.Sink
 
 	// Seed drives all randomness (retry jitter, workload generators).
 	Seed int64

@@ -47,8 +47,8 @@ func TestBackoffWindowSaturation(t *testing.T) {
 func TestAbortWhileStalled(t *testing.T) {
 	p := smallParams()
 	var rec obs.Recorder
-	p.Sink = &rec
 	s := newSys(t, p)
+	s.AttachSink(&rec)
 	pt := s.NewPageTable(1)
 	X := addr.VAddr(0xd000)
 	if _, err := s.SpawnOn(0, 0, "holder", 1, pt, func(a *API) {
@@ -149,8 +149,8 @@ func TestStarvationRetryLimitEscalates(t *testing.T) {
 	p := smallParams()
 	p.StarvationRetryLimit = 4
 	var rec obs.Recorder
-	p.Sink = &rec
 	s := newSys(t, p)
+	s.AttachSink(&rec)
 	pt := s.NewPageTable(1)
 	X := addr.VAddr(0xe000)
 	if _, err := s.SpawnOn(0, 0, "hog", 1, pt, func(a *API) {

@@ -120,8 +120,8 @@ type System struct {
 	// OnThreadDone, if set, is called when a thread function returns, so
 	// a scheduler can reclaim the context.
 	OnThreadDone func(*Thread)
-	// Sink receives the structured lifecycle event stream (set via
-	// Params.Sink; nil disables instrumentation).
+	// Sink receives the structured lifecycle event stream (set with
+	// AttachSink; nil disables instrumentation).
 	Sink obs.Sink
 	// Check, when attached with AttachChecker, evaluates the runtime
 	// invariant oracles (shadow memory, signature membership, undo-log
@@ -228,7 +228,6 @@ func NewSystem(p Params) (*System, error) {
 		Engine:       sim.NewEngine(p.Seed),
 		Mem:          mem.NewMemory(),
 		nextPhysPage: 1,
-		Sink:         p.Sink,
 		mainWake:     make(chan struct{}),
 	}
 	cohParams := coherence.Params{
@@ -238,7 +237,6 @@ func NewSystem(p Params) (*System, error) {
 		L1HitLat: p.L1HitLat, L2Lat: p.L2Lat, MemLat: p.MemLat,
 		DirLat: p.DirLat, CheckLat: p.CheckLat,
 		Protocol: p.Protocol,
-		Sink:     p.Sink,
 		Now:      s.Engine.Now,
 	}
 	if p.Chips > 1 {
@@ -329,12 +327,21 @@ func (s *System) Reset(seed int64) error {
 	s.runLimit, s.runLast = 0, 0
 	s.nextPhysPage = 1
 	s.OnOuterCommit, s.PreemptCheck, s.OnPreempt, s.OnThreadDone = nil, nil, nil, nil
-	// Params.Sink is configuration (coherence keeps it across its own
-	// Reset); only what was attached after construction is dropped.
-	s.Sink = s.P.Sink
+	s.AttachSink(nil)
 	s.Check, s.Fault = nil, nil
 	s.Sabotage = Sabotage{}
 	return nil
+}
+
+// AttachSink routes the structured lifecycle event stream to sink: the
+// engine's transaction, NACK, stall and log-walk events, and the memory
+// system's sticky forwards, with each chip's core ids shifted to the
+// machine-global numbering on a multi-chip machine. Attach before
+// spawning threads so the stream starts at cycle 0; a nil sink
+// disables instrumentation, and Stats are bit-identical either way.
+func (s *System) AttachSink(sink obs.Sink) {
+	s.Sink = sink
+	s.Coh.SetSink(sink)
 }
 
 // reserveThreads sizes the lane's cells and the storm slots for n

@@ -40,9 +40,8 @@ func cloneVerdict(v *retryVerdict) retryVerdict {
 // with requireSameRun.
 func runWithAndWithoutVerdicts(t *testing.T, p Params, build func(s *System)) (bare, ref *System) {
 	t.Helper()
-	withSink := p
-	withSink.Sink = &obs.Recorder{}
-	ref = newSys(t, withSink)
+	ref = newSys(t, p)
+	ref.AttachSink(&obs.Recorder{})
 	build(ref)
 	mustRun(t, ref)
 	if ref.verdictReplays != 0 {
@@ -769,8 +768,8 @@ func TestNackRetryZeroAlloc(t *testing.T) {
 	}{{"storm", nil, false, false}, {"replayed", nil, false, true}, {"rechecked", nil, true, false}, {"walked", obs.Discard{}, false, false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := smallParams()
-			p.Sink = tc.sink
 			s := newSys(t, p)
+			s.AttachSink(tc.sink)
 			if tc.perRetry {
 				s.laneStep = s.runCont
 			}
@@ -954,8 +953,8 @@ func TestReplaySkipEndsAtNonReplayStep(t *testing.T) {
 	for _, between := range []bool{false, true} {
 		run := func(sink obs.Sink) *System {
 			p := smallParams()
-			p.Sink = sink
 			s := newSys(t, p)
+			s.AttachSink(sink)
 			pt := s.NewPageTable(1)
 			h := spawn(t, s, 0, 0, "holder", pt, func(a *API) {
 				a.Transaction(func() {

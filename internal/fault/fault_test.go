@@ -30,16 +30,15 @@ func contended(t *testing.T, plan Plan, seed int64) (*core.System, *Injector, []
 	params.StarvationRetryLimit = 200
 
 	var events []obs.Event
-	params.Sink = obs.FuncSink(func(e obs.Event) {
-		if e.Kind == obs.KindFaultInject {
-			events = append(events, e)
-		}
-	})
-
 	sys, err := core.NewSystem(params)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.AttachSink(obs.FuncSink(func(e obs.Event) {
+		if e.Kind == obs.KindFaultInject {
+			events = append(events, e)
+		}
+	}))
 	sched := osm.New(sys, 2_000)
 	sched.DeferInTxFactor = 0
 	proc := sched.NewProcess("faulttest")
@@ -183,15 +182,15 @@ func TestZeroPlanIsNoOp(t *testing.T) {
 		params.L2Banks = 4
 		params.StarvationRetryLimit = 200
 		var events []obs.Event
-		params.Sink = obs.FuncSink(func(e obs.Event) {
-			if e.Kind == obs.KindFaultInject {
-				events = append(events, e)
-			}
-		})
 		sys, err := core.NewSystem(params)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys.AttachSink(obs.FuncSink(func(e obs.Event) {
+			if e.Kind == obs.KindFaultInject {
+				events = append(events, e)
+			}
+		}))
 		sched := osm.New(sys, 2_000)
 		sched.DeferInTxFactor = 0
 		proc := sched.NewProcess("faulttest")

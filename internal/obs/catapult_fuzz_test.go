@@ -11,7 +11,7 @@ import (
 
 // eventsFromBytes decodes an arbitrary byte string into an event stream
 // (7 bytes per event, any remainder ignored) so the fuzzer can drive the
-// catapult builder through pathological orderings: commits without
+// catapult writer through pathological orderings: commits without
 // begins, interleaved depths, negative cores. Cycles accumulate so the
 // stream is time-ordered, like the engine's.
 func eventsFromBytes(data []byte) []Event {
@@ -34,7 +34,7 @@ func eventsFromBytes(data []byte) []Event {
 }
 
 // FuzzCatapult hardens the trace exporter: for any event stream the
-// builder must not panic, must produce valid JSON that decodes back into
+// writer must not panic, must produce valid JSON that decodes back into
 // a CatapultTrace, and must be deterministic.
 func FuzzCatapult(f *testing.F) {
 	f.Add([]byte{})

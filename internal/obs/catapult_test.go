@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -59,6 +60,45 @@ func TestCatapultGolden(t *testing.T) {
 	}
 }
 
+// TestCatapultEmptyStream: a stream with no events still writes a
+// whole document, with the null event list json.Encoder writes for an
+// empty CatapultTrace.
+func TestCatapultEmptyStream(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteCatapult(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), `{"traceEvents":null,"displayTimeUnit":"ns"}`+"\n"; got != want {
+		t.Errorf("empty trace = %q, want %q", got, want)
+	}
+}
+
+// TestCatapultWriterReportsWriteError: a failing destination surfaces
+// from Close, and the writer stops writing after the first error.
+func TestCatapultWriterReportsWriteError(t *testing.T) {
+	w := &failWriter{}
+	c := NewCatapultWriter(w)
+	for _, e := range sampleEvents() {
+		c.Emit(e)
+	}
+	if err := c.Close(); err == nil {
+		t.Fatal("Close returned nil on a failing writer")
+	}
+	if c.Events() != len(sampleEvents()) {
+		t.Errorf("Events() = %d, want %d", c.Events(), len(sampleEvents()))
+	}
+	if w.calls != 1 {
+		t.Errorf("writer called %d times after failing, want 1", w.calls)
+	}
+}
+
+type failWriter struct{ calls int }
+
+func (f *failWriter) Write([]byte) (int, error) {
+	f.calls++
+	return 0, errors.New("disk full")
+}
+
 func TestCatapultJSONRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteCatapult(&buf, sampleEvents()); err != nil {
@@ -110,8 +150,23 @@ func TestCatapultJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeCatapult writes the event stream as catapult JSON and decodes
+// it back.
+func decodeCatapult(t *testing.T, evs []Event) CatapultTrace {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteCatapult(&buf, evs); err != nil {
+		t.Fatal(err)
+	}
+	var doc CatapultTrace
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
 func TestCatapultSliceShapes(t *testing.T) {
-	doc := BuildCatapult(sampleEvents())
+	doc := decodeCatapult(t, sampleEvents())
 	find := func(name string) TraceEvent {
 		for _, e := range doc.TraceEvents {
 			if e.Name == name {
@@ -125,7 +180,7 @@ func TestCatapultSliceShapes(t *testing.T) {
 	if tx.Ts != 100 || tx.Dur != 150 {
 		t.Errorf("outer tx slice = ts %f dur %f, want 100/150", tx.Ts, tx.Dur)
 	}
-	if tx.Args["reads"] != uint64(5) || tx.Args["writes"] != uint64(3) {
+	if tx.Args["reads"] != float64(5) || tx.Args["writes"] != float64(3) {
 		t.Errorf("tx args = %v", tx.Args)
 	}
 	nested := find(NameTxNested)
@@ -171,14 +226,14 @@ func TestCatapultDeterministic(t *testing.T) {
 
 func TestCatapultToleratesUnbalancedStream(t *testing.T) {
 	// Commit with no begin, stall end with no start, walk end with no
-	// start: the builder must not panic or emit negative-duration junk.
+	// start: the writer must not panic or emit negative-duration junk.
 	evs := []Event{
 		{Kind: KindTxCommit, Cycle: 50, TID: 1, Depth: 1},
 		{Kind: KindStallEnd, Cycle: 60, TID: 1},
 		{Kind: KindLogWalkEnd, Cycle: 70, TID: 1},
 		{Kind: KindTxAbort, Cycle: 80, TID: 1, Cause: CauseConflict},
 	}
-	doc := BuildCatapult(evs)
+	doc := decodeCatapult(t, evs)
 	for _, e := range doc.TraceEvents {
 		if e.Ph == "X" && e.Dur < 0 {
 			t.Errorf("negative duration slice: %+v", e)

@@ -23,12 +23,11 @@ func TestProfilerReconcilesThreeCoreCycle(t *testing.T) {
 	params.L2Banks = 4
 	params.Resolution = core.ResolveStallAbort
 	p := prof.New()
-	params.Sink = p
-
 	s, err := core.NewSystem(params)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.AttachSink(p)
 	pt := s.NewPageTable(1)
 	A, B, C := addr.VAddr(0xa000), addr.VAddr(0xb000), addr.VAddr(0xc000)
 	spin := func(first, second addr.VAddr) func(a *core.API) {

@@ -154,7 +154,7 @@ func (q *Heap[T]) Clear() {
 //
 // An event's key packs its insertion sequence (high 63 bits) and a weak
 // flag (low bit): sequence order is preserved under the shift. Weak
-// events (observability snapshots) never extend a run: Run and RunUntil
+// events (the checker's audit tick) never extend a run: Run and RunUntil
 // report the cycle of the last strong event, so instrumentation cannot
 // change measured cycle counts.
 type Engine struct {
@@ -236,7 +236,7 @@ func (e *Engine) Schedule(delay Cycle, fn func()) {
 // ScheduleWeak runs fn after delay cycles like Schedule, but marks the
 // event weak: it rides along with the simulation without extending it.
 // Run/RunUntil report the last strong cycle, and PendingStrong ignores
-// weak events, so a self-rearming weak event (the metrics snapshotter)
+// weak events, so a self-rearming weak event (the checker's audit tick)
 // cannot keep a run alive or change its measured length.
 func (e *Engine) ScheduleWeak(delay Cycle, fn func()) {
 	e.seq++
@@ -356,7 +356,7 @@ func (e *Engine) StepWithin(limit Cycle) bool {
 func (e *Engine) LastWeak() bool { return e.lastWeak }
 
 // Run executes events until the queue drains. It returns the final
-// cycle of strong work: trailing weak events (metrics snapshots)
+// cycle of strong work: trailing weak events (periodic audit ticks)
 // execute but do not extend the reported run.
 func (e *Engine) Run() Cycle { return e.RunUntil(^Cycle(0)) }
 

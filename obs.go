@@ -28,8 +28,12 @@ type (
 	DiscardSink = obs.Discard
 	// FuncSink adapts a function to the Sink interface.
 	FuncSink = obs.FuncSink
-	// CatapultTrace is the Chrome trace-event JSON document.
+	// CatapultTrace is the Chrome trace-event JSON document, as a
+	// reader decodes it.
 	CatapultTrace = obs.CatapultTrace
+	// CatapultWriter is a Sink that streams the event stream as a
+	// Chrome trace-event JSON document; Close finishes it.
+	CatapultWriter = obs.CatapultWriter
 )
 
 // Lifecycle event kinds.
@@ -62,9 +66,10 @@ const EvFaultInject = obs.KindFaultInject
 // Tee fans one event stream out to several sinks.
 func Tee(sinks ...Sink) Sink { return obs.Tee(sinks...) }
 
-// BuildCatapult converts a recorded event stream into a Chrome
-// trace-event document (one process per core, one track per thread).
-func BuildCatapult(events []Event) *CatapultTrace { return obs.BuildCatapult(events) }
+// NewCatapultWriter returns a Sink that writes the event stream to w as
+// catapult JSON (one process per core, one track per thread) while the
+// run goes; Close writes the frames still open and the trailer.
+func NewCatapultWriter(w io.Writer) *CatapultWriter { return obs.NewCatapultWriter(w) }
 
 // WriteCatapult encodes the event stream as catapult JSON, loadable in
 // chrome://tracing and Perfetto.
